@@ -27,6 +27,16 @@ Each closed form is backed by an independent numerical oracle:
   boundary for unit-gain kind-I channels.
 * ``eb_oracle_tmsv`` sends one arm of two-mode squeezed vacua through the
   channel and applies the partial-transpose separability test.
+
+The margins take scalars or arrays of noise eigenvalues.  The gain-only
+bounds are computed once per call as Python floats, so an array margin
+is bit-identical to the same margin evaluated point by point.
+``region_sweep`` classifies a whole n-by-n noise grid at once and
+returns a ``RegionSweep`` of columns (a, b, region code and the three
+margins, a-major), not one object per point; ``classify_region`` labels
+a single point through the same code.  ``gaussatlas sweep`` writes
+these columns with the same bytes as printing every field of every
+point with ``f"{v:.12g}"``; tests/test_cli_golden.py pins them.
 """
 
 import math
@@ -48,22 +58,33 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # -- closed-form margins --------------------------------------------------- #
 
 
-def cp_margin(kind, kappa, a, b):
-    """Signed slack of the complete-positivity condition, ab minus its bound."""
+def _kappa_bounds(kind, kappa):
+    """The gain-only bounds (cp, eb, ncb) of a canonical kind, as Python floats.
+
+    cp and eb bound the product ab; the ncb entry bounds (a-1)(b-1) and
+    is None for kind III, whose NCB condition has no product term.
+    Raises OverflowError when a bound does not fit in a double.
+    """
     kind = kind_from_label(kind)
-    if kind is Kind.I:
-        return a * b - (1.0 - kappa ** 2) ** 2
-    if kind is Kind.II:
-        return a * b - (1.0 + kappa ** 2) ** 2
-    return a * b - 1.0
+    kappa = float(kappa)
+    if kind in (Kind.I, Kind.II):
+        eb = (1.0 + kappa ** 2) ** 2
+        cp = (1.0 - kappa ** 2) ** 2 if kind is Kind.I else eb
+        return cp, eb, kappa ** 4
+    return 1.0, 1.0, None
+
+
+def cp_margin(kind, kappa, a, b):
+    """Signed slack of the complete-positivity condition, ab minus its bound.
+
+    a and b may be arrays of one shape; the margin is elementwise.
+    """
+    return a * b - _kappa_bounds(kind, kappa)[0]
 
 
 def eb_margin(kind, kappa, a, b):
     """Signed slack of the entanglement-breaking condition."""
-    kind = kind_from_label(kind)
-    if kind in (Kind.I, Kind.II):
-        return a * b - (1.0 + kappa ** 2) ** 2
-    return a * b - 1.0
+    return a * b - _kappa_bounds(kind, kappa)[1]
 
 
 def ncb_margin(kind, kappa, a, b):
@@ -74,10 +95,11 @@ def ncb_margin(kind, kappa, a, b):
     for kind III it is the distance of the smaller noise eigenvalue
     from 1.
     """
-    kind = kind_from_label(kind)
-    if kind in (Kind.I, Kind.II):
-        return min(a - 1.0, b - 1.0, (a - 1.0) * (b - 1.0) - kappa ** 4)
-    return min(a - 1.0, b - 1.0)
+    k4 = _kappa_bounds(kind, kappa)[2]
+    margin = np.minimum(a - 1.0, b - 1.0)
+    if k4 is not None:
+        margin = np.minimum(margin, (a - 1.0) * (b - 1.0) - k4)
+    return margin if isinstance(margin, np.ndarray) else float(margin)
 
 
 def is_ncb(form, tol=TOL_CLASS):
@@ -267,55 +289,48 @@ def find_r0(form, r_tol=1e-10, tol=TOL_CLASS):
 
 
 @dataclass(frozen=True, eq=False)
-class RegionRecord:
-    """Verdict chain and margins at one (kappa, a, b) grid point."""
+class RegionSweep:
+    """Columns of an n-by-n region sweep at one (kind, kappa).
+
+    Every column has n*n entries in a-major order (b varies fastest);
+    code indexes REGION_LABELS.
+    """
 
     kind: Kind
     kappa: float
-    a: float
-    b: float
-    region_class: str
-    cp_margin: float
-    eb_margin: float
-    ncb_margin: float
-
-    def csv_row(self):
-        return [self.kind.value, f"{self.kappa:.12g}", f"{self.a:.12g}",
-                f"{self.b:.12g}", self.region_class, f"{self.cp_margin:.12g}",
-                f"{self.eb_margin:.12g}", f"{self.ncb_margin:.12g}"]
+    a: np.ndarray
+    b: np.ndarray
+    code: np.ndarray
+    cp_margin: np.ndarray
+    eb_margin: np.ndarray
+    ncb_margin: np.ndarray
 
 
-REGION_CSV_HEADER = ["kind", "kappa", "a", "b", "class",
-                     "cp_margin", "eb_margin", "ncb_margin"]
+def _region_code(kind, kappa, a, b, tol):
+    """Region codes and the (cp, eb, ncb) margins at the points (a, b)."""
+    margins = (cp_margin(kind, kappa, a, b), eb_margin(kind, kappa, a, b),
+               ncb_margin(kind, kappa, a, b))
+    # the first failing condition names the region; all passing is ncb
+    code = np.select([m < -tol for m in margins], [0, 1, 2], 3).astype(np.int8)
+    return code, margins
 
 
 def classify_region(kind, kappa, a, b, tol=TOL_CLASS):
-    """Classify one noise-plane point as one of the four nested regions."""
-    kind = kind_from_label(kind)
-    cp_m = cp_margin(kind, kappa, a, b)
-    eb_m = eb_margin(kind, kappa, a, b)
-    ncb_m = ncb_margin(kind, kappa, a, b)
-    if cp_m < -tol:
-        label = "unphysical"
-    elif eb_m < -tol:
-        label = "cp_only"
-    elif ncb_m < -tol:
-        label = "eb_not_ncb"
-    else:
-        label = "ncb"
-    return RegionRecord(kind=kind, kappa=float(kappa), a=float(a), b=float(b),
-                        region_class=label, cp_margin=cp_m, eb_margin=eb_m,
-                        ncb_margin=ncb_m)
+    """Label of one noise-plane point: one of the four nested REGION_LABELS."""
+    code, _ = _region_code(kind, kappa, a, b, tol)
+    return REGION_LABELS[int(code)]
 
 
 def region_sweep(kind, kappa, a_min, a_max, b_min, b_max, n, tol=TOL_CLASS):
-    """Classify an n-by-n noise grid; rows ordered a-major then b."""
+    """Classify an n-by-n noise grid; columns ordered a-major then b."""
     if n < 2:
         raise ValueError("sweep needs at least a 2x2 grid")
-    a_vals = np.linspace(a_min, a_max, n)
-    b_vals = np.linspace(b_min, b_max, n)
-    return [classify_region(kind, kappa, a, b, tol=tol)
-            for a in a_vals for b in b_vals]
+    kind = kind_from_label(kind)
+    a = np.repeat(np.linspace(a_min, a_max, n), n)
+    b = np.tile(np.linspace(b_min, b_max, n), n)
+    code, (cp_m, eb_m, ncb_m) = _region_code(kind, kappa, a, b, tol)
+    return RegionSweep(kind=kind, kappa=float(kappa), a=a, b=b, code=code,
+                       cp_margin=cp_m, eb_margin=eb_m, ncb_margin=ncb_m)
 
 
 # -- boundary curves --------------------------------------------------------- #

@@ -16,6 +16,7 @@ produce byte-identical output.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .breaking import (
-    REGION_CSV_HEADER,
+    REGION_LABELS,
     boundary_curves,
     classify_region,
     eb_oracle_tmsv,
@@ -36,7 +37,7 @@ from .breaking import (
     report,
     squeeze_orbit,
 )
-from .channels import Channel, Kind, act_chargrid, canonical_reduce, is_cp, kind_from_label
+from .channels import Channel, Kind, act_chargrid, is_cp, kind_from_label
 from .gaussian_core import TOL_CLASS
 from .phase_space import (
     GridSpec,
@@ -54,8 +55,48 @@ class _CliError(Exception):
         self.code = code
 
 
+REGION_CSV_HEADER = "kind,kappa,a,b,class,cp_margin,eb_margin,ncb_margin"
+_RECORD_JSON_TAIL = ('%s,\n      "class": "%s",\n      "cp_margin": %s,\n'
+                     '      "eb_margin": %s,\n      "ncb_margin": %s\n    }')
+
+
 def _fmt(v):
     return f"{v:.12g}"
+
+
+def _json_num(v):
+    """A float as _jsonable and json.dumps print it: 12 digits, null if not finite."""
+    return repr(float("%.12g" % v)) if math.isfinite(v) else "null"
+
+
+def _grid_rows(prefixes, template, inner, rows, sep="\n"):
+    """Yield the text of a grid row by row, with sep between points.
+
+    Point j of row i reads prefixes[i] + template % (inner[j], *fields),
+    where template holds one %-conversion per field and rows yields, per
+    row, one sequence per field after the first.  Axis values come in
+    preformatted, so each distinct one is formatted once; a row's
+    per-point values are formatted by a single %-operation, and only
+    one row of text is held at a time.
+    """
+    table = np.empty((len(inner), template.count("%")), dtype=object)
+    table[:, 0] = inner
+    for i, (prefix, fields) in enumerate(zip(prefixes, rows)):
+        for k, column in enumerate(fields, 1):
+            table[:, k] = column
+        row_template = sep.join([prefix.replace("%", "%%") + template] * len(inner))
+        if i:
+            yield sep
+        yield row_template % tuple(table.ravel().tolist())
+
+
+def _emit(chunks, path=None):
+    """Write text chunks to path, or to standard output without one."""
+    if path is None:
+        sys.stdout.writelines(chunks)
+    else:
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
 
 
 def _jsonable(obj):
@@ -103,14 +144,13 @@ def _form_payload(form):
 def _cmd_classify(args):
     ch = _load_channel(args.channel)
     rep = report(ch, tol=args.tol)
-    record = classify_region(rep.form.kind, rep.form.kappa, rep.form.a,
-                             rep.form.b, tol=args.tol)
     payload = {
         "form": _form_payload(rep.form),
         "cp": rep.cp,
         "eb": rep.eb,
         "ncb": rep.ncb,
-        "class": record.region_class,
+        "class": classify_region(rep.form.kind, rep.form.kappa, rep.form.a,
+                                 rep.form.b, tol=args.tol),
         "margins": rep.margins,
         "shifted_noise": list(rep.shifted_noise),
     }
@@ -146,72 +186,98 @@ def _cmd_check(args):
     return 0 if agree else 1
 
 
-def _records_csv(records):
-    lines = [",".join(REGION_CSV_HEADER)]
-    lines += [",".join(r.csv_row()) for r in records]
-    return "\n".join(lines) + "\n"
+def _sweep_rows(sweep, n, to_text):
+    """Per-row fields (class, cp, eb, ncb) of a sweep; to_text maps a margin row."""
+    labels = np.array(REGION_LABELS, dtype=object)[sweep.code].reshape(n, n)
+    margins = [m.reshape(n, n) for m in (sweep.cp_margin, sweep.eb_margin, sweep.ncb_margin)]
+    for i in range(n):
+        yield (labels[i],) + tuple(to_text(m[i]) for m in margins)
+
+
+def _records_csv(sweep, n):
+    """Chunks of the sweep records CSV, one grid row per chunk."""
+    kind, kappa = sweep.kind.value, _fmt(sweep.kappa)
+    prefixes = [f"{kind},{kappa},{_fmt(a)}," for a in sweep.a[::n].tolist()]
+    b_text = [_fmt(b) for b in sweep.b[:n].tolist()]
+    yield REGION_CSV_HEADER + "\n"
+    yield from _grid_rows(prefixes, "%s,%s,%.12g,%.12g,%.12g", b_text,
+                          _sweep_rows(sweep, n, lambda row: row))
+    yield "\n"
+
+
+def _records_json(sweep, n):
+    """The records array of the sweep JSON, as json.dumps(indent=2) nests it."""
+    head = f'    {{\n      "kind": {json.dumps(sweep.kind.value)},\n' \
+           f'      "kappa": {_json_num(sweep.kappa)},\n'
+    prefixes = [f'{head}      "a": {_json_num(a)},\n      "b": ' for a in sweep.a[::n].tolist()]
+    b_text = [_json_num(b) for b in sweep.b[:n].tolist()]
+    rows = _sweep_rows(sweep, n, lambda row: [_json_num(v) for v in row.tolist()])
+    yield "[\n"
+    yield from _grid_rows(prefixes, _RECORD_JSON_TAIL, b_text, rows, sep=",\n")
+    yield "\n  ]"
 
 
 def _curves_csv(curves, a_min, a_max, n=512):
-    lines = ["curve,a,b"]
-    for name in ("cp", "eb", "ncb"):
-        a_arr, b_arr = curves[name].sample(a_min, a_max, n)
-        lines += [f"{name},{_fmt(a)},{_fmt(b)}" for a, b in zip(a_arr, b_arr)]
-    return "\n".join(lines) + "\n"
+    """Chunks of the boundary-curves CSV, all three curves on one a axis."""
+    a_arr = np.linspace(a_min, a_max, n)
+    names = ("cp", "eb", "ncb")
+    yield "curve,a,b\n"
+    yield from _grid_rows([f"{name}," for name in names], "%s,%.12g",
+                          [_fmt(a) for a in a_arr.tolist()],
+                          ((curves[name].b_of_a(a_arr),) for name in names))
+    yield "\n"
 
 
 def _cmd_sweep(args):
+    bounds = (args.kappa, args.amin, args.amax, args.bmin, args.bmax)
+    if not all(math.isfinite(v) for v in bounds):
+        raise _CliError(2, "--kappa and the a and b ranges must be finite")
     if args.amin <= 0 or args.bmin <= 0 or args.amax <= args.amin \
             or args.bmax <= args.bmin:
         raise _CliError(2, "ranges must satisfy 0 < min < max")
     if args.grid < 2:
         raise _CliError(2, "grid resolution must be at least 2")
     kind = kind_from_label(args.form)
-    records = region_sweep(kind, args.kappa, args.amin, args.amax,
-                           args.bmin, args.bmax, args.grid, tol=args.tol)
+    try:
+        sweep = region_sweep(kind, args.kappa, args.amin, args.amax,
+                             args.bmin, args.bmax, args.grid, tol=args.tol)
+    except OverflowError:
+        raise _CliError(2, f"--kappa {args.kappa!r} is too large: the bounds "
+                           f"of kind {kind.value} overflow") from None
+    count = sweep.code.size
     curves = boundary_curves(kind, args.kappa)
     if args.format == "json":
-        payload = {
-            "records": [{"kind": r.kind.value, "kappa": r.kappa, "a": r.a,
-                         "b": r.b, "class": r.region_class,
-                         "cp_margin": r.cp_margin, "eb_margin": r.eb_margin,
-                         "ncb_margin": r.ncb_margin} for r in records],
-            "curves": {},
-        }
+        payload = {"records": None, "curves": {}}
         for name in ("cp", "eb", "ncb"):
             a_arr, b_arr = curves[name].sample(args.amin, args.amax, 512)
             payload["curves"][name] = {"a": a_arr, "b": b_arr}
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+        # json.dumps lays out the document; the records array goes in its slot
+        head, _, tail = json.dumps(_jsonable(payload), indent=2).partition('"records": null')
+        _emit(itertools.chain([head, '"records": '], _records_json(sweep, args.grid),
+                              [tail, "\n"]), args.out)
         if args.out:
-            Path(args.out).write_text(text)
-            print(f"wrote {len(records)} records to {args.out}")
-        else:
-            sys.stdout.write(text)
+            print(f"wrote {count} records to {args.out}")
         return 0
-    rec_text = _records_csv(records)
-    curve_text = _curves_csv(curves, args.amin, args.amax)
+    records = _records_csv(sweep, args.grid)
+    curve_rows = _curves_csv(curves, args.amin, args.amax)
     if args.out:
         out = Path(args.out)
         curves_path = out.with_name(out.stem + "_curves" + out.suffix)
-        out.write_text(rec_text)
-        curves_path.write_text(curve_text)
-        counts = {label: 0 for label in ("unphysical", "cp_only", "eb_not_ncb", "ncb")}
-        for r in records:
-            counts[r.region_class] += 1
-        print(f"wrote {len(records)} records to {out} and curves to {curves_path}")
-        for label, count in counts.items():
-            print(f"{label}: {count}")
+        _emit(records, out)
+        _emit(curve_rows, curves_path)
+        print(f"wrote {count} records to {out} and curves to {curves_path}")
+        counts = np.bincount(sweep.code, minlength=len(REGION_LABELS))
+        for label, c in zip(REGION_LABELS, counts.tolist()):
+            print(f"{label}: {c}")
     else:
-        sys.stdout.write(rec_text)
-        sys.stdout.write("\n")
-        sys.stdout.write(curve_text)
+        _emit(itertools.chain(records, ["\n"], curve_rows))
     return 0
 
 
 def _cmd_orbit(args):
     ch = _load_channel(args.channel)
-    form = canonical_reduce(ch)
     rep = report(ch, tol=args.tol)
+    form = rep.form
     if not is_eb(form, tol=args.tol):
         print(f"channel is not entanglement-breaking "
               f"(EB margin {_fmt(rep.margins['eb'])})", file=sys.stderr)
@@ -290,18 +356,17 @@ def _cmd_pfunc(args):
     if args.format == "json":
         payload = {"a": args.a, "b": args.b, "variant": args.variant,
                    "alpha_axis": axis, "values": values}
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+        chunks = [json.dumps(_jsonable(payload), indent=2) + "\n"]
     else:
-        lines = ["alpha1,alpha2,value"]
-        for i, x in enumerate(axis):
-            lines += [f"{_fmt(x)},{_fmt(y)},{_fmt(values[i, j])}"
-                      for j, y in enumerate(axis)]
-        text = "\n".join(lines) + "\n"
+        axis_text = [_fmt(x) for x in axis.tolist()]
+        chunks = itertools.chain(
+            ["alpha1,alpha2,value\n"],
+            _grid_rows([x + "," for x in axis_text], "%s,%.12g", axis_text,
+                       ((row,) for row in values)),
+            ["\n"])
+    _emit(chunks, args.out)
     if args.out:
-        Path(args.out).write_text(text)
         print(f"wrote {len(axis)}x{len(axis)} samples to {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 TOL_FFT = 1e-6  # transform accuracy floor; boundary-decay refusal threshold
 BOUNDARY_DECAY = 1e-12  # target boundary magnitude for auto-sized grids
 P_EPS = 1e-3  # P-function regularization, evaluate at s = 1 - P_EPS
@@ -272,7 +270,3 @@ def char_to_csv(c, path):
             for j, x2 in enumerate(c.axis):
                 v = c.values[i, j]
                 w.writerow([f"{x1:.12g}", f"{x2:.12g}", f"{v.real:.12g}", f"{v.imag:.12g}"])
-
-
-# interpolation backend is re-exported for the channel grid action
-_interp_cubic2d = _kernels.interp_cubic2d

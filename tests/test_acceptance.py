@@ -9,7 +9,7 @@ terminal also gets an explicit ACCEPT line per criterion.
 
 import pytest
 
-from gaussatlas.verify import CRITERIA, convention_pins, run_suite
+from gaussatlas.verify import CRITERIA, SUITES, convention_pins, run_suite
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
@@ -29,8 +29,17 @@ def test_convention_pins(capsys):
     assert res.ok, f"{res.name}: {res.detail}"
 
 
-def test_suite_registry_is_consistent():
-    names = {res.name for res in run_suite("table1")}
-    assert len(names) == 3
+def test_suite_registry_is_consistent(monkeypatch):
+    assert len(SUITES["table1"]) == 3
+    assert all(fn is crit for fn, crit in zip(SUITES["table1"], CRITERIA[:3]))
+    checks = CRITERIA + (convention_pins,)
+    assert len({id(fn) for fn in checks}) == len(checks)
+    for suite in SUITES.values():
+        assert all(any(fn is check for check in checks) for fn in suite)
+    assert len(SUITES["all"]) == len(checks)
+    assert all(fn is check for fn, check in zip(SUITES["all"], checks))
+    # run_suite calls each registered check once, in order
+    monkeypatch.setitem(SUITES, "stub", (lambda: "first", lambda: "second"))
+    assert run_suite("stub") == ["first", "second"]
     with pytest.raises(KeyError):
         run_suite("nope")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gaussatlas.breaking import (
     DEFAULT_R_LIST,
-    REGION_CSV_HEADER,
     REGION_LABELS,
     BoundaryCurve,
     boundary_curves,
@@ -30,6 +29,7 @@ from gaussatlas.breaking import (
     squeeze_orbit,
 )
 from gaussatlas.channels import Channel, Kind, SIGMA3, canonical_channel, canonical_reduce
+from gaussatlas.cli import REGION_CSV_HEADER, main
 
 ATOL = 1e-12
 
@@ -227,29 +227,43 @@ class TestOrbit:
 class TestRegions:
     def test_four_classes_at_fixed_gain(self):
         k = 0.6
-        assert classify_region(Kind.I, k, 0.1, 0.1).region_class == "unphysical"
-        assert classify_region(Kind.I, k, 1.075, 1.075).region_class == "cp_only"
-        assert classify_region(Kind.I, k, 1.075, 2.05).region_class == "eb_not_ncb"
-        assert classify_region(Kind.I, k, 2.05, 2.05).region_class == "ncb"
+        assert classify_region(Kind.I, k, 0.1, 0.1) == "unphysical"
+        assert classify_region(Kind.I, k, 1.075, 1.075) == "cp_only"
+        assert classify_region(Kind.I, k, 1.075, 2.05) == "eb_not_ncb"
+        assert classify_region(Kind.I, k, 2.05, 2.05) == "ncb"
 
     def test_labels_cover_enum(self):
         assert set(REGION_LABELS) == {"unphysical", "cp_only", "eb_not_ncb", "ncb"}
 
     def test_sweep_ordering_and_size(self):
-        recs = region_sweep(Kind.I, 0.6, 1.0, 2.0, 3.0, 4.0, 3)
-        assert len(recs) == 9
-        assert recs[0].a == 1.0 and recs[0].b == 3.0
-        assert recs[1].a == 1.0 and recs[1].b == 3.5  # b varies fastest
-        assert recs[3].a == 1.5
+        sweep = region_sweep(Kind.I, 0.6, 1.0, 2.0, 3.0, 4.0, 3)
+        columns = (sweep.a, sweep.b, sweep.code, sweep.cp_margin, sweep.eb_margin,
+                   sweep.ncb_margin)
+        assert all(col.shape == (9,) for col in columns)
+        assert sweep.a[0] == 1.0 and sweep.b[0] == 3.0
+        assert sweep.a[1] == 1.0 and sweep.b[1] == 3.5  # b varies fastest
+        assert sweep.a[3] == 1.5
+
+    def test_sweep_columns_match_pointwise_classification(self):
+        sweep = region_sweep(Kind.II, 0.8, 0.2, 4.0, 0.3, 5.0, 9)
+        for i in range(sweep.code.size):
+            a, b = float(sweep.a[i]), float(sweep.b[i])
+            assert REGION_LABELS[sweep.code[i]] == classify_region(Kind.II, 0.8, a, b)
+            assert sweep.cp_margin[i] == cp_margin(Kind.II, 0.8, a, b)
+            assert sweep.eb_margin[i] == eb_margin(Kind.II, 0.8, a, b)
+            assert sweep.ncb_margin[i] == ncb_margin(Kind.II, 0.8, a, b)
 
     def test_sweep_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             region_sweep(Kind.I, 0.6, 1.0, 2.0, 3.0, 4.0, 1)
 
-    def test_csv_row_shape(self):
-        rec = classify_region(Kind.II, 0.8, 2.0, 3.0)
-        row = rec.csv_row()
-        assert len(row) == len(REGION_CSV_HEADER)
+    def test_csv_row_shape(self, capsys):
+        assert main(["sweep", "--form", "II", "--kappa", "0.8", "--amin", "2", "--amax", "3",
+                     "--bmin", "3", "--bmax", "4", "--grid", "2"]) == 0
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        assert header == REGION_CSV_HEADER
+        row = row.split(",")
+        assert len(row) == len(header.split(","))
         assert row[0] == "II"
         assert row[4] in REGION_LABELS
         float(row[5]), float(row[6]), float(row[7])  # parse cleanly

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, payload shapes, deterministic output."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -247,3 +248,48 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+class TestSweepValidation:
+    BASE = ["sweep", "--grid", "3"]
+
+    @pytest.mark.parametrize("option", ["--kappa", "--amin", "--amax", "--bmin", "--bmax"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_inputs_are_usage_errors(self, option, value, capsys):
+        assert main(self.BASE + [f"{option}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize("form", ["I", "II"])
+    def test_kappa_with_overflowing_bounds_is_usage_error(self, form, capsys):
+        assert main(self.BASE + ["--form", form, "--kappa", "1e80"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err
+
+    def test_largest_kappa_with_finite_bounds_is_accepted(self, capsys):
+        # kappa^4 and (1 + kappa^2)^2 are about 1e308, just below the double limit
+        assert main(self.BASE + ["--kappa", "1e77"]) == 0
+        capsys.readouterr()
+
+
+class TestOrbitReduction:
+    def test_one_reduction_per_call(self, tmp_path, monkeypatch, capsys):
+        import gaussatlas.channels
+
+        calls = []
+        original = gaussatlas.channels.canonical_reduce
+
+        def counting(ch):
+            calls.append(ch)
+            return original(ch)
+
+        # rebind every gaussatlas namespace that imported the function
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gaussatlas" and \
+                    getattr(module, "canonical_reduce", None) is original:
+                monkeypatch.setattr(module, "canonical_reduce", counting)
+        assert main(["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "5"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
