@@ -5,9 +5,8 @@ Run from the repository root:
     python3 benchmarks/bench_kernels.py
 
 Each kernel is timed on a workload shaped like real library use: the
-dominance sweep at the resolution of the oracle grid runs, the Hermitian
-eigenvalue solver on a batch of 2x2 positivity checks, and the cubic
-interpolator at grid-action size.  The jitted variants are warmed up
+Hermitian eigenvalue solver on a batch of 2x2 positivity checks and the
+cubic interpolator at grid-action size.  The jitted variants are warmed up
 before timing so compilation is not billed to the measurement.
 """
 
@@ -29,18 +28,6 @@ def _time(fn, *args, repeat=N_REPEAT):
     return best
 
 
-def bench_dominance():
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(2, 2))
-    A = rng.normal(size=(2, 2))
-    Y = A @ A.T + 2.0 * np.eye(2)
-    u_grid = np.exp(2.0 * np.linspace(0.0, 6.0, 3001))
-    theta = np.linspace(0.0, np.pi, 32, endpoint=False)
-    args = (np.ascontiguousarray(X), np.ascontiguousarray(Y),
-            u_grid, np.cos(theta), np.sin(theta))
-    return "dominance sweep (3001 x 32)", args
-
-
 def bench_hermitian():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(2, 2))
@@ -60,15 +47,6 @@ def bench_interp():
 
 def main():
     rows = []
-
-    name, args = bench_dominance()
-    impls = implementations("dominance_best")
-    t_np = _time(impls["numpy"], *args)
-    t_nb = None
-    if HAS_NUMBA:
-        impls["numba"](*args)  # JIT warm-up
-        t_nb = _time(impls["numba"], *args)
-    rows.append((name, t_np, t_nb))
 
     name, args = bench_hermitian()
     impls = implementations("hermitian_eigvals")

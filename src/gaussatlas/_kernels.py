@@ -54,32 +54,6 @@ def _jacobi_eigvals_np(A):
     return np.linalg.eigvalsh(A)
 
 
-def _dominance_best_np(X, Y, u_grid, cos_t, sin_t):
-    """Best (largest) lam_min(Y - 1 - X^T V X) over the squeezed-vacuum sweep.
-
-    V(u, t) = R_t diag(u, 1/u) R_t^T with u = exp(2r) >= 1; the sweep runs
-    over the outer product of u_grid with the angle samples.
-    """
-    c2 = cos_t * cos_t
-    s2 = sin_t * sin_t
-    cs = cos_t * sin_t
-    u = u_grid[:, None]
-    iu = 1.0 / u
-    v11 = c2 * u + s2 * iu
-    v22 = s2 * u + c2 * iu
-    v12 = cs * (u - iu)
-    x11, x12 = X[0, 0], X[0, 1]
-    x21, x22 = X[1, 0], X[1, 1]
-    t11 = x11 * x11 * v11 + 2.0 * x11 * x21 * v12 + x21 * x21 * v22
-    t12 = x11 * x12 * v11 + (x11 * x22 + x21 * x12) * v12 + x21 * x22 * v22
-    t22 = x12 * x12 * v11 + 2.0 * x12 * x22 * v12 + x22 * x22 * v22
-    m11 = (Y[0, 0] - 1.0) - t11
-    m12 = Y[0, 1] - t12
-    m22 = (Y[1, 1] - 1.0) - t22
-    lam = _eigmin_sym2_batch_np(m11, m12, m22)
-    return float(lam.max())
-
-
 def _interp_cubic2d_np(values, fx, fy):
     """Separable 4-point cubic interpolation of values at fractional indices.
 
@@ -187,32 +161,6 @@ if HAS_NUMBA:
         return doubled[::2].copy()
 
     @njit(cache=True)
-    def _dominance_best_nb(X, Y, u_grid, cos_t, sin_t):
-        d11 = Y[0, 0] - 1.0
-        d12 = Y[0, 1]
-        d22 = Y[1, 1] - 1.0
-        x11, x12 = X[0, 0], X[0, 1]
-        x21, x22 = X[1, 0], X[1, 1]
-        best = -1e300
-        for iu_idx in range(u_grid.shape[0]):
-            u = u_grid[iu_idx]
-            iu = 1.0 / u
-            for k in range(cos_t.shape[0]):
-                c = cos_t[k]
-                s = sin_t[k]
-                v11 = c * c * u + s * s * iu
-                v22 = s * s * u + c * c * iu
-                v12 = c * s * (u - iu)
-                m11 = d11 - (x11 * x11 * v11 + 2.0 * x11 * x21 * v12 + x21 * x21 * v22)
-                m12 = d12 - (x11 * x12 * v11 + (x11 * x22 + x21 * x12) * v12 + x21 * x22 * v22)
-                m22 = d22 - (x12 * x12 * v11 + 2.0 * x12 * x22 * v12 + x22 * x22 * v22)
-                half = 0.5 * (m11 - m22)
-                lam = 0.5 * (m11 + m22) - np.sqrt(half * half + m12 * m12)
-                if lam > best:
-                    best = lam
-        return best
-
-    @njit(cache=True)
     def _interp_cubic2d_nb(values, fx, fy):
         n1, n2 = values.shape
         m = fx.shape[0]
@@ -257,7 +205,6 @@ _NUMPY_IMPL = {
     "eigmin_sym2_batch": _eigmin_sym2_batch_np,
     "hermitian_eigvals": _hermitian_eigvals_np,
     "jacobi_eigvals": _jacobi_eigvals_np,
-    "dominance_best": _dominance_best_np,
     "interp_cubic2d": _interp_cubic2d_np,
 }
 
@@ -266,7 +213,6 @@ if HAS_NUMBA:
         "eigmin_sym2_batch": _eigmin_sym2_batch_nb,
         "hermitian_eigvals": _hermitian_eigvals_nb,
         "jacobi_eigvals": _jacobi_eigvals_nb,
-        "dominance_best": _dominance_best_nb,
         "interp_cubic2d": _interp_cubic2d_nb,
     }
 else:  # pragma: no cover
@@ -275,7 +221,6 @@ else:  # pragma: no cover
 _ACTIVE = _NUMBA_IMPL if NUMBA_ENABLED else _NUMPY_IMPL
 
 eigmin_sym2_batch = _ACTIVE["eigmin_sym2_batch"]
-dominance_best = _ACTIVE["dominance_best"]
 interp_cubic2d = _ACTIVE["interp_cubic2d"]
 jacobi_eigvals = _ACTIVE["jacobi_eigvals"]
 _hermitian_eigvals_active = _ACTIVE["hermitian_eigvals"]

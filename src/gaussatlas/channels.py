@@ -30,7 +30,7 @@ from .phase_space import TOL_FFT, CharGrid
 
 TOL_RANK = 1e-10  # singular values below TOL_RANK * ||X|| count as zero
 _ZERO_FLOOR = 1e-150  # magnitudes below this count as an exactly zero X
-_ASYM_TOL = 1e-12  # largest tolerated |Y12 - Y21| before rejection
+_ASYM_TOL = 1e-12  # largest tolerated |Y12 - Y21|, relative to max(1, max|Y|)
 
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -98,16 +98,13 @@ class Channel:
     def from_json(cls, text):
         """Build a channel from the JSON descriptor {"X": [[..]], "Y": [[..]]}.
 
-        The Y block must be symmetric to 1e-12; the mirrored entry is not
-        silently repaired beyond that tolerance.
+        The constructor validates the blocks, so Y must be symmetric to
+        1e-12 max(1, max|Y|), exactly as for Channel(X, Y).
         """
         data = json.loads(text)
         if not isinstance(data, dict) or "X" not in data or "Y" not in data:
             raise ValueError('channel JSON must be an object with "X" and "Y"')
-        Y = _as_mat2(data["Y"], "Y")
-        if abs(Y[0, 1] - Y[1, 0]) > _ASYM_TOL:
-            raise ValueError("Y block is asymmetric beyond 1e-12")
-        return cls(X=_as_mat2(data["X"], "X"), Y=Y)
+        return cls(X=data["X"], Y=data["Y"])
 
     def to_json(self):
         return json.dumps({"X": self.X.tolist(), "Y": self.Y.tolist()})

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaussatlas.breaking import (
     DEFAULT_R_LIST,
+    _dominance,
     REGION_LABELS,
     BoundaryCurve,
     boundary_curves,
@@ -151,6 +152,51 @@ class TestNcbOracle:
     def test_requires_cp(self):
         with pytest.raises(ValueError):
             ncb_oracle_gaussian(Channel(X=SIGMA3, Y=np.zeros((2, 2))))
+
+    def test_zero_tolerance(self):
+        # tol = 0 asks for exact dominance; the squeeze range stays finite
+        assert ncb_oracle_gaussian(Channel(X=np.diag([10.0, 0.0]), Y=np.diag([1.0003, 5.0])),
+                                   tol=0.0)
+        assert ncb_oracle_gaussian(Channel(X=0.6 * np.eye(2), Y=np.diag([2.0, 3.0])), tol=0.0)
+        assert not ncb_oracle_gaussian(Channel(X=np.eye(2), Y=np.diag([2.0, 1.5])), tol=0.0)
+
+    def test_dominance_zero_gain_is_noise_eigmin(self):
+        # X = 0 removes V entirely: every value is lam_min(Y - 1)
+        r, theta = np.meshgrid(np.linspace(0.0, 3.0, 61), np.linspace(0.0, np.pi, 16))
+        y = np.array([[3.0, 0.4], [0.4, 2.0]])
+        got = _dominance(np.zeros((2, 2)), y)(r, theta)
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(y - np.eye(2))[0], atol=ATOL)
+
+    def test_dominance_isotropic_peak_at_vacuum(self):
+        # X = 1, Y = y 1: lam_min = (y - 1) - e^{2r}, largest at r = 0
+        r, theta = np.meshgrid(np.linspace(0.0, 3.0, 61), np.linspace(0.0, np.pi, 16))
+        y = 4.5
+        got = _dominance(np.eye(2), y * np.eye(2))(r, theta)
+        np.testing.assert_allclose(got, (y - 1.0) - np.exp(2.0 * r), rtol=1e-14)
+        assert abs(got.max() - (y - 2.0)) < ATOL
+
+    def test_dominance_matches_matrix_exponential(self):
+        # V = exp(2H) = cosh 2r 1 + (sinh 2r / r) H for H = [[p, q], [q, -p]],
+        # (p, q) = r (cos 2theta, sin 2theta)
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            x = rng.normal(size=(2, 2))
+            a = rng.normal(size=(2, 2))
+            y = a @ a.T + np.eye(2)
+            r, theta = rng.uniform(0.0, 3.0), rng.uniform(0.0, np.pi)
+            c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+            v = np.cosh(2.0 * r) * np.eye(2) + np.sinh(2.0 * r) * np.array([[c, s], [s, -c]])
+            t = x.T @ v @ x
+            want = np.linalg.eigvalsh(y - np.eye(2) - t)[0]
+            got = _dominance(x, y)(np.array([r]), np.array([theta]))[0]
+            assert abs(got - want) < 1e-12 * max(1.0, np.abs(t).max())
+
+    def test_rank_one_high_gain_near_boundary(self):
+        # NCB margin 3e-4, below the ||X||^2 e^{-12} = 6e-4 gap a fixed
+        # r_max = 6 would leave; the search range must scale with ||X||
+        ch = Channel(X=np.diag([10.0, 0.0]), Y=np.diag([1.0003, 5.0]))
+        assert is_ncb(canonical_reduce(ch))
+        assert ncb_oracle_gaussian(ch)
 
 
 class TestFock1Necessity:

@@ -1,5 +1,7 @@
 """Channel container, canonical reduction, and the two action paths."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,14 @@ class TestChannelContainer:
             Channel.from_json('[1, 2, 3]')
         with pytest.raises(ValueError):
             Channel.from_json('{"X": [[1, 0], [0, 1]], "Y": [[1, 0.1], [0.2, 1]]}')
+
+    def test_json_asymmetry_tolerance_scales_with_noise(self):
+        # |Y12 - Y21| = 1e-8 on a noise scale of 1e6 is within the
+        # constructor's relative tolerance, so the JSON path accepts it too
+        y = [[1e6, 0.5], [0.50000001, 2e6]]
+        direct = Channel(X=np.eye(2), Y=np.array(y))
+        loaded = Channel.from_json(json.dumps({"X": [[1, 0], [0, 1]], "Y": y}))
+        np.testing.assert_array_equal(loaded.Y, direct.Y)
 
 
 class TestKindsAndRank:

@@ -14,6 +14,7 @@ NCB_CHANNEL = '{"X": [[0.6, 0.0], [0.0, 0.6]], "Y": [[2.0, 0.0], [0.0, 3.0]]}'
 CP_ONLY_CHANNEL = '{"X": [[1.0, 0.0], [0.0, 1.0]], "Y": [[1.0, 0.0], [0.0, 1.0]]}'
 NON_CP_CHANNEL = '{"X": [[1.0, 0.0], [0.0, -1.0]], "Y": [[0.0, 0.0], [0.0, 0.0]]}'
 UNIT_GAIN_CHANNEL = '{"X": [[1.0, 0.0], [0.0, 1.0]], "Y": [[3.0, 0.0], [0.0, 3.0]]}'
+RANK1_HIGH_GAIN_CHANNEL = '{"X": [[10.0, 0.0], [0.0, 0.0]], "Y": [[1.0003, 0.0], [0.0, 5.0]]}'
 
 
 def _write(tmp_path, text, name="channel.json"):
@@ -71,6 +72,14 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracles"]["ncb_fock1"] is True
         assert payload["agree"] is True
+
+    def test_rank_one_high_gain_oracle_agrees(self, tmp_path, capsys):
+        code = main(["check", _write(tmp_path, RANK1_HIGH_GAIN_CHANNEL)])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["closed_form"]["ncb"] is True
+        assert payload["oracles"]["ncb_gaussian"] is True
+        assert payload["agree"] is True
+        assert code == 0
 
     def test_non_cp_skips_oracles(self, tmp_path, capsys):
         code = main(["check", _write(tmp_path, NON_CP_CHANNEL)])

@@ -98,44 +98,6 @@ def test_hermitian_eigmin_pauli_y_block():
     assert abs(hermitian_eigmin(a, b) + 1.0) < ATOL_EIG
 
 
-def _sweep_grids(n_r=61, n_t=16, r_max=3.0):
-    u = np.exp(2.0 * np.linspace(0.0, r_max, n_r))
-    theta = np.linspace(0.0, np.pi, n_t, endpoint=False)
-    return u, np.cos(theta), np.sin(theta)
-
-
-def test_dominance_best_zero_gain_is_noise_eigmin():
-    # X = 0 removes the sweep entirely: best value is lam_min(Y - 1)
-    u, ct, st_ = _sweep_grids()
-    y = np.array([[3.0, 0.4], [0.4, 2.0]])
-    got = _kernels.dominance_best(np.zeros((2, 2)), y, u, ct, st_)
-    ref = np.linalg.eigvalsh(y - np.eye(2))[0]
-    assert abs(got - ref) < ATOL_EIG
-
-
-def test_dominance_best_isotropic_peak_at_vacuum():
-    # X = 1, Y = y*1: lam_min = (y - 1) - e^{2r}, maximal at r = 0
-    u, ct, st_ = _sweep_grids()
-    y = 4.5
-    got = _kernels.dominance_best(np.eye(2), y * np.eye(2), u, ct, st_)
-    assert abs(got - (y - 2.0)) < ATOL_EIG
-
-
-def test_dominance_best_backends_agree():
-    rng = np.random.default_rng(15)
-    impls = _both("dominance_best")
-    if impls["numba"] is None:
-        pytest.skip("numba not importable")
-    u, ct, st_ = _sweep_grids(n_r=101, n_t=12)
-    for _ in range(25):
-        x = rng.normal(size=(2, 2))
-        a = rng.normal(size=(2, 2))
-        y = a @ a.T + 0.1 * np.eye(2)
-        ref = impls["numpy"](x, y, u, ct, st_)
-        got = impls["numba"](np.ascontiguousarray(x), np.ascontiguousarray(y), u, ct, st_)
-        assert abs(got - ref) < 1e-10 * max(1.0, abs(ref))
-
-
 def _cubic(xx, yy):
     return (0.3 * xx**3 - 1.1 * xx**2 * yy + 0.7 * xx * yy**2
             - 0.2 * yy**3 + 0.5 * xx - 1.3 * yy + 0.9)
