@@ -6,6 +6,8 @@ active backend is chosen at import time: numba if it is importable and
 the environment variable ``GAUSSATLAS_DISABLE_NUMBA`` is not set to a
 truthy value, numpy otherwise.  ``backend()`` reports the choice and
 ``implementations(name)`` exposes both for benchmarks and cross-checks.
+Grid interpolation (``interp_cubic2d``) is numpy-only: one blocked pass
+over flat stencil indices, for real and complex grids alike.
 
 Eigenvalue policy: 2x2 symmetric problems use the closed form, larger
 Hermitian problems on the numba path use a cyclic Jacobi iteration on the
@@ -54,35 +56,48 @@ def _jacobi_eigvals_np(A):
     return np.linalg.eigvalsh(A)
 
 
-def _interp_cubic2d_np(values, fx, fy):
+INTERP_BLOCK = 1 << 15  # points per interpolation block; keeps temporaries in cache
+
+
+def _cubic_weights(t):
+    """4-point Lagrange weights at offset t from the stencil's second node."""
+    w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
+    w1 = (t * t - 1.0) * (t - 2.0) / 2.0
+    w2 = -t * (t + 1.0) * (t - 2.0) / 2.0
+    w3 = t * (t * t - 1.0) / 6.0
+    return w0, w1, w2, w3
+
+
+def interp_cubic2d(values, fx, fy):
     """Separable 4-point cubic interpolation of values at fractional indices.
 
-    values is a real (n1, n2) array sampled on the integer lattice; fx and
-    fy are flat arrays of fractional row and column indices that must lie
-    inside the lattice.  Stencils are clamped at the edges.
+    values is a real or complex (n1, n2) array sampled on the integer
+    lattice; fx and fy are flat arrays of fractional row and column indices
+    that must lie inside the lattice.  Stencils are clamped at the edges.
+    A complex grid is interpolated in one pass: each stencil value is
+    gathered once and its real and imaginary parts are weighted separately,
+    so each part is exactly what a real-valued pass over it would give.
+    Points are processed in blocks of INTERP_BLOCK.
     """
     n1, n2 = values.shape
-    bx = np.clip(np.floor(fx).astype(np.int64) - 1, 0, n1 - 4)
-    by = np.clip(np.floor(fy).astype(np.int64) - 1, 0, n2 - 4)
-    tx = fx - (bx + 1)
-    ty = fy - (by + 1)
-
-    def _weights(t):
-        w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
-        w1 = (t * t - 1.0) * (t - 2.0) / 2.0
-        w2 = -t * (t + 1.0) * (t - 2.0) / 2.0
-        w3 = t * (t * t - 1.0) / 6.0
-        return w0, w1, w2, w3
-
-    wx = _weights(tx)
-    wy = _weights(ty)
+    flat = values.ravel()
     out = np.zeros(fx.shape, dtype=values.dtype)
-    for i in range(4):
-        rows = bx + i
-        acc = wy[0] * values[rows, by]
-        for j in range(1, 4):
-            acc = acc + wy[j] * values[rows, by + j]
-        out += wx[i] * acc
+    parts = (np.real, np.imag) if np.iscomplexobj(values) else (np.real,)
+    for lo in range(0, fx.size, INTERP_BLOCK):
+        hi = lo + INTERP_BLOCK
+        bx = np.clip(np.floor(fx[lo:hi]).astype(np.int64) - 1, 0, n1 - 4)
+        by = np.clip(np.floor(fy[lo:hi]).astype(np.int64) - 1, 0, n2 - 4)
+        wx = _cubic_weights(fx[lo:hi] - (bx + 1))
+        wy = _cubic_weights(fy[lo:hi] - (by + 1))
+        corner = bx * n2 + by
+        for i in range(4):
+            row = [flat[corner + (i * n2 + j)] for j in range(4)]
+            for part in parts:
+                comp = [part(r) for r in row]
+                acc = wy[0] * comp[0]
+                for j in range(1, 4):
+                    acc = acc + wy[j] * comp[j]
+                part(out)[lo:hi] += wx[i] * acc
     return out
 
 
@@ -160,44 +175,6 @@ if HAS_NUMBA:
         doubled = _jacobi_eigvals_nb(E)
         return doubled[::2].copy()
 
-    @njit(cache=True)
-    def _interp_cubic2d_nb(values, fx, fy):
-        n1, n2 = values.shape
-        m = fx.shape[0]
-        out = np.empty(m, dtype=values.dtype)
-        for idx in range(m):
-            bx = int(np.floor(fx[idx])) - 1
-            if bx < 0:
-                bx = 0
-            elif bx > n1 - 4:
-                bx = n1 - 4
-            by = int(np.floor(fy[idx])) - 1
-            if by < 0:
-                by = 0
-            elif by > n2 - 4:
-                by = n2 - 4
-            tx = fx[idx] - (bx + 1)
-            ty = fy[idx] - (by + 1)
-            wx0 = -tx * (tx - 1.0) * (tx - 2.0) / 6.0
-            wx1 = (tx * tx - 1.0) * (tx - 2.0) / 2.0
-            wx2 = -tx * (tx + 1.0) * (tx - 2.0) / 2.0
-            wx3 = tx * (tx * tx - 1.0) / 6.0
-            wy0 = -ty * (ty - 1.0) * (ty - 2.0) / 6.0
-            wy1 = (ty * ty - 1.0) * (ty - 2.0) / 2.0
-            wy2 = -ty * (ty + 1.0) * (ty - 2.0) / 2.0
-            wy3 = ty * (ty * ty - 1.0) / 6.0
-            acc = 0.0
-            acc += wx0 * (wy0 * values[bx, by] + wy1 * values[bx, by + 1]
-                          + wy2 * values[bx, by + 2] + wy3 * values[bx, by + 3])
-            acc += wx1 * (wy0 * values[bx + 1, by] + wy1 * values[bx + 1, by + 1]
-                          + wy2 * values[bx + 1, by + 2] + wy3 * values[bx + 1, by + 3])
-            acc += wx2 * (wy0 * values[bx + 2, by] + wy1 * values[bx + 2, by + 1]
-                          + wy2 * values[bx + 2, by + 2] + wy3 * values[bx + 2, by + 3])
-            acc += wx3 * (wy0 * values[bx + 3, by] + wy1 * values[bx + 3, by + 1]
-                          + wy2 * values[bx + 3, by + 2] + wy3 * values[bx + 3, by + 3])
-            out[idx] = acc
-        return out
-
 
 # -- dispatch ------------------------------------------------------------ #
 
@@ -205,7 +182,6 @@ _NUMPY_IMPL = {
     "eigmin_sym2_batch": _eigmin_sym2_batch_np,
     "hermitian_eigvals": _hermitian_eigvals_np,
     "jacobi_eigvals": _jacobi_eigvals_np,
-    "interp_cubic2d": _interp_cubic2d_np,
 }
 
 if HAS_NUMBA:
@@ -213,7 +189,6 @@ if HAS_NUMBA:
         "eigmin_sym2_batch": _eigmin_sym2_batch_nb,
         "hermitian_eigvals": _hermitian_eigvals_nb,
         "jacobi_eigvals": _jacobi_eigvals_nb,
-        "interp_cubic2d": _interp_cubic2d_nb,
     }
 else:  # pragma: no cover
     _NUMBA_IMPL = None
@@ -221,7 +196,6 @@ else:  # pragma: no cover
 _ACTIVE = _NUMBA_IMPL if NUMBA_ENABLED else _NUMPY_IMPL
 
 eigmin_sym2_batch = _ACTIVE["eigmin_sym2_batch"]
-interp_cubic2d = _ACTIVE["interp_cubic2d"]
 jacobi_eigvals = _ACTIVE["jacobi_eigvals"]
 _hermitian_eigvals_active = _ACTIVE["hermitian_eigvals"]
 

@@ -57,7 +57,10 @@ def kind_from_label(label):
 
 
 def _as_mat2(M, name):
-    M = np.array(M, dtype=float)
+    try:
+        M = np.array(M, dtype=float)
+    except TypeError as exc:  # e.g. a JSON object where a matrix belongs
+        raise ValueError(f"{name} must be a 2x2 real matrix") from exc
     if M.shape != (2, 2):
         raise ValueError(f"{name} must be a 2x2 real matrix")
     if not np.all(np.isfinite(M)):
@@ -290,10 +293,8 @@ def act_chargrid(ch, grid):
     d = grid.spacing
     fx = (m1[inside] - ax[0]) / d
     fy = (m2[inside] - ax[0]) / d
-    re = _kernels.interp_cubic2d(np.ascontiguousarray(grid.values.real), fx, fy)
-    im = _kernels.interp_cubic2d(np.ascontiguousarray(grid.values.imag), fx, fy)
     mapped = np.zeros(grid.values.shape, dtype=complex)
-    mapped[inside] = re + 1j * im
+    mapped[inside] = _kernels.interp_cubic2d(grid.values, fx, fy)
     return CharGrid(s=0.0, extent=grid.extent, axis=ax, values=mapped * env)
 
 

@@ -456,6 +456,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # tol = 0 is valid (the oracles floor it); NaN or a negative slack
+        # would silently flip every margin comparison
+        if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol >= 0):
+            raise _CliError(2, f"--tol must be finite and nonnegative, got {args.tol!r}")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

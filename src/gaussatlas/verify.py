@@ -349,7 +349,8 @@ def criterion_8():
 
 def criterion_9():
     """Grid-level channel action reproduces the covariance-level action on
-    Gaussian inputs to 1e-6 for 20 random channel/state pairs."""
+    Gaussian inputs to 1e-6 for 20 random channel/state pairs, within 10 s."""
+    t0 = time.perf_counter()
     rng = np.random.default_rng(909)
     spec = GridSpec(side=1025, extent=8.0)
     worst = 0.0
@@ -369,11 +370,13 @@ def criterion_9():
         out = act_chargrid(ch, char_gaussian(V, 0.0, spec))
         ref = char_gaussian(act_variance(ch, V), 0.0, spec)
         worst = max(worst, float(np.abs(out.values - ref.values).max()))
-    ok = worst <= 1e-6
+    elapsed = time.perf_counter() - t0
+    ok = worst <= 1e-6 and elapsed < 10.0
     return CheckResult(
         "grid-vs-variance-action",
         ok,
-        f"20 random pairs on a {spec.side}^2 grid, max deviation {worst:.3e}")
+        f"20 random pairs on a {spec.side}^2 grid, max deviation {worst:.3e}, "
+        f"{elapsed:.1f} s")
 
 
 def criterion_10():

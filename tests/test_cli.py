@@ -53,6 +53,15 @@ class TestClassify:
         assert main(["classify", path]) == 2
         assert "invalid channel descriptor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"X": {"a": 1}, "Y": [[1, 0], [0, 1]]}',
+        '{"X": [[1, 0], [0, 1]], "Y": [[{"a": 1}, 0], [0, 1]]}',
+    ])
+    def test_object_valued_block_is_usage_error(self, tmp_path, text, capsys):
+        assert main(["classify", _write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid channel descriptor") and err.count("\n") == 1
+
 
 class TestCheck:
     def test_oracles_agree_on_eb_channel(self, tmp_path, capsys):
@@ -302,3 +311,18 @@ class TestOrbitReduction:
         assert main(["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "5"]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+
+class TestTolValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("command", ["classify", "check", "sweep", "orbit"])
+    def test_bad_tol_is_usage_error(self, tmp_path, command, value, capsys):
+        args = [command] + (["--grid", "3"] if command == "sweep"
+                            else [_write(tmp_path, EB_CHANNEL)])
+        assert main(args + [f"--tol={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol") and err.count("\n") == 1
+
+    def test_zero_tol_is_accepted(self, tmp_path, capsys):
+        assert main(["check", _write(tmp_path, EB_CHANNEL), "--tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["agree"] is True

@@ -1,14 +1,24 @@
 """Backend-agnostic checks of the low-level numeric kernels.
 
-Every kernel ships a pure-numpy reference and (when numba is importable) a
-jitted twin; the tests here pin both against LAPACK or closed forms and
-against each other.
+The eigenvalue kernels ship a pure-numpy reference and (when numba is
+importable) a jitted twin; the tests here pin both against LAPACK or closed
+forms and against each other.  Grid interpolation is numpy-only and is
+pinned against closed-form cubics and an unblocked longhand reference.
 """
 
 import numpy as np
 import pytest
 
-from gaussatlas import _kernels
+from gaussatlas import (
+    Channel,
+    CharGrid,
+    GridSpec,
+    _kernels,
+    act_chargrid,
+    char_fock1,
+    char_vacuum,
+    rotation,
+)
 from gaussatlas._kernels import (
     HAS_NUMBA,
     NUMBA_ENABLED,
@@ -103,20 +113,123 @@ def _cubic(xx, yy):
             - 0.2 * yy**3 + 0.5 * xx - 1.3 * yy + 0.9)
 
 
+def _cubic_b(xx, yy):
+    return (-0.4 * xx**3 + 0.2 * xx**2 * yy + 0.6 * yy**3 - 0.8 * xx * yy
+            + 1.7 * xx - 0.1)
+
+
+def _interp_longhand(values, fx, fy):
+    """Unblocked real-valued reference: the same weights and summation order
+    as the kernel, with 2-D fancy indexing over every point at once."""
+    n1, n2 = values.shape
+    bx = np.clip(np.floor(fx).astype(np.int64) - 1, 0, n1 - 4)
+    by = np.clip(np.floor(fy).astype(np.int64) - 1, 0, n2 - 4)
+    tx = fx - (bx + 1)
+    ty = fy - (by + 1)
+    wx = (-tx * (tx - 1.0) * (tx - 2.0) / 6.0, (tx * tx - 1.0) * (tx - 2.0) / 2.0,
+          -tx * (tx + 1.0) * (tx - 2.0) / 2.0, tx * (tx * tx - 1.0) / 6.0)
+    wy = (-ty * (ty - 1.0) * (ty - 2.0) / 6.0, (ty * ty - 1.0) * (ty - 2.0) / 2.0,
+          -ty * (ty + 1.0) * (ty - 2.0) / 2.0, ty * (ty * ty - 1.0) / 6.0)
+    out = np.zeros(fx.shape)
+    for i in range(4):
+        acc = wy[0] * values[bx + i, by]
+        for j in range(1, 4):
+            acc = acc + wy[j] * values[bx + i, by + j]
+        out += wx[i] * acc
+    return out
+
+
+def _lattice(n):
+    return np.meshgrid(np.arange(n, dtype=float), np.arange(n, dtype=float),
+                       indexing="ij")
+
+
 def test_interp_cubic2d_exact_on_cubics():
     # 4-point Lagrange stencils reproduce bicubic-degree polynomials exactly
     n = 16
-    ii, jj = np.meshgrid(np.arange(n, dtype=float), np.arange(n, dtype=float),
-                         indexing="ij")
-    values = _cubic(ii, jj)
+    ii, jj = _lattice(n)
     rng = np.random.default_rng(16)
     fx = rng.uniform(1.0, n - 2.0, size=300)
     fy = rng.uniform(1.0, n - 2.0, size=300)
-    impls = _both("interp_cubic2d")
-    got = impls["numpy"](values, fx, fy)
+    got = _kernels.interp_cubic2d(_cubic(ii, jj), fx, fy)
     np.testing.assert_allclose(got, _cubic(fx, fy), atol=1e-10)
-    if impls["numba"] is not None:
-        np.testing.assert_allclose(impls["numba"](values, fx, fy), got, atol=1e-12)
+
+
+def test_interp_cubic2d_complex_parts_exact_on_different_cubics():
+    n = 16
+    ii, jj = _lattice(n)
+    rng = np.random.default_rng(17)
+    fx = rng.uniform(0.0, n - 1.0, size=300)
+    fy = rng.uniform(0.0, n - 1.0, size=300)
+    got = _kernels.interp_cubic2d(_cubic(ii, jj) + 1j * _cubic_b(ii, jj), fx, fy)
+    assert got.dtype == complex
+    np.testing.assert_allclose(got.real, _cubic(fx, fy), atol=1e-10)
+    np.testing.assert_allclose(got.imag, _cubic_b(fx, fy), atol=1e-10)
+
+
+def test_interp_cubic2d_partial_last_block_matches_pointwise():
+    # a point count that is not a multiple of the block size leaves a short
+    # last block; every point must still equal the unblocked formula
+    n = 23
+    rng = np.random.default_rng(18)
+    values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = 2 * _kernels.INTERP_BLOCK + 37
+    fx = rng.uniform(0.0, n - 1.0, size=m)
+    fy = rng.uniform(0.0, n - 1.0, size=m)
+    got = _kernels.interp_cubic2d(values, fx, fy)
+    assert np.array_equal(got.real, _interp_longhand(values.real, fx, fy))
+    assert np.array_equal(got.imag, _interp_longhand(values.imag, fx, fy))
+
+
+def _act_chargrid_two_pass(ch, grid):
+    """act_chargrid written out longhand, interpolating .real and .imag apart."""
+    X, Y = ch.X, ch.Y
+    ax, L = grid.axis, grid.extent
+    x1, x2 = np.meshgrid(ax, ax, indexing="ij")
+    m1 = X[0, 0] * x1 + X[0, 1] * x2
+    m2 = X[1, 0] * x1 + X[1, 1] * x2
+    env = np.exp(-0.5 * (Y[0, 0] * x1 * x1 + 2.0 * Y[0, 1] * x1 * x2
+                         + Y[1, 1] * x2 * x2))
+    inside = (np.abs(m1) <= L) & (np.abs(m2) <= L)
+    fx = (m1[inside] - ax[0]) / grid.spacing
+    fy = (m2[inside] - ax[0]) / grid.spacing
+    re = _interp_longhand(np.ascontiguousarray(grid.values.real), fx, fy)
+    im = _interp_longhand(np.ascontiguousarray(grid.values.imag), fx, fy)
+    mapped = np.zeros(grid.values.shape, dtype=complex)
+    mapped[inside] = re + 1j * im
+    return mapped * env
+
+
+@pytest.mark.parametrize("side", [65, 257])
+def test_act_chargrid_matches_two_pass_reference(side):
+    spec = GridSpec(side=side, extent=8.0)
+    # a rotating contraction, so mapped points fall between nodes and some
+    # leave the support where the envelope has decayed
+    X = 0.9 * rotation(0.4) @ np.diag([1.0, 0.6])
+    Y = np.array([[2.5, 0.3], [0.3, 1.8]])
+    ch = Channel(X=X, Y=Y)
+    # a displaced single photon, so the grid has a sizeable imaginary part
+    grid = char_fock1(0.0, spec)
+    x1, x2 = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    grid = CharGrid(s=0.0, extent=spec.extent, axis=grid.axis,
+                    values=grid.values * np.exp(1j * (0.7 * x1 - 0.4 * x2)))
+    assert np.abs(grid.values.imag).max() > 0.1
+    got = act_chargrid(ch, grid)
+    assert np.array_equal(got.values, _act_chargrid_two_pass(ch, grid))
+
+
+def test_act_chargrid_refuses_escape_confined_to_edge_rows():
+    # a noiseless shear m1 = x1 + 0.01 x2 pushes half of the first and the
+    # last row past the support at full envelope weight, and nothing else
+    spec = GridSpec(side=65, extent=6.0)
+    grid = char_vacuum(0.0, spec)
+    X = np.array([[1.0, 0.01], [0.0, 1.0]])
+    x1, x2 = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    escaped = np.abs(X[0, 0] * x1 + X[0, 1] * x2) > spec.extent
+    rows = np.flatnonzero(escaped.any(axis=1))
+    assert rows.tolist() == [0, spec.side - 1]
+    with pytest.raises(ValueError, match="grid extent"):
+        act_chargrid(Channel(X=X, Y=np.zeros((2, 2))), grid)
 
 
 def test_interp_cubic2d_edge_clamp_stays_exact():
