@@ -5,19 +5,23 @@ Run from the repository root:
     python3 benchmarks/bench_kernels.py
 
 Each kernel is timed on a workload shaped like real library use: the
-Hermitian eigenvalue solver on a batch of 2x2 positivity checks, numpy
-against its jitted twin when numba is importable (warmed up before timing
-so compilation is not billed to the measurement), and the numpy-only cubic
-interpolator on a complex 1025^2 grid at grid-action size.
+closed-form complete-positivity test on a batch of 2000 channels, the
+partial-transpose test on 2000 stacks of five entanglement-breaking
+probes (one stacked LAPACK call each, as ``eb_oracle_tmsv`` makes it),
+and the cubic interpolator on a complex 1025^2 grid at grid-action size.
+Each row prints the best of five runs.
 """
 
 import time
 
 import numpy as np
 
-from gaussatlas._kernels import HAS_NUMBA, implementations, interp_cubic2d
+from gaussatlas import Channel, apply_channel_one_side, cp_defect, is_ppt_separable, tmsv_variance
+from gaussatlas._kernels import interp_cubic2d
+from gaussatlas.breaking import DEFAULT_R_LIST
 
 N_REPEAT = 5
+N_CALLS = 2000
 
 
 def _time(fn, *args, repeat=N_REPEAT):
@@ -29,12 +33,34 @@ def _time(fn, *args, repeat=N_REPEAT):
     return best
 
 
-def bench_hermitian():
+def _channels(n):
     rng = np.random.default_rng(2)
-    a = rng.normal(size=(2, 2))
-    a = a + a.T
-    b = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return "hermitian eigvals (2000 calls)", (np.ascontiguousarray(a), b)
+    channels = []
+    for _ in range(n):
+        a = rng.normal(size=(2, 2))
+        channels.append(Channel(X=rng.normal(size=(2, 2)), Y=a @ a.T))
+    return channels
+
+
+def bench_cp_defect():
+    channels = _channels(N_CALLS)
+
+    def run():
+        for ch in channels:
+            cp_defect(ch)
+
+    return f"closed-form cp_defect ({N_CALLS} calls)", run
+
+
+def bench_ppt_stack():
+    channels = _channels(N_CALLS)
+    probes = tmsv_variance(DEFAULT_R_LIST)
+
+    def run():
+        for ch in channels:
+            is_ppt_separable(apply_channel_one_side(ch.X, ch.Y, probes))
+
+    return f"stacked {len(DEFAULT_R_LIST)}-probe PPT test ({N_CALLS} calls)", run
 
 
 def bench_interp():
@@ -43,36 +69,16 @@ def bench_interp():
     values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     fx = rng.uniform(2.0, n - 3.0, size=n * n)
     fy = rng.uniform(2.0, n - 3.0, size=n * n)
-    return "complex cubic interpolation (1025^2 points)", (values, fx, fy)
+    return "complex cubic interpolation (1025^2 points)", lambda: interp_cubic2d(values, fx, fy)
 
 
 def main():
-    name, args = bench_hermitian()
-    impls = implementations("hermitian_eigvals")
-
-    def run(fn):
-        for _ in range(2000):
-            fn(*args)
-
-    t_np = _time(lambda: run(impls["numpy"]))
-    t_nb = None
-    if HAS_NUMBA:
-        impls["numba"](*args)
-        t_nb = _time(lambda: run(impls["numba"]))
-
-    interp_name, interp_args = bench_interp()
-    t_interp = _time(interp_cubic2d, *interp_args)
-
-    width = max(len(name), len(interp_name))
-    print(f"{'kernel':<{width}}  {'numpy':>10}  {'numba':>10}  {'speedup':>8}")
-    if t_nb is None:
-        print(f"{name:<{width}}  {t_np * 1e3:>8.2f}ms  {'n/a':>10}  {'n/a':>8}")
-    else:
-        print(f"{name:<{width}}  {t_np * 1e3:>8.2f}ms  {t_nb * 1e3:>8.2f}ms"
-              f"  {t_np / t_nb:>7.1f}x")
-    print(f"{interp_name:<{width}}  {t_interp * 1e3:>8.2f}ms  (numpy only)")
-    if not HAS_NUMBA:
-        print("numba unavailable; only the numpy path was timed")
+    rows = [(name, _time(run)) for name, run in (bench_cp_defect(), bench_ppt_stack(),
+                                                 bench_interp())]
+    width = max(len(name) for name, _ in rows)
+    print(f"{'kernel':<{width}}  {'time':>10}")
+    for name, seconds in rows:
+        print(f"{name:<{width}}  {seconds * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

@@ -80,9 +80,12 @@ def _kappa_bounds(kind, kappa):
     kind = kind_from_label(kind)
     kappa = float(kappa)
     if kind in (Kind.I, Kind.II):
-        eb = (1.0 + kappa ** 2) ** 2
-        cp = (1.0 - kappa ** 2) ** 2 if kind is Kind.I else eb
-        return cp, eb, kappa ** 4
+        try:
+            eb = (1.0 + kappa ** 2) ** 2
+            cp = (1.0 - kappa ** 2) ** 2 if kind is Kind.I else eb
+            return cp, eb, kappa ** 4
+        except OverflowError:
+            raise OverflowError(f"the bounds of gain {kappa!r} overflow a double") from None
     return 1.0, 1.0, None
 
 
@@ -186,6 +189,7 @@ def _unit_disk_grid(n):
 
 _COARSE_N = 41
 _COARSE_GRID = _unit_disk_grid(_COARSE_N)  # scaled by r_max, seeds the oracle search
+_COARSE_TRIG = (np.cos(_COARSE_GRID[3]), np.sin(_COARSE_GRID[3]))  # of its theta, once
 
 
 def _dominance(X, Y):
@@ -196,15 +200,16 @@ def _dominance(X, Y):
     equals exp(2 [[p, q], [q, -p]]) with (p, q) = r (cos 2theta, sin 2theta).
     f uses X^T V X = e^{-2r} X^T X + (e^{2r} - e^{-2r}) (X^T u)(X^T u)^T,
     which unlike cosh 2r X^T X + (sinh 2r / r) X^T [[p, q], [q, -p]] X
-    does not cancel where e^{2r} is large.
+    does not cancel where e^{2r} is large.  f(r, theta, trig) takes
+    trig = (cos theta, sin theta) when the caller has them already.
     """
     (x11, x12), (x21, x22) = X.tolist()
     (y11, y12), (_, y22) = Y.tolist()
     d11, d22 = y11 - 1.0, y22 - 1.0
     g11, g12, g22 = x11 * x11 + x21 * x21, x11 * x12 + x21 * x22, x12 * x12 + x22 * x22
 
-    def f(r, theta):
-        c, s = np.cos(theta), np.sin(theta)
+    def f(r, theta, trig=None):
+        c, s = (np.cos(theta), np.sin(theta)) if trig is None else trig
         shrink = np.exp(-2.0 * r)
         gap = 1.0 / shrink - shrink
         xu1, xu2 = x11 * c + x21 * s, x12 * c + x22 * s
@@ -294,7 +299,7 @@ def ncb_oracle_gaussian(ch, tol=TOL_CLASS):
         return min(max(r, 0.0), r_max), theta
 
     grid_p, grid_q, grid_r, grid_theta = _COARSE_GRID
-    vals = dominance(r_max * grid_r, grid_theta)
+    vals = dominance(r_max * grid_r, grid_theta, _COARSE_TRIG)
     k = int(np.argmax(vals))
     best, p, q = float(vals[k]), r_max * float(grid_p[k]), r_max * float(grid_q[k])
     step = 2.0 * r_max / (_COARSE_N - 1)
@@ -327,15 +332,14 @@ def eb_oracle_tmsv(ch, r_list=DEFAULT_R_LIST):
     squeeze value in r_list and tests the output for separability with
     the partial-transpose criterion (exact for 1+1-mode Gaussian states).
     True means every tested probe came out separable; r values of a few
-    units already place the flip at the closed-form boundary.
+    units already place the flip at the closed-form boundary.  All probes
+    form one (len(r_list), 4, 4) stack, sent through the channel and the
+    PPT test in one call each.
     """
     if not is_cp(ch):
         raise ValueError("oracle needs a completely positive channel")
-    for r in r_list:
-        out = apply_channel_one_side(ch.X, ch.Y, tmsv_variance(r))
-        if not is_ppt_separable(out):
-            return False
-    return True
+    outputs = apply_channel_one_side(ch.X, ch.Y, tmsv_variance(r_list))
+    return bool(np.all(is_ppt_separable(outputs)))
 
 
 # -- squeeze orbits --------------------------------------------------------- #
@@ -431,9 +435,14 @@ class RegionSweep:
 
 
 def _region_code(kind, kappa, a, b, tol):
-    """Region codes and the (cp, eb, ncb) margins at the points (a, b)."""
-    margins = (cp_margin(kind, kappa, a, b), eb_margin(kind, kappa, a, b),
-               ncb_margin(kind, kappa, a, b))
+    """Region codes and the (cp, eb, ncb) margins at the points (a, b).
+
+    A product beyond the double range gives an inf margin, the intended
+    value, without an overflow warning.
+    """
+    with np.errstate(over="ignore"):
+        margins = (cp_margin(kind, kappa, a, b), eb_margin(kind, kappa, a, b),
+                   ncb_margin(kind, kappa, a, b))
     # the first failing condition names the region; all passing is ncb
     code = np.select([m < -tol for m in margins], [0, 1, 2], 3).astype(np.int8)
     return code, margins
@@ -483,14 +492,16 @@ class BoundaryCurve:
             self._bound = None
 
     def b_of_a(self, a):
+        """b on the curve at a; inf where the bound over a passes the double range."""
         a = np.asarray(a, dtype=float)
-        if self._bound is not None:
-            out = np.where(a > 0, self._bound / np.where(a > 0, a, 1.0), np.inf)
-        elif self.kind in (Kind.I, Kind.II):
-            safe = np.where(a > 1.0, a - 1.0, 1.0)
-            out = np.where(a > 1.0, 1.0 + self.kappa ** 4 / safe, np.inf)
-        else:
-            out = np.where(a >= 1.0, 1.0, np.inf)
+        with np.errstate(over="ignore"):
+            if self._bound is not None:
+                out = np.where(a > 0, self._bound / np.where(a > 0, a, 1.0), np.inf)
+            elif self.kind in (Kind.I, Kind.II):
+                safe = np.where(a > 1.0, a - 1.0, 1.0)
+                out = np.where(a > 1.0, 1.0 + self.kappa ** 4 / safe, np.inf)
+            else:
+                out = np.where(a >= 1.0, 1.0, np.inf)
         return out if out.ndim else float(out)
 
     def slope(self, a):

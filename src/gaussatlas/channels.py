@@ -19,13 +19,14 @@ S X R = X_c, R^T Y R = Y_c, det S = 1, R^T R = 1.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import _kernels
-from .gaussian_core import SIGMA1, TOL_ALG, TOL_PSD, rotation, symplectic_check
+from .gaussian_core import TOL_ALG, TOL_PSD, rotation, symplectic_check
 from .phase_space import TOL_FFT, CharGrid
 
 TOL_RANK = 1e-10  # singular values below TOL_RANK * ||X|| count as zero
@@ -95,7 +96,8 @@ class Channel:
 
     @property
     def det_x(self):
-        return float(np.linalg.det(self.X))
+        (x11, x12), (x21, x22) = self.X.tolist()
+        return x11 * x22 - x12 * x21
 
     @classmethod
     def from_json(cls, text):
@@ -156,13 +158,21 @@ class CanonicalForm:
 def singular_x_rank(X):
     """Numerical rank of X: singular values below TOL_RANK * ||X||_2 drop.
 
-    Magnitudes below 1e-150 count as an exactly zero matrix.
+    Magnitudes below 1e-150 count as an exactly zero matrix.  Closed form,
+    on X scaled to max|x_ij| = 1 so that nothing overflows:
+    ||X||_2 = (hypot(x11 + x22, x12 - x21) + hypot(x11 - x22, x12 + x21)) / 2,
+    and |det X| / ||X||_2^2 is the ratio of the smaller singular value to
+    the larger.
     """
-    X = _as_mat2(X, "X")
-    svals = np.linalg.svd(X, compute_uv=False)
-    if svals[0] <= _ZERO_FLOOR:
+    (x11, x12), (x21, x22) = _as_mat2(X, "X").tolist()
+    scale = max(abs(x11), abs(x12), abs(x21), abs(x22))
+    if scale == 0.0:
         return 0
-    if svals[1] <= TOL_RANK * svals[0]:
+    x11, x12, x21, x22 = x11 / scale, x12 / scale, x21 / scale, x22 / scale
+    smax = 0.5 * (math.hypot(x11 + x22, x12 - x21) + math.hypot(x11 - x22, x12 + x21))
+    if scale * smax <= _ZERO_FLOOR:
+        return 0
+    if abs(x11 * x22 - x12 * x21) <= TOL_RANK * smax * smax:
         return 1
     return 2
 
@@ -201,12 +211,16 @@ def canonical_reduce(ch):
 
     Dispatch is purely linear-algebraic (sign of det X, numerical rank),
     so non-CP pairs reduce fine; Y must be PSD, which the Channel
-    constructor guarantees.
+    constructor guarantees.  Raises ValueError when det X is beyond the
+    double range, where no canonical gain can be represented.
     """
     X, Y = ch.X, ch.Y
     rank = singular_x_rank(X)
     if rank == 2:
-        det = np.linalg.det(X)
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(X)
+        if not math.isfinite(det):
+            raise ValueError("det X overflows a double: the gain is out of range")
         R, a, b = _diagonalizing_rotation(Y)
         y_can = np.diag([a, b])
         if det > 0:
@@ -242,18 +256,31 @@ def canonical_reduce(ch):
     return _verify_witnesses(X, Y, form)
 
 
+def _cp_entries(ch):
+    """(y11, y12, y22, 1 - det X) as Python floats, the entries of the CP matrix."""
+    (y11, y12), (_, y22) = ch.Y.tolist()
+    return y11, y12, y22, 1.0 - ch.det_x
+
+
 def cp_defect(ch):
     """Smallest eigenvalue of the Hermitian matrix Y + i sigma - i X sigma X^T.
 
     Nonnegative (within tolerance) iff the channel is completely positive.
+    For 2x2 X, X sigma X^T = det(X) sigma, so the matrix is
+    Y + i (1 - det X) sigma and its smallest eigenvalue has a closed form.
     """
-    B = SIGMA1 - ch.X @ SIGMA1 @ ch.X.T
-    return _kernels.hermitian_eigmin(ch.Y, B)
+    return _kernels.eigmin_herm2(*_cp_entries(ch))
 
 
 def is_cp(ch, tol=TOL_PSD):
-    scale = max(1.0, np.abs(ch.Y).max(), abs(1.0 - ch.det_x))
-    return cp_defect(ch) >= -tol * scale
+    """Whether cp_defect is at least -tol max(1, max|Y|, |1 - det X|).
+
+    False when det X is beyond the double range: the defect is then -inf,
+    which an infinite slack would pass.
+    """
+    entries = _cp_entries(ch)
+    scale = max(1.0, *map(abs, entries))
+    return math.isfinite(scale) and _kernels.eigmin_herm2(*entries) >= -tol * scale
 
 
 def act_variance(ch, V):

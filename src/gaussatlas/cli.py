@@ -128,6 +128,14 @@ def _load_channel(path):
         raise _CliError(2, f"invalid channel descriptor: {exc}") from exc
 
 
+def _report(ch, tol):
+    """report(ch), with a gain too large for the closed forms as a usage error."""
+    try:
+        return report(ch, tol=tol)
+    except (OverflowError, ValueError) as exc:
+        raise _CliError(2, f"channel out of range: {exc}") from None
+
+
 def _form_payload(form):
     return {
         "kind": form.kind.value,
@@ -143,7 +151,7 @@ def _form_payload(form):
 
 def _cmd_classify(args):
     ch = _load_channel(args.channel)
-    rep = report(ch, tol=args.tol)
+    rep = _report(ch, args.tol)
     payload = {
         "form": _form_payload(rep.form),
         "cp": rep.cp,
@@ -160,7 +168,7 @@ def _cmd_classify(args):
 
 def _cmd_check(args):
     ch = _load_channel(args.channel)
-    rep = report(ch, tol=args.tol)
+    rep = _report(ch, args.tol)
     payload = {
         "closed_form": {"cp": rep.cp, "eb": rep.eb, "ncb": rep.ncb,
                         "margins": rep.margins},
@@ -276,7 +284,7 @@ def _cmd_sweep(args):
 
 def _cmd_orbit(args):
     ch = _load_channel(args.channel)
-    rep = report(ch, tol=args.tol)
+    rep = _report(ch, args.tol)
     form = rep.form
     if not is_eb(form, tol=args.tol):
         print(f"channel is not entanglement-breaking "

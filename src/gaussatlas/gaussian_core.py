@@ -8,6 +8,10 @@ probability density) iff V >= 1.
 
 All functions are pure; matrices are plain numpy arrays, single mode
 (2x2) or two modes (4x4) with quadrature ordering (q1, p1, q2, p2).
+The two-mode entanglement path (tmsv_variance, apply_channel_one_side,
+ppt_defect, is_ppt_separable) also takes stacks of shape (..., 4, 4),
+or an array of squeezes, and returns one result per matrix; a single
+matrix goes through the same code.
 """
 
 import numpy as np
@@ -31,6 +35,7 @@ def symplectic_form(n_modes):
 
 
 SIGMA2 = symplectic_form(2)
+_PARTIAL_T = np.diag([1.0, 1.0, 1.0, -1.0])  # transposition of mode 2: p2 -> -p2
 
 
 def rotation(theta):
@@ -51,7 +56,8 @@ def squeezed_vacuum(r, theta=0.0):
 
 
 def _psd_scale(M):
-    return max(1.0, float(np.abs(M).max()))
+    """max(1, max|M_ij|) per matrix of a stack (..., n, n)."""
+    return np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
 
 
 def state_defect(V):
@@ -68,7 +74,7 @@ def is_valid_state(V, tol=TOL_PSD):
     large-norm matrices where absolute eigenvalue accuracy degrades.
     """
     V = np.asarray(V, dtype=float)
-    return state_defect(V) >= -tol * _psd_scale(V)
+    return bool(state_defect(V) >= -tol * _psd_scale(V))
 
 
 def classicality_defect(V):
@@ -87,11 +93,15 @@ def gaussian_is_classical(V, tol=TOL_CLASS):
 
 def tmsv_variance(r):
     """Two-mode squeezed vacuum variance, cosh(2r) on the diagonal and
-    sinh(2r) * diag(1, -1) correlations between the modes."""
+    sinh(2r) * diag(1, -1) correlations between the modes.
+
+    An array of squeezes gives a stack of shape r.shape + (4, 4).
+    """
+    r = np.asarray(r, dtype=float)
     c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    V = c * np.eye(4)
-    V[0, 2] = V[2, 0] = s
-    V[1, 3] = V[3, 1] = -s
+    V = c[..., None, None] * np.eye(4)
+    V[..., 0, 2] = V[..., 2, 0] = s
+    V[..., 1, 3] = V[..., 3, 1] = -s
     return V
 
 
@@ -99,16 +109,13 @@ def apply_channel_one_side(X, Y, V):
     """Act with the Gaussian channel (X, Y) on mode 1 of a two-mode variance V.
 
     The embedded maps are X + identity and Y + zeros on the second mode, so
-    the output is (X (+) 1)^T V (X (+) 1) + (Y (+) 0).
+    the output is (X (+) 1)^T V (X (+) 1) + (Y (+) 0).  V may be a stack
+    (..., 4, 4); every matrix goes through the same channel.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    V = np.asarray(V, dtype=float)
-    Xt = np.zeros((4, 4))
+    Xt = np.eye(4)
     Xt[:2, :2] = X
-    Xt[2:, 2:] = np.eye(2)
-    out = Xt.T @ V @ Xt
-    out[:2, :2] += Y
+    out = Xt.T @ np.asarray(V, dtype=float) @ Xt
+    out[..., :2, :2] += Y
     return out
 
 
@@ -117,20 +124,22 @@ def ppt_defect(V):
 
     Nonnegative iff the partial transpose on mode 2 is a valid state, which
     for 1+1 modes is equivalent to separability of the Gaussian state.
+    A stack (..., 4, 4) gives an array of shape (...), from one LAPACK call.
     """
     V = np.asarray(V, dtype=float)
-    lam = np.diag([1.0, 1.0, 1.0, -1.0])
-    return _kernels.hermitian_eigmin(lam @ V @ lam, SIGMA2)
+    return _kernels.hermitian_eigmin(_PARTIAL_T @ V @ _PARTIAL_T, SIGMA2)
 
 
 def is_ppt_separable(V, tol=TOL_PSD):
     """Whether the two-mode Gaussian state with variance V is separable.
 
     Uses the partial-transpose test on mode 2, necessary and sufficient
-    for 1+1 modes.  Slack is relative as in is_valid_state.
+    for 1+1 modes.  Slack is relative as in is_valid_state, per matrix:
+    a stack (..., 4, 4) gives a bool array of shape (...).
     """
     V = np.asarray(V, dtype=float)
-    return ppt_defect(V) >= -tol * _psd_scale(V)
+    ok = ppt_defect(V) >= -tol * _psd_scale(V)
+    return ok if ok.ndim else bool(ok)
 
 
 def symplectic_check(S, tol=TOL_ALG):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussatlas.breaking import (
+    _COARSE_GRID,
+    _COARSE_TRIG,
     DEFAULT_R_LIST,
     _dominance,
     REGION_LABELS,
@@ -30,6 +32,13 @@ from gaussatlas.breaking import (
     squeeze_orbit,
 )
 from gaussatlas.channels import Channel, Kind, SIGMA3, canonical_channel, canonical_reduce
+from gaussatlas.gaussian_core import (
+    apply_channel_one_side,
+    is_ppt_separable,
+    rotation,
+    squeeze,
+    tmsv_variance,
+)
 from gaussatlas.cli import REGION_CSV_HEADER, main
 
 ATOL = 1e-12
@@ -175,6 +184,14 @@ class TestNcbOracle:
         np.testing.assert_allclose(got, (y - 1.0) - np.exp(2.0 * r), rtol=1e-14)
         assert abs(got.max() - (y - 2.0)) < ATOL
 
+    def test_dominance_with_seed_grid_trig_is_bit_identical(self):
+        rng = np.random.default_rng(52)
+        _, _, grid_r, grid_theta = _COARSE_GRID
+        for _ in range(20):
+            f = _dominance(rng.normal(size=(2, 2)), np.diag(rng.uniform(0.5, 5.0, 2)))
+            r = rng.uniform(1.0, 12.0) * grid_r
+            assert np.array_equal(f(r, grid_theta, _COARSE_TRIG), f(r, grid_theta))
+
     def test_dominance_matches_matrix_exponential(self):
         # V = exp(2H) = cosh 2r 1 + (sinh 2r / r) H for H = [[p, q], [q, -p]],
         # (p, q) = r (cos 2theta, sin 2theta)
@@ -218,6 +235,30 @@ class TestEbOracle:
         assert not eb_oracle_tmsv(Channel(X=np.eye(2), Y=np.eye(2)))
         assert eb_oracle_tmsv(canonical_channel(Kind.III_ZERO, 2.0, 2.0))
         assert not eb_oracle_tmsv(canonical_channel(Kind.I, 1.0, 1.0, kappa=0.8))
+
+    def test_matches_per_probe_loop(self):
+        # one stacked PPT call gives the verdict of testing probe by probe;
+        # CP channels near the EB boundary, where the probes disagree
+        rng = np.random.default_rng(53)
+        verdicts = set()
+        for k in range(200):
+            kappa = rng.uniform(0.5, 3.0)  # keeps the CP bound below the band
+            prod = (1.0 + kappa ** 2) ** 2 * math.exp(rng.uniform(-0.2, 0.05))
+            ratio = math.exp(rng.uniform(0.0, 2.0))
+            ch = canonical_channel(Kind.I, math.sqrt(prod * ratio), math.sqrt(prod / ratio),
+                                   kappa=kappa)
+            S = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-1, 1))
+            ch = Channel(X=S @ ch.X, Y=ch.Y)
+            # r = 0 is a product state, separable whatever the channel
+            r_list = DEFAULT_R_LIST if k % 3 else (0.0,) + tuple(rng.uniform(0.0, 8.0, 2))
+            longhand = True
+            for r in r_list:
+                if not is_ppt_separable(apply_channel_one_side(ch.X, ch.Y, tmsv_variance(r))):
+                    longhand = False
+                    break
+            assert eb_oracle_tmsv(ch, r_list) is longhand
+            verdicts.add(longhand)
+        assert verdicts == {True, False}
 
     def test_probe_list_is_ordered_default(self):
         assert DEFAULT_R_LIST == (0.5, 1.0, 2.0, 4.0, 8.0)

@@ -95,6 +95,26 @@ class TestKindsAndRank:
         assert singular_x_rank(np.zeros((2, 2))) == 0
         assert singular_x_rank(1e-200 * np.eye(2)) == 0
         assert singular_x_rank(np.array([[1.0, 1.0], [1.0, 1.0]])) == 1
+        # X is scaled before the closed forms, so none of them overflows
+        assert singular_x_rank(1e160 * rotation(0.3)) == 2
+        assert singular_x_rank(1e300 * squeeze(2.0)) == 2
+        assert singular_x_rank(1.7e308 * rotation(0.7)) == 2
+
+    def test_singular_x_rank_matches_svd_rule_over_scales(self):
+        def svd_rule(X):
+            s = np.linalg.svd(X, compute_uv=False)
+            return 0 if s[0] <= 1e-150 else 1 if s[1] <= 1e-10 * s[0] else 2
+
+        rng = np.random.default_rng(41)
+        for exponent in range(-149, 301, 3):
+            for ratio in (0.0, 1e-13, 1e-11, 2e-11, 5e-10, 1e-8, 1e-3):
+                U, V = rotation(rng.uniform(0, np.pi)), rotation(rng.uniform(0, np.pi))
+                flip = np.diag([1.0, rng.choice([-1.0, 1.0])])
+                s1 = 10.0 ** exponent * rng.uniform(1.0, 10.0)
+                X = U @ np.diag([s1, ratio * s1]) @ flip @ V.T
+                if ratio == 0.0:  # a rank-one outer product u v^T
+                    X = np.outer(rng.normal(size=2), rng.normal(size=2)) * 10.0 ** exponent
+                assert singular_x_rank(X) == svd_rule(X), (exponent, ratio)
 
     def test_canonical_channel_needs_kappa_for_full_rank(self):
         with pytest.raises(ValueError):
@@ -112,6 +132,10 @@ class TestKindsAndRank:
 
 
 class TestCanonicalReduce:
+    def test_refuses_overflowing_det(self):
+        with pytest.raises(ValueError, match="det X"):
+            canonical_reduce(Channel(X=1e160 * np.eye(2), Y=np.eye(2)))
+
     def test_scaled_identity_with_diagonal_noise(self):
         form = canonical_reduce(Channel(X=0.6 * np.eye(2), Y=np.diag([2.0, 3.0])))
         assert form.kind is Kind.I
@@ -197,6 +221,21 @@ class TestCanonicalReduce:
 
 
 class TestCompletePositivity:
+    def test_cp_defect_matches_hermitian_eigvalsh(self):
+        sigma = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        rng = np.random.default_rng(43)
+        for y_scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for k in range(40):
+                S = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-2, 2))
+                # every fourth X is symplectic, det X = 1, so beta = 0
+                X = S if k % 4 == 0 else rng.normal(size=(2, 2)) * rng.uniform(0.1, 3.0)
+                A = rng.normal(size=(2, 2))
+                Y = y_scale * (A @ A.T)
+                ch = Channel(X=X, Y=Y)
+                ref = np.linalg.eigvalsh(ch.Y + 1j * (sigma - X @ sigma @ X.T))[0]
+                scale = max(1.0, np.abs(ch.Y).max(), abs(1.0 - np.linalg.det(X)))
+                assert abs(cp_defect(ch) - ref) <= 1e-13 * scale, (y_scale, k)
+
     def test_identity_channel_boundary(self):
         ch = Channel(X=np.eye(2), Y=np.zeros((2, 2)))
         assert abs(cp_defect(ch)) < 1e-10
@@ -216,6 +255,10 @@ class TestCompletePositivity:
         # kappa^2 = 2 needs kappa^2 - 1 = 1 unit of noise
         assert is_cp(Channel(X=np.sqrt(2.0) * np.eye(2), Y=np.eye(2)))
         assert not is_cp(Channel(X=np.sqrt(2.0) * np.eye(2), Y=0.9 * np.eye(2)))
+
+    def test_overflowing_det_is_not_cp(self):
+        for scale in (1e155, 1e160):
+            assert is_cp(Channel(X=scale * np.eye(2), Y=np.eye(2))) is False
 
     def test_reflection_needs_more_noise(self):
         # det X < 0 raises the requirement to 1 + kappa^2

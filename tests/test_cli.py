@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -287,9 +288,30 @@ class TestSweepValidation:
         assert "overflow" in err
 
     def test_largest_kappa_with_finite_bounds_is_accepted(self, capsys):
-        # kappa^4 and (1 + kappa^2)^2 are about 1e308, just below the double limit
-        assert main(self.BASE + ["--kappa", "1e77"]) == 0
+        # kappa^4 and (1 + kappa^2)^2 are about 1e308, just below the double
+        # limit; the curves and margins that pass it are inf, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(self.BASE + ["--kappa", "1e77"]) == 0
         capsys.readouterr()
+
+
+class TestHugeGain:
+    @pytest.mark.parametrize("scale", ["1e80", "1e160", "1.7e308"])
+    @pytest.mark.parametrize("command", ["classify", "check", "orbit"])
+    def test_overflowing_gain_is_usage_error(self, tmp_path, command, scale, capsys):
+        # 1e80 overflows the closed-form bounds, 1e160 already det X, and
+        # 1.7e308 is near the largest double
+        text = f'{{"X": [[{scale}, 0], [0, {scale}]], "Y": [[1, 0], [0, 1]]}}'
+        assert main([command, _write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel out of range") and err.count("\n") == 1
+
+    def test_large_finite_gain_still_classifies(self, tmp_path, capsys):
+        text = '{"X": [[1e20, 0], [0, 1e20]], "Y": [[1, 0], [0, 1]]}'
+        assert main(["classify", _write(tmp_path, text)]) == 0
+        form = json.loads(capsys.readouterr().out)["form"]
+        assert form["kind"] == "I" and form["kappa"] == 1e20
 
 
 class TestOrbitReduction:

@@ -144,3 +144,46 @@ def test_state_defect_antisymmetric_part_only(n):
     V = np.eye(2 * n)
     assert abs(state_defect(V)) < ATOL
     assert abs(state_defect(2.0 * V) - 1.0) < ATOL
+
+
+def _probe_outputs(rng, k):
+    X = rng.normal(size=(2, 2))
+    A = rng.normal(size=(2, 2))
+    r = rng.uniform(0.0, 8.0, size=k)
+    return X, A @ A.T, r
+
+
+def test_stacked_entanglement_path_equals_per_matrix_calls():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        X, Y, r = _probe_outputs(rng, 5)
+        V = tmsv_variance(r)
+        assert V.shape == (5, 4, 4)
+        assert np.array_equal(V, [tmsv_variance(float(x)) for x in r])
+        out = apply_channel_one_side(X, Y, V)
+        single = [apply_channel_one_side(X, Y, v) for v in V]
+        assert np.array_equal(out, single)
+        assert np.array_equal(ppt_defect(out), [ppt_defect(v) for v in single])
+        sep = is_ppt_separable(out)
+        assert sep.dtype == bool
+        assert np.array_equal(sep, [is_ppt_separable(v) for v in single])
+
+
+def test_stacked_ppt_slack_is_per_matrix():
+    # diag(x, x, y, y) has PPT defect x - 1 for y >= 1 and slack tol max(1, y):
+    # a norm-1 and a norm-1e6 state, each just inside its own slack
+    outs = np.stack([np.diag([1.0 - 0.5e-9, 1.0 - 0.5e-9, 1.0, 1.0]),
+                     np.diag([1.0 - 0.5e-3, 1.0 - 0.5e-3, 1e6, 1e6])])
+    for tol, expect in ((1e-9, [True, True]), (1e-10, [False, False])):
+        assert [is_ppt_separable(v, tol=tol) for v in outs] == expect
+        assert is_ppt_separable(outs, tol=tol).tolist() == expect
+
+
+def test_stacks_keep_leading_axes():
+    r = np.linspace(0.0, 2.0, 6).reshape(2, 3)
+    V = tmsv_variance(r)
+    assert V.shape == (2, 3, 4, 4)
+    assert ppt_defect(V).shape == (2, 3)
+    assert is_ppt_separable(V).tolist() == [[True, False, False], [False, False, False]]
+    assert isinstance(is_ppt_separable(V[0, 0]), bool)
+    assert isinstance(ppt_defect(V[0, 0]), float)

@@ -1,10 +1,12 @@
-"""Backend-agnostic checks of the low-level numeric kernels.
+"""Checks of the low-level numeric kernels.
 
-The eigenvalue kernels ship a pure-numpy reference and (when numba is
-importable) a jitted twin; the tests here pin both against LAPACK or closed
-forms and against each other.  Grid interpolation is numpy-only and is
-pinned against closed-form cubics and an unblocked longhand reference.
+The eigenvalue kernels are closed forms for 2x2 problems and stacked
+LAPACK calls for larger ones; the tests here pin them against LAPACK and
+against the closed forms written out.  Grid interpolation is pinned
+against closed-form cubics and an unblocked longhand reference.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,28 +22,24 @@ from gaussatlas import (
     rotation,
 )
 from gaussatlas._kernels import (
-    HAS_NUMBA,
-    NUMBA_ENABLED,
     backend,
+    eigmin_herm2,
     eigmin_sym2,
+    eigmin_sym2_batch,
     hermitian_eigmin,
-    implementations,
 )
 
 ATOL_EIG = 1e-12
-ATOL_CROSS = 1e-12
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not importable")
 
 
-def _both(name):
-    impls = implementations(name)
-    assert set(impls) == {"numpy", "numba"}
-    return impls
+def _random_hermitian(rng, n):
+    a = rng.normal(size=(n, n))
+    b = rng.normal(size=(n, n))
+    return a + a.T, b - b.T
 
 
-def test_backend_name_matches_flag():
-    assert backend() == ("numba" if NUMBA_ENABLED else "numpy")
+def test_backend_is_numpy():
+    assert backend() == "numpy"
 
 
 def test_eigmin_sym2_against_lapack():
@@ -53,52 +51,44 @@ def test_eigmin_sym2_against_lapack():
         assert abs(lam - np.linalg.eigvalsh(m)[0]) < ATOL_EIG
 
 
-def test_eigmin_sym2_batch_backends_agree():
+def test_eigmin_sym2_batch_matches_closed_form():
     rng = np.random.default_rng(12)
     m11 = rng.normal(size=(40, 7))
     m12 = rng.normal(size=(40, 7))
     m22 = rng.normal(size=(40, 7))
-    impls = _both("eigmin_sym2_batch")
-    ref = impls["numpy"](m11, m12, m22)
+    got = eigmin_sym2_batch(m11, m12, m22)
     expect = 0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12)
-    np.testing.assert_allclose(ref, expect, atol=ATOL_EIG)
-    if impls["numba"] is not None:
-        np.testing.assert_allclose(impls["numba"](m11, m12, m22), ref, atol=ATOL_CROSS)
+    np.testing.assert_allclose(got, expect, atol=ATOL_EIG)
+    flat = [eigmin_sym2(*args) for args in zip(m11.ravel(), m12.ravel(), m22.ravel())]
+    assert np.array_equal(got.ravel(), flat)
 
 
-@needs_numba
-def test_jacobi_eigvals_matches_lapack():
-    rng = np.random.default_rng(13)
-    fn = implementations("jacobi_eigvals")["numba"]
-    for n in (2, 3, 4, 6):
-        for _ in range(30):
-            a = rng.normal(size=(n, n))
-            a = a + a.T
-            got = fn(np.ascontiguousarray(a))
-            ref = np.linalg.eigvalsh(a)
-            scale = max(1.0, np.abs(ref).max())
-            assert np.abs(got - ref).max() < ATOL_EIG * scale
-
-
-@needs_numba
-def test_jacobi_eigvals_zero_matrix():
-    fn = implementations("jacobi_eigvals")["numba"]
-    np.testing.assert_array_equal(fn(np.zeros((4, 4))), np.zeros(4))
-
-
-def test_hermitian_eigvals_backends_agree():
+def test_hermitian_eigmin_matches_lapack():
     rng = np.random.default_rng(14)
-    impls = _both("hermitian_eigvals")
-    for _ in range(50):
-        a = rng.normal(size=(2, 2))
-        a = a + a.T
-        b = rng.normal(size=(2, 2))
-        b = b - b.T
-        ref = np.linalg.eigvalsh(a + 1j * b)
-        np.testing.assert_allclose(impls["numpy"](a, b), ref, atol=ATOL_EIG)
-        if impls["numba"] is not None:
-            got = impls["numba"](np.ascontiguousarray(a), np.ascontiguousarray(b))
-            np.testing.assert_allclose(got, ref, atol=1e-11)
+    for n in (2, 4, 6):
+        for _ in range(50):
+            a, b = _random_hermitian(rng, n)
+            ref = np.linalg.eigvalsh(a + 1j * b)[0]
+            got = hermitian_eigmin(a, b)
+            assert isinstance(got, float)
+            assert abs(got - ref) < ATOL_EIG * max(1.0, np.abs(ref))
+
+
+def test_hermitian_eigmin_2x2_is_the_closed_form():
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        a, b = _random_hermitian(rng, 2)
+        assert hermitian_eigmin(a, b) == eigmin_herm2(a[0, 0], a[1, 0], a[1, 1], b[0, 1])
+
+
+def test_hermitian_eigmin_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(20)
+    pairs = [_random_hermitian(rng, 4) for _ in range(30)]
+    a = np.stack([p[0] for p in pairs]).reshape(5, 6, 4, 4)
+    b = np.stack([p[1] for p in pairs]).reshape(5, 6, 4, 4)
+    got = hermitian_eigmin(a, b)
+    assert got.shape == (5, 6)
+    assert np.array_equal(got.ravel(), [hermitian_eigmin(x, y) for x, y in pairs])
 
 
 def test_hermitian_eigmin_pauli_y_block():
@@ -106,6 +96,13 @@ def test_hermitian_eigmin_pauli_y_block():
     a = np.zeros((2, 2))
     b = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert abs(hermitian_eigmin(a, b) + 1.0) < ATOL_EIG
+
+
+def test_eigmin_herm2_huge_entries_stay_finite():
+    # hypot keeps the closed form finite where squaring an entry overflows
+    assert math.isclose(eigmin_herm2(1e200, 1e200, 1e200, 1e200),
+                        (1.0 - math.sqrt(2.0)) * 1e200, rel_tol=1e-15)
+    assert eigmin_herm2(1e200, 0.0, 1e200, 1e200) == 0.0
 
 
 def _cubic(xx, yy):
