@@ -11,7 +11,7 @@ call per stack of matrices; a stacked call gives the same bits as one
 call per matrix.
 
 Grid interpolation (``interp_cubic2d``) is one blocked pass over flat
-stencil indices, for real and complex grids alike.
+stencil indices; the real grids the library builds are weighted once.
 """
 
 import math
@@ -85,11 +85,12 @@ def interp_cubic2d(values, fx, fy):
     A complex grid is interpolated in one pass: each stencil value is
     gathered once and its real and imaginary parts are weighted separately,
     so each part is exactly what a real-valued pass over it would give.
-    Points are processed in blocks of INTERP_BLOCK.
+    The result is float64 for a real grid of any precision, and complex128
+    for a complex one.  Points are processed in blocks of INTERP_BLOCK.
     """
     n1, n2 = values.shape
     flat = values.ravel()
-    out = np.zeros(fx.shape, dtype=values.dtype)
+    out = np.zeros(fx.shape, dtype=np.result_type(values.dtype, float))
     parts = (np.real, np.imag) if np.iscomplexobj(values) else (np.real,)
     for lo in range(0, fx.size, INTERP_BLOCK):
         hi = lo + INTERP_BLOCK

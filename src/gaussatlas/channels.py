@@ -299,7 +299,8 @@ def act_chargrid(ch, grid):
     Mapped points that leave the grid support are acceptable only where
     the Gaussian envelope has already decayed below TOL_FFT (the value is
     then taken as 0); otherwise the action is refused as unresolvable on
-    this grid.
+    this grid.  The output dtype follows the input's, promoted to at least
+    float64: a real grid stays real, a complex one stays complex.
     """
     if not is_cp(ch):
         raise ValueError("channel is not completely positive")
@@ -320,8 +321,9 @@ def act_chargrid(ch, grid):
     d = grid.spacing
     fx = (m1[inside] - ax[0]) / d
     fy = (m2[inside] - ax[0]) / d
-    mapped = np.zeros(grid.values.shape, dtype=complex)
-    mapped[inside] = _kernels.interp_cubic2d(grid.values, fx, fy)
+    inner = _kernels.interp_cubic2d(grid.values, fx, fy)
+    mapped = np.zeros(grid.values.shape, dtype=inner.dtype)
+    mapped[inside] = inner
     return CharGrid(s=0.0, extent=grid.extent, axis=ax, values=mapped * env)
 
 

@@ -283,6 +283,10 @@ def _cmd_sweep(args):
 
 
 def _cmd_orbit(args):
+    if not (math.isfinite(args.rmin) and math.isfinite(args.rmax)):
+        raise _CliError(2, "--rmin and --rmax must be finite")
+    if args.grid < 1:
+        raise _CliError(2, "grid resolution must be at least 1")
     ch = _load_channel(args.channel)
     rep = _report(ch, args.tol)
     form = rep.form
@@ -296,7 +300,11 @@ def _cmd_orbit(args):
               file=sys.stderr)
         return 1
     rs = np.linspace(args.rmin, args.rmax, args.grid)
-    points = [squeeze_orbit(form, r, tol=args.tol) for r in rs]
+    try:
+        points = [squeeze_orbit(form, r, tol=args.tol) for r in rs]
+    except OverflowError:
+        raise _CliError(2, "--rmin and --rmax are too large: the squeezed "
+                           "noise overflows") from None
     if args.format == "json":
         payload = {
             "r0": r0,
@@ -347,12 +355,12 @@ def _pfunc_fft(args):
 
 
 def _cmd_pfunc(args):
-    if args.a <= 0 or args.b <= 0:
-        raise _CliError(2, "noise parameters a and b must be positive")
-    if args.grid < 2:
-        raise _CliError(2, "grid resolution must be at least 2")
     if args.extent is None:
         args.extent = 10.0 if args.variant == "fft" else 6.0
+    if not all(math.isfinite(v) and v > 0 for v in (args.a, args.b, args.extent)):
+        raise _CliError(2, "--a, --b and --extent must be finite and positive")
+    if args.grid < 2:
+        raise _CliError(2, "grid resolution must be at least 2")
     if args.variant == "fft":
         try:
             axis, values = _pfunc_fft(args)

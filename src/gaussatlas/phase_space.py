@@ -16,9 +16,12 @@ Conventions (pinned by round-trip tests):
 P-function grids are evaluated at the regularized order s = 1 - P_EPS;
 the exact s = 1 limit of a classical state is a proper density but need
 not decay on any finite grid.
+
+The states built here are parity-even, so their grids are real (float64)
+and stay real up to the transform; complex grids are accepted too.
 """
 
-import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,8 +46,8 @@ class GridSpec:
     def __post_init__(self):
         if self.side < 8 or self.side % 2 == 0:
             raise ValueError("grid side must be an odd integer >= 9")
-        if not self.extent > 0:
-            raise ValueError("grid extent must be positive")
+        if not (self.extent > 0 and math.isfinite(2.0 * self.extent * self.extent)):
+            raise ValueError("grid extent must be positive, with a finite squared radius")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +56,8 @@ class CharGrid:
 
     values[i, j] is chi_s at (axis[i], axis[j]); the axis spans
     [-extent, extent] with an odd number of points so 0 is a node.
+    values may be real or complex; the library's constructors return real
+    float64 grids, as every state they build is parity-even.
     """
 
     s: float
@@ -97,7 +102,7 @@ def _mesh(spec):
 def char_vacuum(s, spec=GridSpec()):
     """Vacuum characteristic function at order s: exp(((s - 1)/2) |xi|^2)."""
     xi, x1, x2 = _mesh(spec)
-    values = np.exp(0.5 * (s - 1.0) * (x1 * x1 + x2 * x2)).astype(complex)
+    values = np.exp(0.5 * (s - 1.0) * (x1 * x1 + x2 * x2))
     return CharGrid(s=float(s), extent=spec.extent, axis=xi, values=values)
 
 
@@ -105,7 +110,7 @@ def char_fock1(s, spec=GridSpec()):
     """Single-photon characteristic function, (1 - |xi|^2) times the vacuum one."""
     xi, x1, x2 = _mesh(spec)
     r2 = x1 * x1 + x2 * x2
-    values = ((1.0 - r2) * np.exp(0.5 * (s - 1.0) * r2)).astype(complex)
+    values = (1.0 - r2) * np.exp(0.5 * (s - 1.0) * r2)
     return CharGrid(s=float(s), extent=spec.extent, axis=xi, values=values)
 
 
@@ -115,7 +120,7 @@ def char_gaussian(V, s, spec=GridSpec()):
     xi, x1, x2 = _mesh(spec)
     q = ((V[0, 0] - s) * x1 * x1 + 2.0 * V[0, 1] * x1 * x2 + (V[1, 1] - s) * x2 * x2)
     return CharGrid(s=float(s), extent=spec.extent, axis=xi,
-                    values=np.exp(-0.5 * q).astype(complex))
+                    values=np.exp(-0.5 * q))
 
 
 def auto_char_grid(maker, s, spec=GridSpec(), target=BOUNDARY_DECAY, max_doublings=8):
@@ -171,8 +176,10 @@ def quasi_from_char(grid):
             f"{TOL_FFT:.0e}; enlarge the grid extent before transforming")
     n = grid.side
     d = grid.spacing
-    F = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(grid.values))) * (n * n)
-    W = (d * d / (2.0 * np.pi ** 2)) * F
+    # ifft2 of a real grid matches its complex copy bit for bit; scale in place
+    W = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(grid.values)))
+    W *= n * n
+    W *= d * d / (2.0 * np.pi ** 2)
     residue = float(np.abs(W.imag).max())
     if residue > TOL_FFT:
         raise ValueError(f"imaginary residue {residue:.3e} exceeds {TOL_FFT:.0e}; "
@@ -249,24 +256,3 @@ def fock1_output_p_grid_units(a, b, alpha1, alpha2, variant="rederived"):
     s = np.sqrt(2.0)
     return fock1_output_p(a, b, np.asarray(alpha1) / s, np.asarray(alpha2) / s,
                           variant=variant) / (2.0 * np.pi)
-
-
-def quasi_to_csv(q, path):
-    """Write a quasiprobability grid as CSV rows alpha1, alpha2, value."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha1", "alpha2", "value"])
-        for i, a1 in enumerate(q.axis):
-            for j, a2 in enumerate(q.axis):
-                w.writerow([f"{a1:.12g}", f"{a2:.12g}", f"{q.values[i, j]:.12g}"])
-
-
-def char_to_csv(c, path):
-    """Write a characteristic grid as CSV rows xi1, xi2, re, im."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["xi1", "xi2", "re", "im"])
-        for i, x1 in enumerate(c.axis):
-            for j, x2 in enumerate(c.axis):
-                v = c.values[i, j]
-                w.writerow([f"{x1:.12g}", f"{x2:.12g}", f"{v.real:.12g}", f"{v.imag:.12g}"])

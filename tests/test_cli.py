@@ -348,3 +348,64 @@ class TestTolValidation:
     def test_zero_tol_is_accepted(self, tmp_path, capsys):
         assert main(["check", _write(tmp_path, EB_CHANNEL), "--tol", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["agree"] is True
+
+
+class TestPfuncValidation:
+    @pytest.mark.parametrize("variant", ["rederived", "printed", "fft"])
+    @pytest.mark.parametrize("option", ["--a", "--b", "--extent"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    def test_nonfinite_or_nonpositive_input_is_usage_error(self, variant, option,
+                                                           value, capsys):
+        args = {"--a": "2", "--b": "2", "--extent": "4", option: value}
+        argv = ["pfunc", "--variant", variant, "--grid", "9"]
+        argv += [f"{k}={v}" for k, v in args.items()]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("extent", ["1e300", "1e155"])
+    def test_fft_extent_with_overflowing_squared_radius_is_usage_error(self, extent,
+                                                                      capsys):
+        assert main(["pfunc", "--variant", "fft", "--a", "2", "--b", "2",
+                     "--grid", "9", "--extent", extent]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "extent" in err
+
+
+class TestOrbitValidation:
+    @pytest.mark.parametrize("option", ["--rmin", "--rmax"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_range_is_usage_error(self, tmp_path, option, value, capsys):
+        argv = ["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "3", f"{option}={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("option", ["--rmin", "--rmax"])
+    @pytest.mark.parametrize("value", ["-400", "400", "1e300"])
+    def test_overflowing_range_is_usage_error(self, tmp_path, option, value, capsys):
+        # e^(2 |r|) overflows a double from |r| of about 355 on
+        argv = ["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "2", f"{option}={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "overflow" in captured.err
+
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_grid_below_one_is_usage_error(self, tmp_path, grid, capsys):
+        assert main(["orbit", _write(tmp_path, EB_CHANNEL), f"--grid={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_single_point_trace(self, tmp_path, capsys):
+        assert main(["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "1",
+                     "--rmin", "0.5", "--rmax", "0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "r,a_r,b_r,ncb"
+        assert len(lines) == 3 and lines[2].startswith("0.5,")

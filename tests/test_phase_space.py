@@ -7,7 +7,6 @@ nodes.  A handful of oracle outputs are additionally frozen as literals so a
 convention regression cannot hide behind a matching implementation change.
 """
 
-import csv
 import warnings
 
 import numpy as np
@@ -26,7 +25,6 @@ from gaussatlas.phase_space import (
     auto_char_grid,
     char_fock1,
     char_gaussian,
-    char_to_csv,
     char_vacuum,
     convert_order,
     fock1_output_p,
@@ -34,7 +32,6 @@ from gaussatlas.phase_space import (
     grid_is_classical,
     min_value,
     quasi_from_char,
-    quasi_to_csv,
 )
 
 ATOL_ORACLE = 1e-11
@@ -77,6 +74,12 @@ class TestGridSpec:
             GridSpec(side=7)
         with pytest.raises(ValueError):
             GridSpec(extent=0.0)
+
+    @pytest.mark.parametrize("extent", [float("nan"), float("inf"), -1.0, 1e300, 1e155])
+    def test_rejects_nonfinite_or_overflowing_extent(self, extent):
+        # 1e155 is finite, but the corner's squared radius 2 * 1e310 is not
+        with pytest.raises(ValueError, match="extent"):
+            GridSpec(side=9, extent=extent)
 
     def test_axis_has_zero_node(self):
         g = char_vacuum(0.0, GridSpec(side=65, extent=4.0))
@@ -297,33 +300,3 @@ class TestFock1OutputP:
         ref = fock1_output_p(a, b, alpha / np.sqrt(2.0), alpha / np.sqrt(2.0))
         np.testing.assert_allclose(got, ref / (2.0 * np.pi), atol=1e-14)
 
-
-class TestCsv:
-    def test_quasi_round_trip(self, tmp_path):
-        q = quasi_from_char(char_vacuum(0.0, GridSpec(side=9, extent=6.0)))
-        path = tmp_path / "quasi.csv"
-        quasi_to_csv(q, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["alpha1", "alpha2", "value"]
-        assert len(rows) == 1 + q.side * q.side
-        assert abs(float(rows[1][0]) - q.axis[0]) < 1e-10
-        assert abs(float(rows[1][2]) - q.values[0, 0]) < 1e-10 * max(1, abs(q.values[0, 0]))
-
-    def test_char_round_trip(self, tmp_path):
-        c = char_fock1(0.0, GridSpec(side=9, extent=2.0))
-        path = tmp_path / "char.csv"
-        char_to_csv(c, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["xi1", "xi2", "re", "im"]
-        assert len(rows) == 1 + c.side * c.side
-        mid = 1 + ((c.side * c.side) - 1) // 2
-        assert float(rows[mid][3]) == 0.0
-
-    def test_deterministic_bytes(self, tmp_path):
-        q = quasi_from_char(char_vacuum(0.0, GridSpec(side=9, extent=6.0)))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        quasi_to_csv(q, p1)
-        quasi_to_csv(q, p2)
-        assert p1.read_bytes() == p2.read_bytes()
