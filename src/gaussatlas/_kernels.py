@@ -21,15 +21,14 @@ import numpy as np
 
 def eigmin_sym2(m11, m12, m22):
     """Smallest eigenvalue of the symmetric 2x2 [[m11, m12], [m12, m22]]."""
-    # np.hypot, as in eigmin_sym2_batch: math.hypot rounds differently in
-    # about one case in 500, and the NCB oracle's search range (from ||X||^2)
-    # and its early exit were validated with these bits
-    half = 0.5 * (m11 - m22)
-    return 0.5 * (m11 + m22) - float(np.hypot(half, m12))
+    return float(eigmin_sym2_batch(m11, m12, m22))
 
 
 def eigmin_sym2_batch(m11, m12, m22):
     """Smallest eigenvalue of symmetric [[m11, m12], [m12, m22]], elementwise."""
+    # np.hypot also for scalars: math.hypot rounds differently in about one
+    # case in 500, and the NCB oracle's search range (from ||X||^2) and its
+    # early exit were validated with these bits
     half = 0.5 * (m11 - m22)
     return 0.5 * (m11 + m22) - np.hypot(half, m12)
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channels import CanonicalForm, Kind, canonical_reduce, cp_defect, is_cp, kind_from_label
+from .channels import CanonicalForm, Kind, canonical_reduce, is_cp, kind_from_label
 from .gaussian_core import TOL_CLASS, apply_channel_one_side, is_ppt_separable, tmsv_variance
 from .phase_space import fock1_output_p
 
@@ -125,11 +125,6 @@ def is_ncb(form, tol=TOL_CLASS):
 def is_eb(form, tol=TOL_CLASS):
     """Entanglement-breaking verdict from the canonical closed form."""
     return eb_margin(form.kind, form.kappa, form.a, form.b) >= -tol
-
-
-def is_cp_form(form, tol=TOL_CLASS):
-    """Complete-positivity verdict from the canonical closed form."""
-    return cp_margin(form.kind, form.kappa, form.a, form.b) >= -tol
 
 
 # -- reports --------------------------------------------------------------- #
@@ -484,12 +479,8 @@ class BoundaryCurve:
         self.name = name
         self.kind = kind_from_label(kind)
         self.kappa = float(kappa)
-        if name == "cp":
-            self._bound = cp_margin(self.kind, self.kappa, 0.0, 0.0) * -1.0
-        elif name == "eb":
-            self._bound = eb_margin(self.kind, self.kappa, 0.0, 0.0) * -1.0
-        else:
-            self._bound = None
+        margin = {"cp": cp_margin, "eb": eb_margin}.get(name)
+        self._bound = None if margin is None else margin(self.kind, self.kappa, 0.0, 0.0) * -1.0
 
     def b_of_a(self, a):
         """b on the curve at a; inf where the bound over a passes the double range."""
@@ -502,17 +493,6 @@ class BoundaryCurve:
                 out = np.where(a > 1.0, 1.0 + self.kappa ** 4 / safe, np.inf)
             else:
                 out = np.where(a >= 1.0, 1.0, np.inf)
-        return out if out.ndim else float(out)
-
-    def slope(self, a):
-        a = np.asarray(a, dtype=float)
-        if self._bound is not None:
-            out = np.where(a > 0, -self._bound / np.where(a > 0, a, 1.0) ** 2, np.nan)
-        elif self.kind in (Kind.I, Kind.II):
-            safe = np.where(a > 1.0, a - 1.0, 1.0)
-            out = np.where(a > 1.0, -self.kappa ** 4 / safe ** 2, np.nan)
-        else:
-            out = np.where(a >= 1.0, 0.0, np.nan)
         return out if out.ndim else float(out)
 
     def sample(self, a_min, a_max, n=512):

@@ -111,9 +111,6 @@ class Channel:
             raise ValueError('channel JSON must be an object with "X" and "Y"')
         return cls(X=data["X"], Y=data["Y"])
 
-    def to_json(self):
-        return json.dumps({"X": self.X.tolist(), "Y": self.Y.tolist()})
-
 
 def canonical_channel(kind, a, b, kappa=None):
     """Channel already in canonical position for the given kind.
@@ -177,14 +174,17 @@ def singular_x_rank(X):
     return 2
 
 
+def _eigenvalues(Y):
+    """Eigenvalues (a, b), a >= b, of the symmetric 2x2 Y, read off its upper triangle."""
+    mean = 0.5 * (Y[0, 0] + Y[1, 1])
+    spread = 0.5 * np.hypot(Y[0, 0] - Y[1, 1], 2.0 * Y[0, 1])
+    return float(mean + spread), float(mean - spread)
+
+
 def _diagonalizing_rotation(Y):
     """Rotation R with R^T Y R = diag(a, b), a >= b; identity on ties."""
-    half = 2.0 * Y[0, 1]
-    delta = Y[0, 0] - Y[1, 1]
-    theta = 0.5 * np.arctan2(half, delta)
-    mean = 0.5 * (Y[0, 0] + Y[1, 1])
-    spread = 0.5 * np.hypot(delta, half)
-    return rotation(theta), float(mean + spread), float(mean - spread)
+    theta = 0.5 * np.arctan2(2.0 * Y[0, 1], Y[0, 0] - Y[1, 1])
+    return (rotation(theta), *_eigenvalues(Y))
 
 
 def _inv_unit_det(M):
@@ -241,10 +241,7 @@ def canonical_reduce(ch):
         u_rot = U @ np.diag([1.0, np.linalg.det(U)])
         w_rot = Vt.T @ np.diag([1.0, np.linalg.det(Vt.T)])
         y_can = w_rot.T @ Y @ w_rot
-        mean = 0.5 * (y_can[0, 0] + y_can[1, 1])
-        spread = 0.5 * np.hypot(y_can[0, 0] - y_can[1, 1], 2.0 * y_can[0, 1])
-        a = float(mean + spread)
-        b = float(mean - spread)
+        a, b = _eigenvalues(y_can)
         form = CanonicalForm(kind=Kind.III_RANK1, kappa=kappa, a=a, b=b,
                              x_canonical=np.diag([1.0, 0.0]), y_canonical=y_can,
                              S=np.diag([1.0 / kappa, kappa]) @ u_rot.T, R=w_rot)

@@ -311,32 +311,29 @@ def _cmd_orbit(args):
             "trace": [{"r": p.r, "a_r": p.a_r, "b_r": p.b_r, "ncb": p.ncb}
                       for p in points],
         }
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-            print(f"r0 = {_fmt(r0)}")
-            print(f"wrote trace to {args.out}")
-        else:
-            sys.stdout.write(text)
-        return 0
-    lines = ["r,a_r,b_r,ncb"]
-    lines += [f"{_fmt(p.r)},{_fmt(p.a_r)},{_fmt(p.b_r)},"
-              f"{'true' if p.ncb else 'false'}" for p in points]
-    text = "\n".join(lines) + "\n"
+        chunks = [json.dumps(_jsonable(payload), indent=2) + "\n"]
+    else:
+        chunks = [] if args.out else [f"# r0 = {_fmt(r0)}\n"]
+        chunks.append("r,a_r,b_r,ncb\n")
+        chunks += [f"{_fmt(p.r)},{_fmt(p.a_r)},{_fmt(p.b_r)},"
+                   f"{'true' if p.ncb else 'false'}\n" for p in points]
+    _emit(chunks, args.out)
     if args.out:
-        Path(args.out).write_text(text)
         print(f"r0 = {_fmt(r0)}")
         print(f"wrote trace to {args.out}")
-    else:
-        sys.stdout.write(f"# r0 = {_fmt(r0)}\n")
-        sys.stdout.write(text)
     return 0
 
 
 def _pfunc_closed(args):
     axis = np.linspace(-args.extent, args.extent, args.grid)
     a1, a2 = np.meshgrid(axis, axis, indexing="ij")
-    values = fock1_output_p(args.a, args.b, a1, a2, variant=args.variant)
+    try:
+        with np.errstate(all="ignore"):  # a non-finite sample is refused below
+            values = fock1_output_p(args.a, args.b, a1, a2, variant=args.variant)
+    except OverflowError:  # a ** 2 or b ** 2 in Python floats
+        values = np.array(np.nan)
+    if not np.isfinite(values).all():
+        raise _CliError(2, "--a, --b and --extent put the P function beyond the double range")
     return axis, values
 
 

@@ -49,12 +49,6 @@ def squeeze(r):
     return np.diag([np.exp(-r), np.exp(r)])
 
 
-def squeezed_vacuum(r, theta=0.0):
-    """Variance matrix of the pure squeezed vacuum, R_theta diag(e^2r, e^-2r) R_theta^T."""
-    R = rotation(theta)
-    return R @ np.diag([np.exp(2.0 * r), np.exp(-2.0 * r)]) @ R.T
-
-
 def _psd_scale(M):
     """max(1, max|M_ij|) per matrix of a stack (..., n, n)."""
     return np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
@@ -73,22 +67,7 @@ def is_valid_state(V, tol=TOL_PSD):
     The slack is tol * max(1, max|V_ij|) so verdicts stay meaningful for
     large-norm matrices where absolute eigenvalue accuracy degrades.
     """
-    V = np.asarray(V, dtype=float)
     return bool(state_defect(V) >= -tol * _psd_scale(V))
-
-
-def classicality_defect(V):
-    """Smallest eigenvalue of V - 1; nonnegative iff the Gaussian state is classical."""
-    V = np.asarray(V, dtype=float)
-    M = V - np.eye(V.shape[0])
-    if V.shape[0] == 2:
-        return _kernels.eigmin_sym2(M[0, 0], M[0, 1], M[1, 1])
-    return float(np.linalg.eigvalsh(M)[0])
-
-
-def gaussian_is_classical(V, tol=TOL_CLASS):
-    """Whether a Gaussian state with variance V has a nonnegative P function (V >= 1)."""
-    return classicality_defect(V) >= -tol
 
 
 def tmsv_variance(r):
@@ -137,7 +116,6 @@ def is_ppt_separable(V, tol=TOL_PSD):
     for 1+1 modes.  Slack is relative as in is_valid_state, per matrix:
     a stack (..., 4, 4) gives a bool array of shape (...).
     """
-    V = np.asarray(V, dtype=float)
     ok = ppt_defect(V) >= -tol * _psd_scale(V)
     return ok if ok.ndim else bool(ok)
 

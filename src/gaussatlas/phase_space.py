@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TOL_FFT = 1e-6  # transform accuracy floor; boundary-decay refusal threshold
-BOUNDARY_DECAY = 1e-12  # target boundary magnitude for auto-sized grids
 P_EPS = 1e-3  # P-function regularization, evaluate at s = 1 - P_EPS
-
-ORDER_P = 1.0
-ORDER_W = 0.0
-ORDER_Q = -1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,18 +118,6 @@ def char_gaussian(V, s, spec=GridSpec()):
                     values=np.exp(-0.5 * q))
 
 
-def auto_char_grid(maker, s, spec=GridSpec(), target=BOUNDARY_DECAY, max_doublings=8):
-    """Build maker(s, spec), doubling the extent until the boundary magnitude
-    falls below target.  Raises if the cap is hit without decaying."""
-    current = spec
-    for _ in range(max_doublings + 1):
-        grid = maker(s, current)
-        if _boundary_max(grid.values) < target:
-            return grid
-        current = GridSpec(side=current.side, extent=2.0 * current.extent)
-    raise ValueError("characteristic function does not decay on any doubled grid")
-
-
 def _boundary_max(values):
     edge = max(np.abs(values[0, :]).max(), np.abs(values[-1, :]).max(),
                np.abs(values[:, 0]).max(), np.abs(values[:, -1]).max())
@@ -152,8 +135,9 @@ def convert_order(grid, s_target):
     if ds == 0.0:
         return grid
     x1, x2 = np.meshgrid(grid.axis, grid.axis, indexing="ij")
-    factor = np.exp(0.5 * ds * (x1 * x1 + x2 * x2))
-    values = grid.values * factor
+    # overflow leaves inf or nan on the boundary, which quasi_from_char refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = grid.values * np.exp(0.5 * ds * (x1 * x1 + x2 * x2))
     if ds > 0 and not _boundary_max(values) <= TOL_FFT:
         warnings.warn("upward order conversion amplified the grid boundary above "
                       "TOL_FFT; downstream transforms will be ill-conditioned",
@@ -165,12 +149,12 @@ def convert_order(grid, s_target):
 def quasi_from_char(grid):
     """Fourier-transform a characteristic grid to its quasiprobability.
 
-    Refuses when the characteristic function has not decayed below TOL_FFT
+    Refuses when the characteristic function is not finite and below TOL_FFT
     on the grid boundary (the transform would alias), and when the result
     carries an imaginary residue above TOL_FFT (non-Hermitian input).
     """
     bmax = _boundary_max(grid.values)
-    if bmax > TOL_FFT:
+    if not bmax <= TOL_FFT:
         raise ValueError(
             f"characteristic function boundary magnitude {bmax:.3e} exceeds "
             f"{TOL_FFT:.0e}; enlarge the grid extent before transforming")
@@ -187,33 +171,6 @@ def quasi_from_char(grid):
     m = np.arange(n) - (n - 1) // 2
     alpha = 2.0 * np.pi * m / (np.sqrt(2.0) * n * d)
     return QuasiGrid(s=grid.s, extent=float(alpha[-1]), axis=alpha, values=W.real)
-
-
-def min_value(q, mask=None):
-    """Minimum sampled value of a quasiprobability grid.
-
-    mask, if given, is a boolean array of the grid shape selecting the
-    region to scan (True = included).
-    """
-    values = q.values
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != values.shape:
-            raise ValueError("mask shape does not match the grid")
-        if not mask.any():
-            raise ValueError("mask selects no grid points")
-        values = values[mask]
-    return float(values.min())
-
-
-def grid_is_classical(q, tol=1e-6):
-    """Classicality verdict for a regularized P grid: min sampled value >= -tol.
-
-    The grid must be at (or regularized near) the P order s = 1.
-    """
-    if q.s < 1.0 - 10.0 * P_EPS:
-        raise ValueError("classicality verdicts need a P-function grid (s near 1)")
-    return min_value(q) >= -tol
 
 
 def fock1_output_p(a, b, alpha1, alpha2, variant="rederived"):

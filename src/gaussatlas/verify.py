@@ -18,13 +18,13 @@ from .breaking import (
     eb_margin,
     eb_oracle_tmsv,
     find_r0,
-    is_cp_form,
     is_eb,
     is_ncb,
     ncb_eb_tangency,
     ncb_margin,
     ncb_necessity_fock1,
     ncb_oracle_gaussian,
+    report,
     squeeze_orbit,
 )
 from .channels import (
@@ -51,8 +51,7 @@ from .phase_space import (
 )
 
 _KAPPAS_TABLE = (0.6, 1.0, 1.5)
-_KAPPAS_CHAIN = (0.4, 0.6, 0.8, 1.0, 1.25, 2.0)
-_KAPPAS_ORACLE = (0.4, 0.6, 0.8, 1.0, 1.25, 2.0)
+_KAPPAS_GRID = (0.4, 0.6, 0.8, 1.0, 1.25, 2.0)  # verdict-chain and oracle grids
 _BOUNDARY_SKIP = 1e-5  # stay this far from decision boundaries in oracle sweeps
 
 
@@ -86,8 +85,8 @@ def _inline_margins(kind, kappa, a, b):
 
 
 def criterion_1():
-    """Closed-form margins match the canonical-family inequalities to 1e-12,
-    all the way through channel construction and canonical reduction."""
+    """The margins and verdicts of report() match the canonical-family inequalities
+    to 1e-12, all the way through channel construction and canonical reduction."""
     vals = _ab_grid(50)
     worst = 0.0
     mismatches = 0
@@ -96,16 +95,14 @@ def criterion_1():
         for kappa in _KAPPAS_TABLE:
             for a in vals:
                 for b in vals:
-                    form = canonical_reduce(canonical_channel(kind, a, b, kappa))
-                    got = (cp_margin(form.kind, form.kappa, form.a, form.b),
-                           eb_margin(form.kind, form.kappa, form.a, form.b),
-                           ncb_margin(form.kind, form.kappa, form.a, form.b))
-                    want = _inline_margins(kind, kappa if kind is not Kind.III_RANK1 else form.kappa,
-                                           max(a, b), min(a, b))
+                    rep = report(canonical_channel(kind, a, b, kappa))
+                    got = (rep.margins["cp"], rep.margins["eb"], rep.margins["ncb"])
+                    want = _inline_margins(kind, kappa if kind is not Kind.III_RANK1
+                                           else rep.form.kappa, max(a, b), min(a, b))
                     diff = max(abs(g - w) for g, w in zip(got, want))
                     worst = max(worst, diff)
                     checked += 1
-                    verdicts = (is_cp_form(form), is_eb(form), is_ncb(form))
+                    verdicts = (rep.cp, rep.eb, rep.ncb)
                     inline_verdicts = tuple(w >= -TOL_CLASS for w in want)
                     if diff > 1e-12 or verdicts != inline_verdicts:
                         mismatches += 1
@@ -125,7 +122,7 @@ def criterion_2():
     collapse_breaks = 0
     checked = 0
     for kind in (Kind.I, Kind.II, Kind.III_RANK1):
-        for kappa in _KAPPAS_CHAIN:
+        for kappa in _KAPPAS_GRID:
             for a in vals:
                 for b in vals:
                     cp_v = cp_margin(kind, kappa, a, b) >= -TOL_CLASS
@@ -207,31 +204,20 @@ def criterion_5():
     vals = np.linspace(0.3, 6.0, 20)
     mismatches = 0
     checked = 0
-    for kappa in _KAPPAS_ORACLE:
-        for a in vals:
-            for b in vals:
-                if cp_margin(Kind.I, kappa, a, b) < _BOUNDARY_SKIP:
-                    continue
-                if abs(ncb_margin(Kind.I, kappa, a, b)) < _BOUNDARY_SKIP:
-                    continue
-                ch = canonical_channel(Kind.I, a, b, kappa)
-                form = canonical_reduce(ch)
-                if ncb_oracle_gaussian(ch) != is_ncb(form):
-                    mismatches += 1
-                checked += 1
-    # thinned second-kind pass: same predicate, flipped-sign X
-    for kappa in _KAPPAS_ORACLE:
-        for a in vals[::2]:
-            for b in vals[::2]:
-                if cp_margin(Kind.II, kappa, a, b) < _BOUNDARY_SKIP:
-                    continue
-                if abs(ncb_margin(Kind.II, kappa, a, b)) < _BOUNDARY_SKIP:
-                    continue
-                ch = canonical_channel(Kind.II, a, b, kappa)
-                form = canonical_reduce(ch)
-                if ncb_oracle_gaussian(ch) != is_ncb(form):
-                    mismatches += 1
-                checked += 1
+    # the second-kind pass, same predicate with flipped-sign X, is thinned
+    for kind, grid in ((Kind.I, vals), (Kind.II, vals[::2])):
+        for kappa in _KAPPAS_GRID:
+            for a in grid:
+                for b in grid:
+                    if cp_margin(kind, kappa, a, b) < _BOUNDARY_SKIP:
+                        continue
+                    if abs(ncb_margin(kind, kappa, a, b)) < _BOUNDARY_SKIP:
+                        continue
+                    ch = canonical_channel(kind, a, b, kappa)
+                    form = canonical_reduce(ch)
+                    if ncb_oracle_gaussian(ch) != is_ncb(form):
+                        mismatches += 1
+                    checked += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 10.0
     return CheckResult(
@@ -247,7 +233,7 @@ def criterion_6():
     mismatches = 0
     false_eb = 0
     checked = 0
-    for kappa in _KAPPAS_ORACLE:
+    for kappa in _KAPPAS_GRID:
         for a in vals:
             for b in vals:
                 if cp_margin(Kind.I, kappa, a, b) < _BOUNDARY_SKIP:
@@ -270,8 +256,8 @@ def criterion_6():
         f"{checked} channels, {mismatches} mismatches, {false_eb} false-EB verdicts")
 
 
-def _random_symplectic(rng):
-    lam = float(np.exp(rng.uniform(-1.0, 1.0)))
+def _random_symplectic(rng, log_squeeze=1.0):
+    lam = float(np.exp(rng.uniform(-log_squeeze, log_squeeze)))
     return (rotation(rng.uniform(-np.pi, np.pi))
             @ np.diag([lam, 1.0 / lam])
             @ rotation(rng.uniform(-np.pi, np.pi)))
@@ -355,10 +341,7 @@ def criterion_9():
     spec = GridSpec(side=1025, extent=8.0)
     worst = 0.0
     for _ in range(20):
-        lam = float(np.exp(rng.uniform(-0.35, 0.35)))
-        S = (rotation(rng.uniform(-np.pi, np.pi))
-             @ np.diag([lam, 1.0 / lam])
-             @ rotation(rng.uniform(-np.pi, np.pi)))
+        S = _random_symplectic(rng, 0.35)
         V = S.T @ S
         X = 0.5 * rng.standard_normal((2, 2))
         smax = np.linalg.svd(X, compute_uv=False)[0]

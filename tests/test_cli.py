@@ -241,6 +241,17 @@ class TestPfunc:
         assert code == 1
         assert "transform refused" in capsys.readouterr().err
 
+    def test_fft_refuses_overflowing_order_conversion(self, capsys):
+        # exp(extent^2 / 2) of the P-order factor overflows at the grid corners
+        with pytest.warns(RuntimeWarning) as record:
+            code = main(["pfunc", "--a", "2", "--b", "2", "--variant", "fft",
+                         "--grid", "9", "--extent", "40"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "transform refused" in captured.err
+        # only the library's own boundary warning, no numpy overflow or invalid value
+        assert all("order conversion" in str(w.message) for w in record)
+
     def test_usage_errors(self, capsys):
         assert main(["pfunc", "--a", "0", "--b", "2"]) == 2
         assert main(["pfunc", "--a", "2", "--b", "2", "--grid", "1"]) == 2
@@ -372,6 +383,20 @@ class TestPfuncValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "extent" in err
+
+    @pytest.mark.parametrize("a, b, grid, extent", [
+        ("2", "2", "5", "1e200"),  # alpha^2 overflows: 0 * inf
+        ("1e-200", "2", "3", "1"),  # a^2 underflows: 0 / 0
+        ("1e200", "2", "3", "1"),  # a^2 overflows a Python float
+    ])
+    @pytest.mark.parametrize("variant", ["rederived", "printed"])
+    def test_closed_form_beyond_double_range_is_usage_error(self, variant, a, b, grid,
+                                                            extent, capsys):
+        assert main(["pfunc", "--variant", variant, "--a", a, "--b", b, "--grid", grid,
+                     "--extent", extent]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestOrbitValidation:

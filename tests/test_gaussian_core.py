@@ -9,14 +9,11 @@ from gaussatlas.gaussian_core import (
     SIGMA1,
     SIGMA2,
     apply_channel_one_side,
-    classicality_defect,
-    gaussian_is_classical,
     is_ppt_separable,
     is_valid_state,
     ppt_defect,
     rotation,
     squeeze,
-    squeezed_vacuum,
     state_defect,
     symplectic_check,
     symplectic_form,
@@ -24,6 +21,12 @@ from gaussatlas.gaussian_core import (
 )
 
 ATOL = 1e-12
+
+
+def _squeezed_vacuum(r, theta=0.0):
+    """Variance of the pure squeezed vacuum, R_theta diag(e^2r, e^-2r) R_theta^T."""
+    R = rotation(theta)
+    return R @ np.diag([np.exp(2.0 * r), np.exp(-2.0 * r)]) @ R.T
 
 
 def test_symplectic_form_blocks():
@@ -51,18 +54,11 @@ def test_vacuum_state_defect_is_zero():
 
 
 def test_squeezed_vacuum_valid_but_nonclassical():
-    V = squeezed_vacuum(0.8, theta=0.4)
+    V = _squeezed_vacuum(0.8, theta=0.4)
     assert is_valid_state(V)
     assert abs(state_defect(V)) < 1e-10  # pure states stay on the boundary
-    assert not gaussian_is_classical(V)
-    # defect equals e^{-2r} - 1 regardless of angle
-    assert abs(classicality_defect(V) - (np.exp(-1.6) - 1.0)) < ATOL
-
-
-def test_thermal_state_classical():
-    assert gaussian_is_classical(3.0 * np.eye(2))
-    assert abs(classicality_defect(3.0 * np.eye(2)) - 2.0) < ATOL
-    assert gaussian_is_classical(np.eye(2))  # boundary counts as classical
+    # nonclassical: the smaller eigenvalue e^{-2r} lies below the vacuum's 1
+    assert abs(np.linalg.eigvalsh(V)[0] - np.exp(-1.6)) < ATOL
 
 
 def test_tmsv_variance_structure():

@@ -14,23 +14,15 @@ import pytest
 from scipy.linalg import expm
 
 from gaussatlas.phase_space import (
-    BOUNDARY_DECAY,
-    ORDER_P,
-    ORDER_Q,
-    ORDER_W,
-    P_EPS,
     TOL_FFT,
     CharGrid,
     GridSpec,
-    auto_char_grid,
     char_fock1,
     char_gaussian,
     char_vacuum,
     convert_order,
     fock1_output_p,
     fock1_output_p_grid_units,
-    grid_is_classical,
-    min_value,
     quasi_from_char,
 )
 
@@ -101,7 +93,7 @@ class TestCharFunctions:
         f1_p = char_fock1(1.0, SPEC_NODES).values
         assert abs(f1_p[_node(0.0), _node(1.5)] - (-1.25)) < 1e-12
 
-    @pytest.mark.parametrize("s", [ORDER_P, ORDER_W, ORDER_Q])
+    @pytest.mark.parametrize("s", [1.0, 0.0, -1.0])
     def test_vacuum_and_fock1_match_displacement_oracle(self, s):
         vac = char_vacuum(s, SPEC_NODES).values
         f1 = char_fock1(s, SPEC_NODES).values
@@ -164,41 +156,27 @@ class TestConvertOrder:
         assert out.s == 1.0
 
 
-class TestAutoCharGrid:
-    def test_doubles_until_boundary_decays(self):
-        start = GridSpec(side=65, extent=1.0)
-        g = auto_char_grid(char_fock1, 0.0, start)
-        assert g.extent > start.extent
-        edge = np.abs(g.values[0, :]).max()
-        assert edge < BOUNDARY_DECAY
-
-    def test_raises_when_nothing_decays(self):
-        with pytest.raises(ValueError):
-            auto_char_grid(char_fock1, 1.0, GridSpec(side=65, extent=1.0),
-                           max_doublings=3)
-
-
 class TestTransform:
     def test_vacuum_wigner_peak_and_norm(self):
-        q = quasi_from_char(char_vacuum(ORDER_W))
+        q = quasi_from_char(char_vacuum(0.0))
         c = (q.side - 1) // 2
         assert abs(q.values[c, c] - 1.0 / np.pi) < ATOL_GRID
         assert abs(q.values.sum() * q.cell - 1.0) < ATOL_GRID
         assert q.values.min() > -1e-12
 
     def test_vacuum_husimi_peak(self):
-        q = quasi_from_char(char_vacuum(ORDER_Q))
+        q = quasi_from_char(char_vacuum(-1.0))
         c = (q.side - 1) // 2
         assert abs(q.values[c, c] - 1.0 / (2.0 * np.pi)) < ATOL_GRID
 
     def test_fock1_wigner_negative_at_origin(self):
-        q = quasi_from_char(char_fock1(ORDER_W))
+        q = quasi_from_char(char_fock1(0.0))
         c = (q.side - 1) // 2
         assert abs(q.values[c, c] - (-1.0 / np.pi)) < ATOL_GRID
         assert abs(q.values.sum() * q.cell - 1.0) < ATOL_GRID
 
     def test_fock1_husimi_zero_at_origin(self):
-        q = quasi_from_char(char_fock1(ORDER_Q))
+        q = quasi_from_char(char_fock1(-1.0))
         c = (q.side - 1) // 2
         assert abs(q.values[c, c]) < 1e-9
         assert q.values.min() > -1e-9
@@ -217,10 +195,10 @@ class TestTransform:
         assert np.abs(q.values - ref).max() < ATOL_GRID
 
     def test_regularized_p_of_thermal_state(self):
-        q = quasi_from_char(char_gaussian(3.0 * np.eye(2), ORDER_P))
+        q = quasi_from_char(char_gaussian(3.0 * np.eye(2), 1.0))
         c = (q.side - 1) // 2
         assert abs(q.values[c, c] - 1.0 / (2.0 * np.pi)) < ATOL_GRID
-        assert grid_is_classical(q)
+        assert q.values.min() >= -1e-6
 
     def test_refuses_undecayed_boundary(self):
         with pytest.raises(ValueError, match="boundary"):
@@ -233,28 +211,6 @@ class TestTransform:
         grid = CharGrid(s=0.0, extent=g.extent, axis=g.axis, values=bad)
         with pytest.raises(ValueError, match="residue"):
             quasi_from_char(grid)
-
-
-class TestVerdicts:
-    def test_min_value_masking(self):
-        q = quasi_from_char(char_fock1(ORDER_W))
-        assert min_value(q) < 0.0
-        a1, a2 = np.meshgrid(q.axis, q.axis, indexing="ij")
-        far = a1 ** 2 + a2 ** 2 > 4.0
-        assert min_value(q, mask=far) > -1e-9
-        with pytest.raises(ValueError):
-            min_value(q, mask=far[1:, 1:])
-        with pytest.raises(ValueError):
-            min_value(q, mask=np.zeros_like(far))
-
-    def test_grid_is_classical_requires_p_order(self):
-        q = quasi_from_char(char_vacuum(ORDER_W))
-        with pytest.raises(ValueError):
-            grid_is_classical(q)
-
-    def test_near_p_order_accepted(self):
-        q = quasi_from_char(char_gaussian(3.0 * np.eye(2), 1.0 - P_EPS))
-        assert grid_is_classical(q)
 
 
 class TestFock1OutputP:
