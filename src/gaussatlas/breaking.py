@@ -37,10 +37,16 @@ bounds are computed once per call as Python floats, so an array margin
 is bit-identical to the same margin evaluated point by point.
 ``region_sweep`` classifies a whole n-by-n noise grid at once and
 returns a ``RegionSweep`` of columns (a, b, region code and the three
-margins, a-major), not one object per point; ``classify_region`` labels
-a single point through the same code.  ``gaussatlas sweep`` writes
-these columns with the same bytes as printing every field of every
-point with ``f"{v:.12g}"``; tests/test_cli_golden.py pins them.
+margins, a-major), not one object per point; for one channel,
+``report(ch).region`` names the region by the same rule, and
+``boundary_curves`` gives the three region boundaries b(a).
+``gaussatlas sweep`` writes these columns with the same bytes as
+printing every field of every point with ``f"{v:.12g}"``;
+tests/test_cli_golden.py pins them.
+
+Every entanglement-breaking channel becomes nonclassicality-breaking
+after one post-squeeze: ``find_r0`` returns the squeeze r0 = ln(a/b)/4
+that balances the two noise eigenvalues.
 """
 
 import math
@@ -56,7 +62,6 @@ from .phase_space import fock1_output_p
 DEFAULT_R_LIST = (0.5, 1.0, 2.0, 4.0, 8.0)
 REGION_LABELS = ("unphysical", "cp_only", "eb_not_ncb", "ncb")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
 # NCB oracle search: the 9x9 pattern stencil offsets (k, l) with its edge
 # mask, and the step-to-radius ratio below which the Cartesian search hands
@@ -117,16 +122,6 @@ def ncb_margin(kind, kappa, a, b):
     return margin if isinstance(margin, np.ndarray) else float(margin)
 
 
-def is_ncb(form, tol=TOL_CLASS):
-    """Nonclassicality-breaking verdict from the canonical closed form."""
-    return ncb_margin(form.kind, form.kappa, form.a, form.b) >= -tol
-
-
-def is_eb(form, tol=TOL_CLASS):
-    """Entanglement-breaking verdict from the canonical closed form."""
-    return eb_margin(form.kind, form.kappa, form.a, form.b) >= -tol
-
-
 # -- reports --------------------------------------------------------------- #
 
 
@@ -145,6 +140,11 @@ class BreakingReport:
     ncb: bool
     shifted_noise: tuple
     margins: dict
+
+    @property
+    def region(self):
+        """One of the nested REGION_LABELS: the first failing verdict names it."""
+        return REGION_LABELS[(self.cp, self.eb, self.ncb, False).index(False)]
 
 
 def report(ch, tol=TOL_CLASS):
@@ -366,46 +366,22 @@ def squeeze_orbit(form, r, tol=TOL_CLASS):
     return OrbitPoint(r=float(r), a_r=a_r, b_r=b_r, ncb=verdict)
 
 
-def _golden_max(f, lo, hi, r_tol):
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > r_tol:
-        if fc < fd:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-        else:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-    return 0.5 * (lo + hi)
+def find_r0(form, tol=TOL_CLASS):
+    """The balancing squeeze r0 = ln(a/b)/4, if its orbit point breaks nonclassicality.
 
-
-def find_r0(form, r_tol=1e-10, tol=TOL_CLASS):
-    """Squeeze parameter whose orbit point is nonclassicality-breaking.
-
-    Maximizes f(r) = (a e^-2r - 1)(b e^2r - 1) by golden-section search
-    on the interval where both factors are positive (it is unimodal
-    there, with analytic maximum (sqrt(ab) - 1)^2 at r = ln(a/b)/4).
-    Returns the maximizer if its orbit point passes the breaking test,
-    else None; for a genuinely entanglement-breaking form the product
-    bound ab >= (1 + kappa^2)^2 guarantees success.
+    Along the orbit the product ab is invariant, so
+    (a e^-2r - 1)(b e^2r - 1) = ab + 1 - a e^-2r - b e^2r is largest
+    where the sum a e^-2r + b e^2r is smallest: where its two terms are
+    equal, a e^-2r = b e^2r, with peak (sqrt(ab) - 1)^2.  Returns r0 if
+    its orbit point passes the breaking test, else None; for an
+    entanglement-breaking form the bound ab >= (1 + kappa^2)^2
+    guarantees success.  Raises ValueError when the EB margin is below
+    -tol.
     """
-    if not is_eb(form, tol=tol):
+    if not eb_margin(form.kind, form.kappa, form.a, form.b) >= -tol:
         raise ValueError("orbit search needs an entanglement-breaking form")
-    a, b = form.a, form.b
-    r_star = 0.25 * math.log(a / b)
-    if a * b > 1.0:
-        lo = -0.5 * math.log(b)
-        hi = 0.5 * math.log(a)
-        if hi - lo > 4.0 * r_tol:
-            def f(r):
-                return (a * math.exp(-2.0 * r) - 1.0) * (b * math.exp(2.0 * r) - 1.0)
-
-            r_star = _golden_max(f, lo, hi, r_tol)
-    point = squeeze_orbit(form, r_star, tol=tol)
-    return float(r_star) if point.ncb else None
+    r0 = 0.25 * math.log(form.a / form.b)
+    return r0 if squeeze_orbit(form, r0, tol=tol).ncb else None
 
 
 # -- region classification -------------------------------------------------- #
@@ -429,89 +405,60 @@ class RegionSweep:
     ncb_margin: np.ndarray
 
 
-def _region_code(kind, kappa, a, b, tol):
-    """Region codes and the (cp, eb, ncb) margins at the points (a, b).
+def region_sweep(kind, kappa, a_min, a_max, b_min, b_max, n, tol=TOL_CLASS):
+    """Classify an n-by-n noise grid; columns ordered a-major then b.
 
     A product beyond the double range gives an inf margin, the intended
     value, without an overflow warning.
     """
-    with np.errstate(over="ignore"):
-        margins = (cp_margin(kind, kappa, a, b), eb_margin(kind, kappa, a, b),
-                   ncb_margin(kind, kappa, a, b))
-    # the first failing condition names the region; all passing is ncb
-    code = np.select([m < -tol for m in margins], [0, 1, 2], 3).astype(np.int8)
-    return code, margins
-
-
-def classify_region(kind, kappa, a, b, tol=TOL_CLASS):
-    """Label of one noise-plane point: one of the four nested REGION_LABELS."""
-    code, _ = _region_code(kind, kappa, a, b, tol)
-    return REGION_LABELS[int(code)]
-
-
-def region_sweep(kind, kappa, a_min, a_max, b_min, b_max, n, tol=TOL_CLASS):
-    """Classify an n-by-n noise grid; columns ordered a-major then b."""
     if n < 2:
         raise ValueError("sweep needs at least a 2x2 grid")
     kind = kind_from_label(kind)
     a = np.repeat(np.linspace(a_min, a_max, n), n)
     b = np.tile(np.linspace(b_min, b_max, n), n)
-    code, (cp_m, eb_m, ncb_m) = _region_code(kind, kappa, a, b, tol)
-    return RegionSweep(kind=kind, kappa=float(kappa), a=a, b=b, code=code,
-                       cp_margin=cp_m, eb_margin=eb_m, ncb_margin=ncb_m)
+    with np.errstate(over="ignore"):
+        margins = (cp_margin(kind, kappa, a, b), eb_margin(kind, kappa, a, b),
+                   ncb_margin(kind, kappa, a, b))
+    # the first failing condition names the region, as in BreakingReport.region
+    code = np.select([m < -tol for m in margins], [0, 1, 2], 3).astype(np.int8)
+    return RegionSweep(kind, float(kappa), a, b, code, *margins)
 
 
 # -- boundary curves --------------------------------------------------------- #
 
 
-class BoundaryCurve:
-    """One region boundary b(a) at fixed kind and kappa.
+def boundary_curves(kind, kappa, a):
+    """The three region boundaries b(a) of a canonical family at the points a.
 
-    name selects the condition: "cp" and "eb" are the hyperbolas
+    Returns {"cp", "eb", "ncb"}, each b on its curve: an array for an
+    array a, a float for a scalar, and inf where the curve has no point
+    or b passes the double range.  "cp" and "eb" are the hyperbolas
     ab = bound; "ncb" is b = 1 + kappa^4/(a - 1) for kinds I and II
-    (defined for a > 1, +inf otherwise) and the corner line b = 1,
-    a >= 1 for kind III.
+    (a > 1) and the corner line b = 1, a >= 1, for kind III.
     """
-
-    def __init__(self, name, kind, kappa):
-        if name not in ("cp", "eb", "ncb"):
-            raise ValueError("curve name must be 'cp', 'eb' or 'ncb'")
-        self.name = name
-        self.kind = kind_from_label(kind)
-        self.kappa = float(kappa)
-        margin = {"cp": cp_margin, "eb": eb_margin}.get(name)
-        self._bound = None if margin is None else margin(self.kind, self.kappa, 0.0, 0.0) * -1.0
-
-    def b_of_a(self, a):
-        """b on the curve at a; inf where the bound over a passes the double range."""
-        a = np.asarray(a, dtype=float)
-        with np.errstate(over="ignore"):
-            if self._bound is not None:
-                out = np.where(a > 0, self._bound / np.where(a > 0, a, 1.0), np.inf)
-            elif self.kind in (Kind.I, Kind.II):
-                safe = np.where(a > 1.0, a - 1.0, 1.0)
-                out = np.where(a > 1.0, 1.0 + self.kappa ** 4 / safe, np.inf)
-            else:
-                out = np.where(a >= 1.0, 1.0, np.inf)
-        return out if out.ndim else float(out)
-
-    def sample(self, a_min, a_max, n=512):
-        a = np.linspace(a_min, a_max, n)
-        return a, self.b_of_a(a)
+    kind = kind_from_label(kind)
+    kappa = float(kappa)
+    a = np.asarray(a, dtype=float)
+    curves = {}
+    with np.errstate(over="ignore"):
+        for name, margin in (("cp", cp_margin), ("eb", eb_margin)):
+            bound = margin(kind, kappa, 0.0, 0.0) * -1.0  # -0.0 at a zero bound
+            curves[name] = np.where(a > 0, bound / np.where(a > 0, a, 1.0), np.inf)
+        if kind in (Kind.I, Kind.II):
+            safe = np.where(a > 1.0, a - 1.0, 1.0)
+            curves["ncb"] = np.where(a > 1.0, 1.0 + kappa ** 4 / safe, np.inf)
+        else:
+            curves["ncb"] = np.where(a >= 1.0, 1.0, np.inf)
+    return {name: b if b.ndim else float(b) for name, b in curves.items()}
 
 
-def boundary_curves(kind, kappa):
-    """The three boundary curves of a canonical family, keyed by name."""
-    return {name: BoundaryCurve(name, kind, kappa) for name in ("cp", "eb", "ncb")}
-
-
-def ncb_eb_tangency(kappa, rel_tol=1e-13):
+def ncb_eb_tangency(kappa):
     """Touching point of the NCB and EB boundary curves for kinds I and II.
 
     The gap b_ncb(a) - b_eb(a) has a double root, so the contact point is
     located by bisecting the sign change of its derivative; the curves
-    touch at a = b = 1 + kappa^2, which this computes to rel_tol without
-    using that closed form.
+    touch at a = b = 1 + kappa^2, which this computes to 1e-13 relative
+    without using that closed form.
     """
     kappa = float(kappa)
     if not kappa > 0:
@@ -526,7 +473,7 @@ def ncb_eb_tangency(kappa, rel_tol=1e-13):
     hi = 10.0 * (1.0 + kappa ** 2)
     if not (gap_slope(lo) < 0.0 < gap_slope(hi)):
         raise RuntimeError("tangency bracket failed")
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
         if gap_slope(mid) < 0.0:
             lo = mid

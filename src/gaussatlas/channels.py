@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .gaussian_core import TOL_ALG, TOL_PSD, rotation, symplectic_check
+from .gaussian_core import TOL_PSD, rotation, symplectic_check
 from .phase_space import TOL_FFT, CharGrid
 
 TOL_RANK = 1e-10  # singular values below TOL_RANK * ||X|| count as zero
@@ -175,10 +175,15 @@ def singular_x_rank(X):
 
 
 def _eigenvalues(Y):
-    """Eigenvalues (a, b), a >= b, of the symmetric 2x2 Y, read off its upper triangle."""
-    mean = 0.5 * (Y[0, 0] + Y[1, 1])
-    spread = 0.5 * np.hypot(Y[0, 0] - Y[1, 1], 2.0 * Y[0, 1])
-    return float(mean + spread), float(mean - spread)
+    """Eigenvalues (a, b), a >= b, of the symmetric 2x2 Y, read off its upper triangle.
+
+    a is mean + spread.  b is det Y / a, with a divided into each product
+    first so that nothing overflows; unlike mean - spread, it does not
+    cancel once a/b nears 1/eps.
+    """
+    (y11, y12), (_, y22) = Y.tolist()
+    a = float(0.5 * (y11 + y22) + 0.5 * np.hypot(y11 - y22, 2.0 * y12))
+    return a, (y11 / a * y22 - y12 / a * y12 if a else 0.0)
 
 
 def _diagonalizing_rotation(Y):
@@ -216,26 +221,7 @@ def canonical_reduce(ch):
     """
     X, Y = ch.X, ch.Y
     rank = singular_x_rank(X)
-    if rank == 2:
-        with np.errstate(over="ignore"):
-            det = np.linalg.det(X)
-        if not math.isfinite(det):
-            raise ValueError("det X overflows a double: the gain is out of range")
-        R, a, b = _diagonalizing_rotation(Y)
-        y_can = np.diag([a, b])
-        if det > 0:
-            kappa = float(np.sqrt(det))
-            s_x = X / kappa
-            form = CanonicalForm(kind=Kind.I, kappa=kappa, a=a, b=b,
-                                 x_canonical=kappa * np.eye(2), y_canonical=y_can,
-                                 S=R.T @ _inv_unit_det(s_x), R=R)
-        else:
-            kappa = float(np.sqrt(-det))
-            s_x = (X @ SIGMA3) / kappa
-            form = CanonicalForm(kind=Kind.II, kappa=kappa, a=a, b=b,
-                                 x_canonical=kappa * SIGMA3, y_canonical=y_can,
-                                 S=R @ _inv_unit_det(s_x), R=R)
-    elif rank == 1:
+    if rank == 1:
         U, svals, Vt = np.linalg.svd(X)
         kappa = float(svals[0])
         u_rot = U @ np.diag([1.0, np.linalg.det(U)])
@@ -245,11 +231,23 @@ def canonical_reduce(ch):
         form = CanonicalForm(kind=Kind.III_RANK1, kappa=kappa, a=a, b=b,
                              x_canonical=np.diag([1.0, 0.0]), y_canonical=y_can,
                              S=np.diag([1.0 / kappa, kappa]) @ u_rot.T, R=w_rot)
+        return _verify_witnesses(X, Y, form)
+    if rank == 2:
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(X)
+        if not math.isfinite(det):
+            raise ValueError("det X overflows a double: the gain is out of range")
+    R, a, b = _diagonalizing_rotation(Y)
+    if rank == 0:
+        kind, kappa, x_can, S = Kind.III_ZERO, 0.0, np.zeros((2, 2)), np.eye(2)
+    elif det > 0:
+        kappa = float(np.sqrt(det))
+        kind, x_can, S = Kind.I, kappa * np.eye(2), R.T @ _inv_unit_det(X / kappa)
     else:
-        R, a, b = _diagonalizing_rotation(Y)
-        form = CanonicalForm(kind=Kind.III_ZERO, kappa=0.0, a=a, b=b,
-                             x_canonical=np.zeros((2, 2)), y_canonical=np.diag([a, b]),
-                             S=np.eye(2), R=R)
+        kappa = float(np.sqrt(-det))
+        kind, x_can, S = Kind.II, kappa * SIGMA3, R @ _inv_unit_det((X @ SIGMA3) / kappa)
+    form = CanonicalForm(kind=kind, kappa=kappa, a=a, b=b, x_canonical=x_can,
+                         y_canonical=np.diag([a, b]), S=S, R=R)
     return _verify_witnesses(X, Y, form)
 
 
@@ -269,15 +267,15 @@ def cp_defect(ch):
     return _kernels.eigmin_herm2(*_cp_entries(ch))
 
 
-def is_cp(ch, tol=TOL_PSD):
-    """Whether cp_defect is at least -tol max(1, max|Y|, |1 - det X|).
+def is_cp(ch):
+    """Whether cp_defect is at least -TOL_PSD max(1, max|Y|, |1 - det X|).
 
     False when det X is beyond the double range: the defect is then -inf,
     which an infinite slack would pass.
     """
     entries = _cp_entries(ch)
     scale = max(1.0, *map(abs, entries))
-    return math.isfinite(scale) and _kernels.eigmin_herm2(*entries) >= -tol * scale
+    return math.isfinite(scale) and _kernels.eigmin_herm2(*entries) >= -TOL_PSD * scale
 
 
 def act_variance(ch, V):
@@ -324,17 +322,17 @@ def act_chargrid(ch, grid):
     return CharGrid(s=0.0, extent=grid.extent, axis=ax, values=mapped * env)
 
 
-def compose_pre_unitary(ch, S, tol=TOL_ALG):
+def compose_pre_unitary(ch, S):
     """The channel preceded by the Gaussian unitary of symplectic S: (S X, Y)."""
     S = _as_mat2(S, "S")
-    if not symplectic_check(S, tol=tol):
+    if not symplectic_check(S):
         raise ValueError("S is not symplectic")
     return Channel(X=S @ ch.X, Y=ch.Y)
 
 
-def compose_post_unitary(ch, S, tol=TOL_ALG):
+def compose_post_unitary(ch, S):
     """The channel followed by the Gaussian unitary of S: (X S, S^T Y S)."""
     S = _as_mat2(S, "S")
-    if not symplectic_check(S, tol=tol):
+    if not symplectic_check(S):
         raise ValueError("S is not symplectic")
     return Channel(X=ch.X @ S, Y=S.T @ ch.Y @ S)

@@ -27,10 +27,8 @@ import numpy as np
 from .breaking import (
     REGION_LABELS,
     boundary_curves,
-    classify_region,
     eb_oracle_tmsv,
     find_r0,
-    is_eb,
     ncb_necessity_fock1,
     ncb_oracle_gaussian,
     region_sweep,
@@ -157,8 +155,7 @@ def _cmd_classify(args):
         "cp": rep.cp,
         "eb": rep.eb,
         "ncb": rep.ncb,
-        "class": classify_region(rep.form.kind, rep.form.kappa, rep.form.a,
-                                 rep.form.b, tol=args.tol),
+        "class": rep.region,
         "margins": rep.margins,
         "shifted_noise": list(rep.shifted_noise),
     }
@@ -182,7 +179,12 @@ def _cmd_check(args):
         oracles["eb_tmsv"] = eb_o
         agree = (ncb_o == rep.ncb) and (eb_o == rep.eb)
         if rep.form.kind is Kind.I and abs(rep.form.kappa - 1.0) <= 1e-9:
-            fock_o = ncb_necessity_fock1(rep.form, tol=args.tol)
+            try:
+                fock_o = ncb_necessity_fock1(rep.form, tol=args.tol)
+            except (OverflowError, ValueError):  # b = 0, or a ** 2 past the double range
+                raise _CliError(2, f"channel out of range: the single-photon test needs "
+                                   f"a, b > 0 with finite squares, got a = {_fmt(rep.form.a)}, "
+                                   f"b = {_fmt(rep.form.b)}") from None
             oracles["ncb_fock1"] = fock_o
             agree = agree and fock_o == rep.ncb
     else:
@@ -225,14 +227,11 @@ def _records_json(sweep, n):
     yield "\n  ]"
 
 
-def _curves_csv(curves, a_min, a_max, n=512):
-    """Chunks of the boundary-curves CSV, all three curves on one a axis."""
-    a_arr = np.linspace(a_min, a_max, n)
-    names = ("cp", "eb", "ncb")
+def _curves_csv(a, curves):
+    """Chunks of the boundary-curves CSV, all three curves on the one a axis."""
     yield "curve,a,b\n"
-    yield from _grid_rows([f"{name}," for name in names], "%s,%.12g",
-                          [_fmt(a) for a in a_arr.tolist()],
-                          ((curves[name].b_of_a(a_arr),) for name in names))
+    yield from _grid_rows([f"{name}," for name in curves], "%s,%.12g",
+                          [_fmt(v) for v in a.tolist()], ((b,) for b in curves.values()))
     yield "\n"
 
 
@@ -253,12 +252,11 @@ def _cmd_sweep(args):
         raise _CliError(2, f"--kappa {args.kappa!r} is too large: the bounds "
                            f"of kind {kind.value} overflow") from None
     count = sweep.code.size
-    curves = boundary_curves(kind, args.kappa)
+    a_curve = np.linspace(args.amin, args.amax, 512)
+    curves = boundary_curves(kind, args.kappa, a_curve)
     if args.format == "json":
-        payload = {"records": None, "curves": {}}
-        for name in ("cp", "eb", "ncb"):
-            a_arr, b_arr = curves[name].sample(args.amin, args.amax, 512)
-            payload["curves"][name] = {"a": a_arr, "b": b_arr}
+        payload = {"records": None,
+                   "curves": {name: {"a": a_curve, "b": b} for name, b in curves.items()}}
         # json.dumps lays out the document; the records array goes in its slot
         head, _, tail = json.dumps(_jsonable(payload), indent=2).partition('"records": null')
         _emit(itertools.chain([head, '"records": '], _records_json(sweep, args.grid),
@@ -267,7 +265,7 @@ def _cmd_sweep(args):
             print(f"wrote {count} records to {args.out}")
         return 0
     records = _records_csv(sweep, args.grid)
-    curve_rows = _curves_csv(curves, args.amin, args.amax)
+    curve_rows = _curves_csv(a_curve, curves)
     if args.out:
         out = Path(args.out)
         curves_path = out.with_name(out.stem + "_curves" + out.suffix)
@@ -290,7 +288,7 @@ def _cmd_orbit(args):
     ch = _load_channel(args.channel)
     rep = _report(ch, args.tol)
     form = rep.form
-    if not is_eb(form, tol=args.tol):
+    if not rep.eb:
         print(f"channel is not entanglement-breaking "
               f"(EB margin {_fmt(rep.margins['eb'])})", file=sys.stderr)
         return 1

@@ -61,13 +61,13 @@ def state_defect(V):
     return _kernels.hermitian_eigmin(V, symplectic_form(n))
 
 
-def is_valid_state(V, tol=TOL_PSD):
+def is_valid_state(V):
     """Whether V satisfies the uncertainty relation V + i*Sigma >= 0.
 
-    The slack is tol * max(1, max|V_ij|) so verdicts stay meaningful for
+    The slack is TOL_PSD * max(1, max|V_ij|) so verdicts stay meaningful for
     large-norm matrices where absolute eigenvalue accuracy degrades.
     """
-    return bool(state_defect(V) >= -tol * _psd_scale(V))
+    return bool(state_defect(V) >= -TOL_PSD * _psd_scale(V))
 
 
 def tmsv_variance(r):
@@ -120,9 +120,9 @@ def is_ppt_separable(V, tol=TOL_PSD):
     return ok if ok.ndim else bool(ok)
 
 
-def symplectic_check(S, tol=TOL_ALG):
-    """Whether S preserves the symplectic form, max|S^T Sigma S - Sigma| <= tol."""
+def symplectic_check(S):
+    """Whether S preserves the symplectic form, max|S^T Sigma S - Sigma| <= TOL_ALG."""
     S = np.asarray(S, dtype=float)
     n = S.shape[0] // 2
     sig = symplectic_form(n)
-    return float(np.abs(S.T @ sig @ S - sig).max()) <= tol
+    return float(np.abs(S.T @ sig @ S - sig).max()) <= TOL_ALG

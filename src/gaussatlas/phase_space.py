@@ -149,12 +149,18 @@ def convert_order(grid, s_target):
 def quasi_from_char(grid):
     """Fourier-transform a characteristic grid to its quasiprobability.
 
-    Refuses when the characteristic function is not finite and below TOL_FFT
-    on the grid boundary (the transform would alias), and when the result
-    carries an imaginary residue above TOL_FFT (non-Hermitian input).
+    Refuses when the characteristic function on the grid boundary is not
+    finite (an order conversion overflowed: the extent must shrink) or
+    above TOL_FFT (the transform would alias: the extent must grow), and
+    when the result carries an imaginary residue above TOL_FFT
+    (non-Hermitian input).
     """
     bmax = _boundary_max(grid.values)
-    if not bmax <= TOL_FFT:
+    if not math.isfinite(bmax):
+        raise ValueError(
+            f"characteristic function boundary magnitude {bmax:.3e} is not finite, as "
+            f"where an order conversion overflowed; reduce the grid extent")
+    if bmax > TOL_FFT:
         raise ValueError(
             f"characteristic function boundary magnitude {bmax:.3e} exceeds "
             f"{TOL_FFT:.0e}; enlarge the grid extent before transforming")

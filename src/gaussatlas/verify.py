@@ -18,8 +18,6 @@ from .breaking import (
     eb_margin,
     eb_oracle_tmsv,
     find_r0,
-    is_eb,
-    is_ncb,
     ncb_eb_tangency,
     ncb_margin,
     ncb_necessity_fock1,
@@ -150,8 +148,8 @@ def criterion_3():
         a_star, b_star = ncb_eb_tangency(kappa)
         expected = 1.0 + kappa ** 2
         worst = max(worst, abs(a_star - expected), abs(b_star - expected))
-        curves = boundary_curves(Kind.I, kappa)
-        gap = abs(curves["ncb"].b_of_a(a_star) - curves["eb"].b_of_a(a_star))
+        curves = boundary_curves(Kind.I, kappa, a_star)
+        gap = abs(curves["ncb"] - curves["eb"])
         worst_gap = max(worst_gap, gap)
     ok = worst <= 1e-9 and worst_gap <= 1e-8
     return CheckResult(
@@ -172,8 +170,8 @@ def criterion_4():
         # stay off both decision boundaries so tolerance conventions agree
         if abs((a - 1.0) * (b - 1.0) - 1.0) < 1e-4 or abs(a - 1.0) < 1e-4 or abs(b - 1.0) < 1e-4:
             continue
-        form = canonical_reduce(canonical_channel(Kind.I, a, b, 1.0))
-        if ncb_necessity_fock1(form) != is_ncb(form):
+        rep = report(canonical_channel(Kind.I, a, b, 1.0))
+        if ncb_necessity_fock1(rep.form) != rep.ncb:
             mismatches += 1
         checked += 1
 
@@ -214,8 +212,7 @@ def criterion_5():
                     if abs(ncb_margin(kind, kappa, a, b)) < _BOUNDARY_SKIP:
                         continue
                     ch = canonical_channel(kind, a, b, kappa)
-                    form = canonical_reduce(ch)
-                    if ncb_oracle_gaussian(ch) != is_ncb(form):
+                    if ncb_oracle_gaussian(ch) != report(ch).ncb:
                         mismatches += 1
                     checked += 1
     elapsed = time.perf_counter() - t0
@@ -241,9 +238,8 @@ def criterion_6():
                 if abs(eb_margin(Kind.I, kappa, a, b)) < 1e-6:
                     continue
                 ch = canonical_channel(Kind.I, a, b, kappa)
-                form = canonical_reduce(ch)
                 oracle = eb_oracle_tmsv(ch)
-                closed = is_eb(form)
+                closed = report(ch).eb
                 if oracle != closed:
                     mismatches += 1
                     if oracle and not closed:
@@ -400,11 +396,10 @@ def criterion_10():
             ch = Channel(X=ch.X * (norm / np.linalg.norm(ch.X, 2)), Y=ch.Y)
         if not is_cp(ch):
             continue
-        form = canonical_reduce(ch)
-        margin = ncb_margin(form.kind, form.kappa, form.a, form.b)
-        if abs(margin) < 1e-5 * max(1.0, abs(form.a * form.b)):
+        rep = report(ch)
+        if abs(rep.margins["ncb"]) < 1e-5 * max(1.0, abs(rep.form.a * rep.form.b)):
             continue
-        if ncb_oracle_gaussian(ch) != is_ncb(form):
+        if ncb_oracle_gaussian(ch) != rep.ncb:
             mismatches += 1
         counts[kind] += 1
     elapsed = time.perf_counter() - t0

@@ -13,15 +13,11 @@ from gaussatlas.breaking import (
     DEFAULT_R_LIST,
     _dominance,
     REGION_LABELS,
-    BoundaryCurve,
     boundary_curves,
-    classify_region,
     cp_margin,
     eb_margin,
     eb_oracle_tmsv,
     find_r0,
-    is_eb,
-    is_ncb,
     ncb_eb_tangency,
     ncb_margin,
     ncb_necessity_fock1,
@@ -46,6 +42,10 @@ ATOL = 1e-12
 
 def _form(kind, a, b, kappa=None):
     return canonical_reduce(canonical_channel(kind, a, b, kappa=kappa))
+
+
+def _report(kind, a, b, kappa=None):
+    return report(canonical_channel(kind, a, b, kappa=kappa))
 
 
 class TestMargins:
@@ -116,27 +116,24 @@ class TestReport:
 
 class TestVerdictsOnForms:
     def test_boundaries_count_as_inside(self):
-        form = _form(Kind.I, 2.0, 2.0, kappa=1.0)
-        assert is_ncb(form) and is_eb(form)
-        assert cp_margin(form.kind, form.kappa, form.a, form.b) >= -TOL_CLASS
+        rep = _report(Kind.I, 2.0, 2.0, kappa=1.0)
+        assert rep.cp and rep.eb and rep.ncb
 
     def test_reflection_triple_point(self):
         # a = b = 1 + kappa^2 puts a reflection on all three boundaries at once
-        form = _form(Kind.II, 1.64, 1.64, kappa=0.8)
-        assert cp_margin(form.kind, form.kappa, form.a, form.b) >= -TOL_CLASS
-        assert is_eb(form) and is_ncb(form)
+        rep = _report(Kind.II, 1.64, 1.64, kappa=0.8)
+        assert rep.cp and rep.eb and rep.ncb
         assert abs(cp_margin(Kind.II, 0.8, 1.64, 1.64)) < ATOL
         assert abs(ncb_margin(Kind.II, 0.8, 1.64, 1.64)) < ATOL
 
     def test_reflection_eb_without_ncb(self):
-        form = _form(Kind.II, 3.4, 0.85, kappa=0.8)
-        assert cp_margin(form.kind, form.kappa, form.a, form.b) >= -TOL_CLASS
-        assert is_eb(form)
-        assert not is_ncb(form)  # b < 1 fails the per-axis threshold
+        rep = _report(Kind.II, 3.4, 0.85, kappa=0.8)
+        assert rep.cp and rep.eb
+        assert not rep.ncb  # b < 1 fails the per-axis threshold
 
     def test_kind_iii_corner(self):
-        form = _form(Kind.III_RANK1, 1.0, 1.0)
-        assert is_ncb(form) and is_eb(form)
+        rep = _report(Kind.III_RANK1, 1.0, 1.0)
+        assert rep.ncb and rep.eb
 
 
 class TestNcbOracle:
@@ -152,7 +149,7 @@ class TestNcbOracle:
     def test_matches_closed_form(self, kind, kappa, a, b, expect):
         ch = canonical_channel(kind, a, b, kappa=kappa)
         assert ncb_oracle_gaussian(ch) is expect
-        assert is_ncb(canonical_reduce(ch)) is expect
+        assert report(ch).ncb is expect
 
     def test_rotated_channel_same_verdict(self):
         from gaussatlas.channels import compose_pre_unitary
@@ -215,7 +212,7 @@ class TestNcbOracle:
         # NCB margin 3e-4, below the ||X||^2 e^{-12} = 6e-4 gap a fixed
         # r_max = 6 would leave; the search range must scale with ||X||
         ch = Channel(X=np.diag([10.0, 0.0]), Y=np.diag([1.0003, 5.0]))
-        assert is_ncb(canonical_reduce(ch))
+        assert report(ch).ncb
         assert ncb_oracle_gaussian(ch)
 
 
@@ -287,16 +284,27 @@ class TestOrbit:
 
     def test_find_r0_balanced_boundary(self):
         # a = b = 1 + kappa^2 leaves exactly one breaking point, r = 0
-        form = _form(Kind.I, 1.36, 1.36, kappa=0.6)
-        r0 = find_r0(form)
-        assert r0 is not None and abs(r0) < 1e-6
+        assert find_r0(_form(Kind.I, 1.36, 1.36, kappa=0.6)) == 0.0
 
     def test_find_r0_matches_analytic_maximizer(self):
         form = _form(Kind.I, 4.0, 0.8, kappa=0.6)
         r0 = find_r0(form)
-        assert r0 is not None
-        assert abs(r0 - 0.25 * math.log(4.0 / 0.8)) < 1e-6
+        assert r0 == 0.25 * math.log(form.a / form.b)
+        assert abs(r0 - 0.25 * math.log(4.0 / 0.8)) <= 1e-15
         assert squeeze_orbit(form, r0).ncb
+
+    def test_find_r0_balances_the_noise(self):
+        # r0 = ln(a/b)/4 in general position, where a e^{-2 r0} = b e^{2 r0}
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            kappa = rng.uniform(0.1, 2.0)
+            a = math.exp(rng.uniform(-4.0, 4.0))
+            b = (1.0 + kappa ** 2) ** 2 * math.exp(rng.uniform(0.0, 2.0)) / a
+            form = _form(Kind.I, a, b, kappa=kappa)
+            r0 = find_r0(form)
+            assert r0 == 0.25 * math.log(form.a / form.b)
+            pt = squeeze_orbit(form, r0)
+            assert abs(pt.a_r - pt.b_r) <= 1e-15 * pt.a_r
 
     def test_find_r0_peak_value_at_eb_boundary(self):
         # on the EB boundary the orbit maximum of (a_r - 1)(b_r - 1) is kappa^4
@@ -317,10 +325,10 @@ class TestOrbit:
 class TestRegions:
     def test_four_classes_at_fixed_gain(self):
         k = 0.6
-        assert classify_region(Kind.I, k, 0.1, 0.1) == "unphysical"
-        assert classify_region(Kind.I, k, 1.075, 1.075) == "cp_only"
-        assert classify_region(Kind.I, k, 1.075, 2.05) == "eb_not_ncb"
-        assert classify_region(Kind.I, k, 2.05, 2.05) == "ncb"
+        assert _report(Kind.I, 0.1, 0.1, kappa=k).region == "unphysical"
+        assert _report(Kind.I, 1.075, 1.075, kappa=k).region == "cp_only"
+        assert _report(Kind.I, 1.075, 2.05, kappa=k).region == "eb_not_ncb"
+        assert _report(Kind.I, 2.05, 2.05, kappa=k).region == "ncb"
 
     def test_labels_cover_enum(self):
         assert set(REGION_LABELS) == {"unphysical", "cp_only", "eb_not_ncb", "ncb"}
@@ -338,10 +346,11 @@ class TestRegions:
         sweep = region_sweep(Kind.II, 0.8, 0.2, 4.0, 0.3, 5.0, 9)
         for i in range(sweep.code.size):
             a, b = float(sweep.a[i]), float(sweep.b[i])
-            assert REGION_LABELS[sweep.code[i]] == classify_region(Kind.II, 0.8, a, b)
-            assert sweep.cp_margin[i] == cp_margin(Kind.II, 0.8, a, b)
-            assert sweep.eb_margin[i] == eb_margin(Kind.II, 0.8, a, b)
-            assert sweep.ncb_margin[i] == ncb_margin(Kind.II, 0.8, a, b)
+            margins = [margin(Kind.II, 0.8, a, b) for margin in (cp_margin, eb_margin, ncb_margin)]
+            assert [sweep.cp_margin[i], sweep.eb_margin[i], sweep.ncb_margin[i]] == margins
+            # the first failing condition names the region; all passing is ncb
+            passed = [m >= -TOL_CLASS for m in margins]
+            assert REGION_LABELS[sweep.code[i]] == REGION_LABELS[(*passed, False).index(False)]
 
     def test_sweep_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
@@ -362,25 +371,31 @@ class TestRegions:
 class TestBoundaryCurves:
     def test_hyperbola_values(self):
         k = 0.6
-        curves = boundary_curves(Kind.I, k)
-        assert abs(curves["cp"].b_of_a(1.0) - 0.4096) < ATOL
-        assert abs(curves["eb"].b_of_a(1.0) - 1.8496) < ATOL
-        assert abs(curves["ncb"].b_of_a(2.0) - 1.1296) < ATOL
-        assert curves["ncb"].b_of_a(1.0) == np.inf
+        curves = boundary_curves(Kind.I, k, 1.0)
+        assert abs(curves["cp"] - 0.4096) < ATOL
+        assert abs(curves["eb"] - 1.8496) < ATOL
+        assert curves["ncb"] == np.inf
+        assert abs(boundary_curves(Kind.I, k, 2.0)["ncb"] - 1.1296) < ATOL
 
     def test_kind_iii_corner_line(self):
-        c = BoundaryCurve("ncb", Kind.III_ZERO, 0.0)
-        assert c.b_of_a(2.0) == 1.0
-        assert c.b_of_a(0.5) == np.inf
+        assert boundary_curves(Kind.III_ZERO, 0.0, 2.0)["ncb"] == 1.0
+        assert boundary_curves(Kind.III_ZERO, 0.0, 0.5)["ncb"] == np.inf
 
     def test_sample_shape(self):
-        a, b = BoundaryCurve("eb", Kind.I, 1.0).sample(1.0, 5.0)
-        assert a.shape == (512,) and b.shape == (512,)
-        np.testing.assert_allclose(a * b, 4.0, atol=1e-10)
+        a = np.linspace(1.0, 5.0, 512)
+        curves = boundary_curves(Kind.I, 1.0, a)
+        assert list(curves) == ["cp", "eb", "ncb"]
+        assert all(b.shape == (512,) for b in curves.values())
+        np.testing.assert_allclose(a * curves["eb"], 4.0, atol=1e-10)
 
-    def test_rejects_unknown_name(self):
-        with pytest.raises(ValueError):
-            BoundaryCurve("qq", Kind.I, 1.0)
+    def test_scalar_points_match_array_points(self):
+        a = np.array([0.0, 0.5, 1.0, 1.7, 4.0])
+        for kind in Kind:
+            curves = boundary_curves(kind, 0.8, a)
+            for i, v in enumerate(a.tolist()):
+                point = boundary_curves(kind, 0.8, v)
+                assert all(type(b) is float for b in point.values())
+                assert [point[n] for n in curves] == [curves[n][i] for n in curves]
 
 
 class TestTangency:
@@ -393,8 +408,11 @@ class TestTangency:
     def test_curves_actually_touch_and_separate(self):
         k = 0.9
         a_star, _ = ncb_eb_tangency(k)
-        curves = boundary_curves(Kind.I, k)
-        gap = lambda a: curves["ncb"].b_of_a(a) - curves["eb"].b_of_a(a)
+
+        def gap(a):
+            curves = boundary_curves(Kind.I, k, a)
+            return curves["ncb"] - curves["eb"]
+
         assert abs(gap(a_star)) < 1e-8
         assert gap(a_star * 0.8) > 1e-3
         assert gap(a_star * 1.5) > 1e-3

@@ -174,6 +174,15 @@ class TestCanonicalReduce:
         want = 1.5 + np.hypot(0.5, 0.5)
         assert abs(form.a - want) < ATOL
 
+    def test_small_eigenvalue_survives_lopsided_noise(self):
+        # b = det Y / a, not mean - spread, which cancels to 0 once a/b nears 1/eps
+        eps = np.finfo(float).eps
+        for kind in Kind:
+            for k in range(1, 301):
+                form = canonical_reduce(canonical_channel(kind, 10.0 ** k, 2.0, kappa=0.5))
+                assert abs(form.a - 10.0 ** k) <= 2.0 * eps * 10.0 ** k
+                assert abs(form.b - 2.0) <= 4.0 * eps * 2.0, (kind, k, form.b)
+
     def test_witness_identities_random(self):
         rng = np.random.default_rng(21)
         for _ in range(200):

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, payload shapes, deterministic output."""
 
 import json
+import math
 import sys
 import warnings
 
@@ -16,6 +17,10 @@ CP_ONLY_CHANNEL = '{"X": [[1.0, 0.0], [0.0, 1.0]], "Y": [[1.0, 0.0], [0.0, 1.0]]
 NON_CP_CHANNEL = '{"X": [[1.0, 0.0], [0.0, -1.0]], "Y": [[0.0, 0.0], [0.0, 0.0]]}'
 UNIT_GAIN_CHANNEL = '{"X": [[1.0, 0.0], [0.0, 1.0]], "Y": [[3.0, 0.0], [0.0, 3.0]]}'
 RANK1_HIGH_GAIN_CHANNEL = '{"X": [[10.0, 0.0], [0.0, 0.0]], "Y": [[1.0003, 0.0], [0.0, 5.0]]}'
+# b = 2 beside a noise eigenvalue a past 1/eps, where mean - spread would cancel to 0
+LOPSIDED_NOISE_CHANNEL = '{"X": [[0.5, 0], [0, 0.5]], "Y": [[1e17, 0], [0, 2]]}'
+# the balancing squeeze of EB_CHANNEL, ln(a/b)/4 = ln(5)/4, as the CLI prints it
+EB_CHANNEL_R0 = float(f"{0.25 * math.log(4.0 / 0.8):.12g}")
 
 
 def _write(tmp_path, text, name="channel.json"):
@@ -44,6 +49,13 @@ class TestClassify:
         assert payload["form"]["kind"] == "II"
         assert not payload["cp"]
         assert payload["class"] == "unphysical"
+
+    def test_lopsided_noise_keeps_small_eigenvalue(self, tmp_path, capsys):
+        assert main(["classify", _write(tmp_path, LOPSIDED_NOISE_CHANNEL)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["form"]["a"] == 1e17 and payload["form"]["b"] == 2.0
+        assert payload["cp"] and payload["eb"] and payload["ncb"]
+        assert payload["class"] == "ncb"
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["classify", str(tmp_path / "nope.json")]) == 2
@@ -90,6 +102,17 @@ class TestCheck:
         assert payload["oracles"]["ncb_gaussian"] is True
         assert payload["agree"] is True
         assert code == 0
+
+    @pytest.mark.parametrize("y", ["[[1e200, 0], [0, 2]]", "[[5, 0], [0, 0]]"])
+    def test_single_photon_test_out_of_range_is_usage_error(self, tmp_path, y, capsys):
+        # unit gain reaches ncb_necessity_fock1: a ** 2 overflows for a = 1e200,
+        # and b = 0 has no output P function; neither may end in a traceback
+        text = f'{{"X": [[1, 0], [0, 1]], "Y": {y}}}'
+        assert main(["check", _write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: channel out of range")
+        assert captured.err.count("\n") == 1
 
     def test_non_cp_skips_oracles(self, tmp_path, capsys):
         code = main(["check", _write(tmp_path, NON_CP_CHANNEL)])
@@ -174,8 +197,7 @@ class TestOrbit:
         code = main(["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "11"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("# r0 = 0.4023594")
-        assert abs(float(lines[0].split("=")[1]) - 0.25 * np.log(5.0)) < 1e-6
+        assert lines[0] == f"# r0 = {EB_CHANNEL_R0:.12g}"
         assert lines[1] == "r,a_r,b_r,ncb"
         assert len(lines) == 2 + 11
         assert lines[2].split(",")[3] in ("true", "false")
@@ -193,7 +215,7 @@ class TestOrbit:
                      "--format", "json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert abs(payload["r0"] - 0.25 * np.log(5.0)) < 1e-6
+        assert payload["r0"] == EB_CHANNEL_R0
         assert len(payload["trace"]) == 7
         assert {"r", "a_r", "b_r", "ncb"} <= set(payload["trace"][0])
 
@@ -249,6 +271,9 @@ class TestPfunc:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "transform refused" in captured.err
+        # the cure for an overflow is a smaller extent, not a larger one
+        assert "not finite" in captured.err and "reduce the grid extent" in captured.err
+        assert "enlarge" not in captured.err
         # only the library's own boundary warning, no numpy overflow or invalid value
         assert all("order conversion" in str(w.message) for w in record)
 

@@ -204,6 +204,17 @@ class TestTransform:
         with pytest.raises(ValueError, match="boundary"):
             quasi_from_char(char_fock1(1.0, GridSpec(side=65, extent=2.0)))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_refuses_non_finite_boundary_with_smaller_extent(self, value):
+        g = char_vacuum(0.0)
+        values = g.values.copy()
+        values[0, 0] = value
+        grid = CharGrid(s=0.0, extent=g.extent, axis=g.axis, values=values)
+        with pytest.raises(ValueError, match="not finite") as exc:
+            quasi_from_char(grid)
+        assert "reduce the grid extent" in str(exc.value)
+        assert "enlarge" not in str(exc.value)
+
     def test_refuses_non_hermitian_input(self):
         g = char_vacuum(0.0)
         x1, x2 = np.meshgrid(g.axis, g.axis, indexing="ij")
