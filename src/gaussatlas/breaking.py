@@ -22,10 +22,10 @@ Each closed form is backed by an independent numerical oracle:
 * ``ncb_oracle_gaussian`` searches for a pure squeezed covariance V with
   X^T V X dominated by Y - 1; such a witness lets the output P function
   of any input be written as a smoothed, manifestly nonnegative density.
-  lam_min(Y - 1) < -tol rules a witness out at once; otherwise a coarse
-  grid and a pattern search over squeezes up to an r_max set by ||X||
-  and tol maximize lam_min(Y - 1 - X^T V X), with no fixed resolution
-  that a narrow peak could slip through.
+  lam_min(Y - 1) < -tol rules a witness out at once; otherwise the vacuum,
+  then a coarse grid and a pattern search over squeezes up to an r_max set
+  by ||X|| and tol, raise lam_min(Y - 1 - X^T V X) to the first certificate
+  (>= -tol), with no fixed resolution that a narrow peak could slip through.
 * ``ncb_necessity_fock1`` evaluates the closed-form single-photon output
   P function at the origin, whose sign flips exactly at the breaking
   boundary for unit-gain kind-I channels.
@@ -60,6 +60,8 @@ from .gaussian_core import TOL_CLASS, apply_channel_one_side, is_ppt_separable, 
 from .phase_space import fock1_output_p
 
 DEFAULT_R_LIST = (0.5, 1.0, 2.0, 4.0, 8.0)
+_DEFAULT_PROBES = tmsv_variance(DEFAULT_R_LIST)  # eb_oracle_tmsv's default stack, built once
+_DEFAULT_PROBES.flags.writeable = False
 REGION_LABELS = ("unphysical", "cp_only", "eb_not_ncb", "ncb")
 
 _EPS = float(np.finfo(float).eps)
@@ -115,7 +117,11 @@ def ncb_margin(kind, kappa, a, b):
     for kind III it is the distance of the smaller noise eigenvalue
     from 1.
     """
-    k4 = _kappa_bounds(kind, kappa)[2]
+    return _ncb_slack(_kappa_bounds(kind, kappa)[2], a, b)
+
+
+def _ncb_slack(k4, a, b):
+    """ncb_margin from the bound k4 of _kappa_bounds."""
     margin = np.minimum(a - 1.0, b - 1.0)
     if k4 is not None:
         margin = np.minimum(margin, (a - 1.0) * (b - 1.0) - k4)
@@ -150,11 +156,9 @@ class BreakingReport:
 def report(ch, tol=TOL_CLASS):
     """Reduce a channel and evaluate every closed-form predicate."""
     form = canonical_reduce(ch)
-    margins = {
-        "cp": cp_margin(form.kind, form.kappa, form.a, form.b),
-        "eb": eb_margin(form.kind, form.kappa, form.a, form.b),
-        "ncb": ncb_margin(form.kind, form.kappa, form.a, form.b),
-    }
+    cp, eb, k4 = _kappa_bounds(form.kind, form.kappa)
+    ab = form.a * form.b
+    margins = {"cp": ab - cp, "eb": ab - eb, "ncb": _ncb_slack(k4, form.a, form.b)}
     shift = form.kappa ** 2 - 1.0
     return BreakingReport(
         form=form,
@@ -223,19 +227,17 @@ def _climb(f, clip, x, y, best, step, y_scale, tol, r_max, handoff=0.0):
     evaluates it as clipped into the search domain, and clip maps the
     point taken into the domain.  A better point on the stencil's edge
     doubles the step (at most r_max); a better point inside it, or none,
-    halves the step.  Stops once best >= -tol or the step falls below
-    max(1e-12 r_max, handoff |(x, y)|).
+    halves the step.  Stops once best >= -tol (at once if it starts there)
+    or the step falls below max(1e-12 r_max, handoff |(x, y)|).
     """
     stop = 1e-12 * r_max
-    while step > max(stop, handoff * math.hypot(x, y)):
+    while best < -tol and step > max(stop, handoff * math.hypot(x, y)):
         xs = x + step * _STENCIL_K
         ys = y + (step * y_scale) * _STENCIL_L
         vals = f(xs, ys)
         k = int(np.argmax(vals))
         if vals[k] > best:
             best, (x, y) = float(vals[k]), clip(float(xs[k]), float(ys[k]))
-            if best >= -tol:
-                break
             if _STENCIL_EDGE[k]:
                 step = min(2.0 * step, r_max)
                 continue
@@ -255,7 +257,8 @@ def ncb_oracle_gaussian(ch, tol=TOL_CLASS):
     form without using it.
 
     Since X^T V X >= 0, f <= lam_min(Y - 1) everywhere: below -tol that
-    bound decides "not NCB" at once.  Otherwise the search runs over
+    bound decides "not NCB" at once, and f >= -tol at the vacuum V = 1
+    (the seed grid's centre, same bits) decides "NCB".  Otherwise the search runs over
     V = exp(2 [[p, q], [q, -p]]) with r = |(p, q)| <= r_max, where
     r_max = ln(10 ||X||^2 / tol) / 2 (at least 1) keeps the gap a singular
     X leaves at the edge, ||X||^2 e^{-2 r_max}, at tol/10; tol is floored
@@ -265,20 +268,22 @@ def ncb_oracle_gaussian(ch, tol=TOL_CLASS):
     squeeze axis, once its step is below r/64.  Near the origin only the
     Cartesian chart is regular; far from it only polar steps follow the
     straight ridge that leads to the edge for nearly singular X, which
-    Cartesian steps can only cross.  Both searches stop as soon as
-    f >= -tol, else when the step falls below 1e-12 r_max.
+    Cartesian steps can only cross.  Both searches stop at the first
+    certificate, f >= -tol, even one they start from (a climb only raises
+    the best value), else when the step falls below 1e-12 r_max.
     """
     if not is_cp(ch):
         raise ValueError("oracle needs a completely positive channel")
     X, Y = ch.X, ch.Y
     if _kernels.eigmin_sym2(Y[0, 0] - 1.0, Y[0, 1], Y[1, 1] - 1.0) < -tol:
         return False
+    dominance = _dominance(X, Y)
+    if dominance(0.0, 0.0, (1.0, 0.0)) >= -tol:
+        return True
     G = X.T @ X
     norm2 = -_kernels.eigmin_sym2(-G[0, 0], -G[0, 1], -G[1, 1])  # ||X||_2^2
     resolution = max(tol, _EPS * max(1.0, float(np.abs(Y).max())))
     r_max = max(1.0, 0.5 * math.log(max(1.0, 10.0 * norm2 / resolution)))
-
-    dominance = _dominance(X, Y)
 
     def cartesian(p, q):
         return dominance(np.minimum(np.hypot(p, q), r_max), 0.5 * np.arctan2(q, p))
@@ -329,12 +334,12 @@ def eb_oracle_tmsv(ch, r_list=DEFAULT_R_LIST):
     True means every tested probe came out separable; r values of a few
     units already place the flip at the closed-form boundary.  All probes
     form one (len(r_list), 4, 4) stack, sent through the channel and the
-    PPT test in one call each.
+    PPT test in one call each; the default stack is built once, at import.
     """
     if not is_cp(ch):
         raise ValueError("oracle needs a completely positive channel")
-    outputs = apply_channel_one_side(ch.X, ch.Y, tmsv_variance(r_list))
-    return bool(np.all(is_ppt_separable(outputs)))
+    probes = _DEFAULT_PROBES if r_list is DEFAULT_R_LIST else tmsv_variance(r_list)
+    return bool(np.all(is_ppt_separable(apply_channel_one_side(ch.X, ch.Y, probes))))
 
 
 # -- squeeze orbits --------------------------------------------------------- #

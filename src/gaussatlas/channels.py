@@ -15,7 +15,8 @@ post-unitary R, to one of four canonical kinds fixed by det X:
 
 with a >= b the eigenvalues of Y.  ``canonical_reduce`` returns the
 canonical data together with the witnesses (S, R), re-verified on exit:
-S X R = X_c, R^T Y R = Y_c, det S = 1, R^T R = 1.
+S X R = X_c, R^T Y R = Y_c, det S = 1, R^T R = 1, all in closed form
+on Python floats (a rank-one X included).
 """
 
 import json
@@ -26,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .gaussian_core import TOL_PSD, rotation, symplectic_check
+from .gaussian_core import TOL_PSD, symplectic_check
 from .phase_space import TOL_FFT, CharGrid
 
 TOL_RANK = 1e-10  # singular values below TOL_RANK * ||X|| count as zero
@@ -64,7 +65,7 @@ def _as_mat2(M, name):
         raise ValueError(f"{name} must be a 2x2 real matrix") from exc
     if M.shape != (2, 2):
         raise ValueError(f"{name} must be a 2x2 real matrix")
-    if not np.all(np.isfinite(M)):
+    if not all(map(math.isfinite, M.ravel().tolist())):
         raise ValueError(f"{name} must be finite")
     return M
 
@@ -82,13 +83,14 @@ class Channel:
 
     def __post_init__(self):
         X = _as_mat2(self.X, "X")
-        Y = _as_mat2(self.Y, "Y")
-        yscale = max(1.0, np.abs(Y).max())
-        if abs(Y[0, 1] - Y[1, 0]) > _ASYM_TOL * yscale:
+        (y11, y12), (y21, y22) = _as_mat2(self.Y, "Y").tolist()
+        yscale = max(1.0, abs(y11), abs(y12), abs(y21), abs(y22))
+        if abs(y12 - y21) > _ASYM_TOL * yscale:
             raise ValueError("Y must be symmetric")
-        Y = 0.5 * (Y + Y.T)
-        if _kernels.eigmin_sym2(Y[0, 0], Y[0, 1], Y[1, 1]) < -TOL_PSD * yscale:
+        y12 += 0.5 * (y21 - y12)  # the midpoint, without overflow; y12 itself if symmetric
+        if _kernels.eigmin_sym2(y11, y12, y22) < -TOL_PSD * yscale:
             raise ValueError("Y must be positive semidefinite")
+        Y = np.array([[y11, y12], [y12, y22]])
         X.flags.writeable = False
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -174,41 +176,54 @@ def singular_x_rank(X):
     return 2
 
 
-def _eigenvalues(Y):
-    """Eigenvalues (a, b), a >= b, of the symmetric 2x2 Y, read off its upper triangle.
+def _eigenvalues(y11, y12, y22):
+    """Eigenvalues (a, b), a >= b, of the symmetric [[y11, y12], [y12, y22]].
 
     a is mean + spread.  b is det Y / a, with a divided into each product
     first so that nothing overflows; unlike mean - spread, it does not
-    cancel once a/b nears 1/eps.
+    cancel once a/b nears 1/eps.  Raises ValueError when a overflows.
     """
-    (y11, y12), (_, y22) = Y.tolist()
     a = float(0.5 * (y11 + y22) + 0.5 * np.hypot(y11 - y22, 2.0 * y12))
+    if not math.isfinite(a):
+        raise ValueError("the noise eigenvalues overflow a double")
     return a, (y11 / a * y22 - y12 / a * y12 if a else 0.0)
 
 
-def _diagonalizing_rotation(Y):
-    """Rotation R with R^T Y R = diag(a, b), a >= b; identity on ties."""
-    theta = 0.5 * np.arctan2(2.0 * Y[0, 1], Y[0, 0] - Y[1, 1])
-    return (rotation(theta), *_eigenvalues(Y))
+def _det(x11, x12, x21, x22):
+    """det X != 0 with np.linalg.det's bits: pivoted LU, then sign * exp(sum log|u_ii|)."""
+    if abs(x21) > abs(x11):  # swap the rows, negating one to keep the sign
+        x11, x12, x21, x22 = -x21, -x22, x11, x12
+    u22 = x22 - x21 * (1.0 / x11) * x12
+    try:
+        return math.copysign(math.exp(math.log(abs(x11)) + math.log(abs(u22))), x11 * u22)
+    except OverflowError:
+        return math.inf
 
 
-def _inv_unit_det(M):
-    # adjugate of a det-1 matrix is its exact inverse
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
+# canonical_reduce holds each 2x2 matrix as a row-major 4-tuple of floats
+def _rot(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return c, -s, s, c
 
 
-def _verify_witnesses(X, Y, form):
-    sxr = form.S @ X @ form.R
-    ryr = form.R.T @ Y @ form.R
-    scale_x = max(1.0, np.abs(form.S).max() * np.abs(X).max())
-    scale_y = max(1.0, np.abs(Y).max())
-    ok = (np.abs(sxr - form.x_canonical).max() <= 1e-8 * scale_x
-          and np.abs(ryr - form.y_canonical).max() <= 1e-8 * scale_y
-          and abs(np.linalg.det(form.S) - 1.0) <= 1e-8 * max(1.0, np.abs(form.S).max() ** 2)
-          and np.abs(form.R.T @ form.R - np.eye(2)).max() <= 1e-10)
-    if not ok:
+def _mul(A, B):
+    a11, a12, a21, a22 = A
+    b11, b12, b21, b22 = B
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+
+def _verify_witnesses(X, Y, S, R, x_can, y_can):
+    """Raise unless S X R = x_can, R^T Y R = y_can, det S = 1 and R^T R = 1."""
+    def close(A, B, tol):  # every |A_ij - B_ij| <= tol; a NaN fails
+        return all(abs(p - q) <= tol for p, q in zip(A, B))
+
+    s_max, Rt = max(map(abs, S)), (R[0], R[2], R[1], R[3])
+    if not (close(_mul(_mul(S, X), R), x_can, 1e-8 * max(1.0, s_max * max(map(abs, X))))
+            and close(_mul(_mul(Rt, Y), R), y_can, 1e-8 * max(1.0, max(map(abs, Y))))
+            and close((S[0] * S[3] - S[1] * S[2],), (1.0,), 1e-8 * max(1.0, s_max ** 2))
+            and close(_mul(Rt, R), (1.0, 0.0, 0.0, 1.0), 1e-10)):
         raise RuntimeError("canonical reduction witnesses failed verification")
-    return form
 
 
 def canonical_reduce(ch):
@@ -216,39 +231,43 @@ def canonical_reduce(ch):
 
     Dispatch is purely linear-algebraic (sign of det X, numerical rank),
     so non-CP pairs reduce fine; Y must be PSD, which the Channel
-    constructor guarantees.  Raises ValueError when det X is beyond the
-    double range, where no canonical gain can be represented.
+    constructor guarantees.  Raises ValueError when det X or a noise
+    eigenvalue overflows a double: no canonical form can represent them.
     """
-    X, Y = ch.X, ch.Y
-    rank = singular_x_rank(X)
+    X, Y = ch.X.ravel().tolist(), ch.Y.ravel().tolist()
+    (x11, x12, x21, x22), (y11, y12, _, y22) = X, Y
+    a, b = _eigenvalues(y11, y12, y22)
+    rank = singular_x_rank(ch.X)
     if rank == 1:
-        U, svals, Vt = np.linalg.svd(X)
-        kappa = float(svals[0])
-        u_rot = U @ np.diag([1.0, np.linalg.det(U)])
-        w_rot = Vt.T @ np.diag([1.0, np.linalg.det(Vt.T)])
-        y_can = w_rot.T @ Y @ w_rot
-        a, b = _eigenvalues(y_can)
-        form = CanonicalForm(kind=Kind.III_RANK1, kappa=kappa, a=a, b=b,
-                             x_canonical=np.diag([1.0, 0.0]), y_canonical=y_can,
-                             S=np.diag([1.0 / kappa, kappa]) @ u_rot.T, R=w_rot)
-        return _verify_witnesses(X, Y, form)
-    if rank == 2:
-        with np.errstate(over="ignore"):
-            det = np.linalg.det(X)
-        if not math.isfinite(det):
-            raise ValueError("det X overflows a double: the gain is out of range")
-    R, a, b = _diagonalizing_rotation(Y)
-    if rank == 0:
-        kind, kappa, x_can, S = Kind.III_ZERO, 0.0, np.zeros((2, 2)), np.eye(2)
-    elif det > 0:
-        kappa = float(np.sqrt(det))
-        kind, x_can, S = Kind.I, kappa * np.eye(2), R.T @ _inv_unit_det(X / kappa)
+        # closed-form SVD: X = Q rot(alpha) + P refl(beta) = rot(phi) diag(Q + P, Q - P) rot(psi),
+        # phi, psi = (alpha +- beta) / 2; hypot and atan2 read 2Q, 2P and the angles off X / scale
+        scale = max(map(abs, X))
+        x11, x12, x21, x22 = x11 / scale, x12 / scale, x21 / scale, x22 / scale
+        e, f, g, h = x11 + x22, x11 - x22, x21 + x12, x21 - x12
+        kappa = scale * 0.5 * (math.hypot(e, h) + math.hypot(f, g))
+        alpha, beta = math.atan2(h, e), math.atan2(g, f)
+        R, Rt = _rot(0.5 * (beta - alpha)), _rot(0.5 * (alpha - beta))
+        S = _mul((1.0 / kappa, 0.0, 0.0, kappa), _rot(-0.5 * (alpha + beta)))
+        kind, x_can, y_can = Kind.III_RANK1, (1.0, 0.0, 0.0, 0.0), _mul(_mul(Rt, Y), R)
     else:
-        kappa = float(np.sqrt(-det))
-        kind, x_can, S = Kind.II, kappa * SIGMA3, R @ _inv_unit_det((X @ SIGMA3) / kappa)
-    form = CanonicalForm(kind=kind, kappa=kappa, a=a, b=b, x_canonical=x_can,
-                         y_canonical=np.diag([a, b]), S=S, R=R)
-    return _verify_witnesses(X, Y, form)
+        theta = 0.5 * math.atan2(2.0 * y12, y11 - y22)
+        R, Rt, y_can = _rot(theta), _rot(-theta), (a, 0.0, 0.0, b)
+        if rank == 0:
+            kind, kappa, x_can, S = Kind.III_ZERO, 0.0, (0.0,) * 4, (1.0, 0.0, 0.0, 1.0)
+        else:
+            det = _det(x11, x12, x21, x22)
+            if not math.isfinite(det):
+                raise ValueError("det X overflows a double: the gain is out of range")
+            kappa = math.sqrt(abs(det))
+            p11, p12, p21, p22 = x11 / kappa, x12 / kappa, x21 / kappa, x22 / kappa
+            if det > 0:  # S = R^T (X / kappa)^-1
+                kind, x_can, S = Kind.I, (kappa, 0.0, 0.0, kappa), _mul(Rt, (p22, -p12, -p21, p11))
+            else:  # S = R (X sigma3 / kappa)^-1
+                kind, x_can, S = Kind.II, (kappa, 0.0, 0.0, -kappa), _mul(R, (-p22, p12, -p21, p11))
+    _verify_witnesses(X, Y, S, R, x_can, y_can)
+    mats = np.array((x_can, y_can, S, R)).reshape(4, 2, 2)
+    return CanonicalForm(kind=kind, kappa=kappa, a=a, b=b, x_canonical=mats[0],
+                         y_canonical=mats[1], S=mats[2], R=mats[3])
 
 
 def _cp_entries(ch):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussatlas import breaking
 from gaussatlas.breaking import (
     _COARSE_GRID,
     _COARSE_TRIG,
     DEFAULT_R_LIST,
+    _climb,
     _dominance,
     REGION_LABELS,
     boundary_curves,
@@ -216,6 +218,64 @@ class TestNcbOracle:
         assert ncb_oracle_gaussian(ch)
 
 
+class TestNcbOracleShortcuts:
+    """The oracle stops at its first certificate; these pin where that is."""
+
+    @staticmethod
+    def _count_dominance(monkeypatch):
+        calls = []
+
+        def counting(X, Y):
+            f = _dominance(X, Y)
+
+            def g(*args):
+                calls.append(args)
+                return f(*args)
+
+            return g
+
+        monkeypatch.setattr(breaking, "_dominance", counting)
+        return calls
+
+    def test_vacuum_certificate_takes_one_evaluation(self, monkeypatch):
+        # Y - 1 - X^T X = 0.64 * 1 >= 0: the vacuum itself is a certificate
+        calls = self._count_dominance(monkeypatch)
+        assert ncb_oracle_gaussian(canonical_channel(Kind.I, 2.0, 2.0, kappa=0.6))
+        assert len(calls) == 1
+
+    def test_vacuum_value_is_the_seed_grid_centre(self):
+        rng = np.random.default_rng(54)
+        _, _, grid_r, grid_theta = _COARSE_GRID
+        centre = int(np.flatnonzero(grid_r == 0.0)[0])
+        for _ in range(50):
+            f = _dominance(rng.normal(size=(2, 2)), np.diag(rng.uniform(0.5, 5.0, 2)))
+            grid = f(rng.uniform(1.0, 12.0) * grid_r, grid_theta, _COARSE_TRIG)
+            assert f(0.0, 0.0, (1.0, 0.0)) == grid[centre]
+
+    def test_climb_from_a_certificate_evaluates_nothing(self):
+        def f(x, y):
+            raise AssertionError("f evaluated")
+
+        assert _climb(f, None, 0.3, 0.4, -0.5e-6, 0.1, 1.0, 1e-6, 5.0) == (-0.5e-6, 0.3, 0.4, 0.1)
+
+    def test_search_still_reaches_the_polar_phase(self, monkeypatch):
+        # lam_min(Y - 1) = 0.15 leaves the verdict to the search; the NCB
+        # margin is -0.25, so no certificate cuts it short
+        phases = []
+
+        def recording(f, *args, **kwargs):
+            phases.append(f.__name__)
+            return _climb(f, *args, **kwargs)
+
+        monkeypatch.setattr(breaking, "_climb", recording)
+        calls = self._count_dominance(monkeypatch)
+        ch = Channel(X=np.diag([2.0, 0.5]), Y=np.diag([1.15, 6.0]))
+        assert not report(ch).ncb
+        assert not ncb_oracle_gaussian(ch)
+        assert phases == ["cartesian", "polar"]
+        assert len(calls) > 2
+
+
 class TestFock1Necessity:
     def test_sign_flips_with_breaking_verdict(self):
         assert ncb_necessity_fock1(_form(Kind.I, 3.0, 3.0, kappa=1.0))
@@ -262,6 +322,10 @@ class TestEbOracle:
 
     def test_probe_list_is_ordered_default(self):
         assert DEFAULT_R_LIST == (0.5, 1.0, 2.0, 4.0, 8.0)
+
+    def test_default_probe_stack_is_built_once_read_only(self):
+        assert np.array_equal(breaking._DEFAULT_PROBES, tmsv_variance(DEFAULT_R_LIST))
+        assert not breaking._DEFAULT_PROBES.flags.writeable
 
     def test_requires_cp(self):
         with pytest.raises(ValueError):

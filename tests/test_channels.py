@@ -199,6 +199,61 @@ class TestCanonicalReduce:
             assert form.kind is (Kind.I if det > 0 else Kind.II)
             assert form.a >= form.b
 
+    def test_matches_numpy_reference_over_scales(self):
+        # the float reduction against LAPACK: kappa from np.linalg.svd, (a, b)
+        # from eigvalsh, for all four kinds over X scales 1e-150 to 1e150, with
+        # rank-one outer products and noise up to 1e12 times lopsided
+        rng = np.random.default_rng(61)
+        for exponent in range(-150, 151, 5):
+            for kind in Kind:
+                U, V = rotation(rng.uniform(-np.pi, np.pi)), rotation(rng.uniform(-np.pi, np.pi))
+                sv = np.diag([1.0, rng.uniform(0.01, 1.0)]) * rng.uniform(1.0, 10.0)
+                X = 10.0 ** exponent * {
+                    Kind.I: U @ sv @ V,
+                    Kind.II: U @ sv @ SIGMA3 @ V,
+                    Kind.III_RANK1: np.outer(rng.normal(size=2), rng.normal(size=2)),
+                    Kind.III_ZERO: np.zeros((2, 2)),
+                }[kind]
+                noise = rng.uniform(0.1, 10.0, 2) * [10.0 ** rng.uniform(0.0, 12.0), 1.0]
+                lopsided = np.diag(rng.permutation(noise))
+                Q = rotation(rng.uniform(-np.pi, np.pi))
+                turned = Q @ np.diag([rng.uniform(1.0, 10.0), 1.0]) @ Q.T
+                for Y in (lopsided, turned):
+                    ch = Channel(X=X, Y=Y)
+                    form = canonical_reduce(ch)
+                    assert form.kind is kind, (exponent, kind)
+                    s1, s2 = np.linalg.svd(X, compute_uv=False)
+                    kappa = {Kind.I: np.sqrt(s1 * s2), Kind.II: np.sqrt(s1 * s2),
+                             Kind.III_RANK1: s1, Kind.III_ZERO: 0.0}[kind]
+                    b, a = np.linalg.eigvalsh(ch.Y)
+                    for got, want in ((form.kappa, kappa), (form.a, a), (form.b, b)):
+                        assert abs(got - want) <= 1e-13 * want, (exponent, kind, got, want)
+                    scale = max(1.0, np.abs(form.S).max() * np.abs(X).max())
+                    x_can = {Kind.I: kappa * np.eye(2), Kind.II: kappa * SIGMA3,
+                             Kind.III_RANK1: np.diag([1.0, 0.0]), Kind.III_ZERO: np.zeros((2, 2))}
+                    np.testing.assert_allclose(form.x_canonical, x_can[kind], rtol=1e-13)
+                    if kind is not Kind.III_RANK1:
+                        np.testing.assert_array_equal(form.y_canonical, np.diag([form.a, form.b]))
+                    assert np.abs(form.S @ X @ form.R - form.x_canonical).max() < \
+                        WITNESS_TOL * scale
+                    assert np.abs(form.R.T @ ch.Y @ form.R - form.y_canonical).max() < \
+                        WITNESS_TOL * max(1.0, np.abs(ch.Y).max())
+                    assert abs(np.linalg.det(form.S) - 1.0) < \
+                        WITNESS_TOL * max(1.0, np.abs(form.S).max() ** 2)
+                    assert np.abs(form.R.T @ form.R - np.eye(2)).max() < WITNESS_TOL
+
+    def test_kappa_of_full_rank_x_has_the_lapack_determinant_bits(self):
+        rng = np.random.default_rng(62)
+        for _ in range(2000):
+            X = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-5.0, 5.0)
+            if singular_x_rank(X) == 2:
+                form = canonical_reduce(Channel(X=X, Y=np.eye(2)))
+                assert form.kappa == np.sqrt(abs(np.linalg.det(X)))
+
+    def test_overflowing_noise_is_refused(self):
+        with pytest.raises(ValueError, match="noise"):
+            canonical_reduce(Channel(X=np.eye(2), Y=np.full((2, 2), 1e308)))
+
     @settings(deadline=None, max_examples=50)
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
            st.floats(-3.0, 3.0), st.floats(0.1, 4.0), st.floats(0.1, 4.0))

@@ -350,6 +350,16 @@ class TestHugeGain:
         assert form["kind"] == "I" and form["kappa"] == 1e20
 
 
+class TestHugeNoise:
+    @pytest.mark.parametrize("command", ["classify", "check", "orbit"])
+    def test_overflowing_noise_is_usage_error(self, tmp_path, command, capsys):
+        # the noise eigenvalue 2e308 is past the largest double
+        text = '{"X": [[1, 0], [0, 1]], "Y": [[1e308, 1e308], [1e308, 1e308]]}'
+        assert main([command, _write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel out of range") and err.count("\n") == 1
+
+
 class TestOrbitReduction:
     def test_one_reduction_per_call(self, tmp_path, monkeypatch, capsys):
         import gaussatlas.channels
