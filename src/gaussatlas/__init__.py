@@ -7,28 +7,23 @@ predicates with independent numerical oracles, squeeze-orbit searches,
 and phase-space (characteristic function / quasiprobability) numerics.
 
 All numerics are numpy: 2x2 eigenproblems (complete positivity,
-single-mode states) use closed forms on Python floats, and the two-mode
-PPT test of the entanglement-breaking oracle runs all probes as one
-stacked LAPACK call.
+single-mode states, and the two-mode PPT test of the
+entanglement-breaking oracle, which reduces to one) use closed forms on
+Python floats.
 """
 
 from ._kernels import backend
 from .gaussian_core import (
     SIGMA1,
-    SIGMA2,
     TOL_ALG,
     TOL_CLASS,
     TOL_PSD,
-    apply_channel_one_side,
-    is_ppt_separable,
     is_valid_state,
-    ppt_defect,
     rotation,
     squeeze,
     state_defect,
     symplectic_check,
     symplectic_form,
-    tmsv_variance,
 )
 from .phase_space import (
     P_EPS,
@@ -83,20 +78,15 @@ __version__ = "0.1.0"
 __all__ = [
     "backend",
     "SIGMA1",
-    "SIGMA2",
     "TOL_ALG",
     "TOL_CLASS",
     "TOL_PSD",
-    "apply_channel_one_side",
-    "is_ppt_separable",
     "is_valid_state",
-    "ppt_defect",
     "rotation",
     "squeeze",
     "state_defect",
     "symplectic_check",
     "symplectic_form",
-    "tmsv_variance",
     "P_EPS",
     "TOL_FFT",
     "CharGrid",

@@ -5,10 +5,10 @@ eigenvalue of a symmetric [[m11, m12], [m12, m22]] is
 (m11 + m22)/2 - hypot((m11 - m22)/2, m12), and that of a Hermitian
 [[y11, y12 + i beta], [y12 - i beta, y22]] adds beta under the hypot;
 the latter decides complete positivity, where X sigma X^T = det(X) sigma
-makes the CP matrix Y + i(1 - det X) sigma.  Larger Hermitian problems
-(the 4x4 two-mode PPT and state tests) go to LAPACK ``eigvalsh``, one
-call per stack of matrices; a stacked call gives the same bits as one
-call per matrix.
+makes the CP matrix Y + i(1 - det X) sigma, and entanglement breaking,
+whose two-mode PPT test reduces to Y + i(1 + det X) sigma.  Only the
+validity test of a state of more than one mode goes to LAPACK
+``eigvalsh``.
 
 Grid interpolation (``interp_cubic2d``) is one blocked pass over flat
 stencil indices; the real grids the library builds are weighted once.
@@ -42,20 +42,18 @@ def eigmin_herm2(y11, y12, y22, beta):
 
 
 def hermitian_eigmin(A, B):
-    """Smallest eigenvalue of the Hermitian matrix A + iB.
+    """Smallest eigenvalue of the Hermitian matrix A + iB, as a float.
 
-    A is real symmetric and B real antisymmetric, of shape (n, n) or a
-    stack (..., n, n); a stack gives an array of shape (...), a single
-    matrix a float.  A single 2x2 uses the closed form of eigmin_herm2.
-    Like ``eigvalsh``, only the lower triangle is read.
+    A is real symmetric and B real antisymmetric, both (n, n).  A 2x2
+    uses the closed form of eigmin_herm2, a larger matrix LAPACK
+    ``eigvalsh``, which like it reads only the lower triangle.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape == B.shape == (2, 2):
         (a11, _), (a21, a22) = A.tolist()
         return eigmin_herm2(a11, a21, a22, -float(B[1, 0]))
-    vals = np.linalg.eigvalsh(A + 1j * B)[..., 0]
-    return vals if vals.ndim else float(vals)
+    return float(np.linalg.eigvalsh(A + 1j * B)[0])
 
 
 def backend():

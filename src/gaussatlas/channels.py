@@ -231,8 +231,9 @@ def canonical_reduce(ch):
 
     Dispatch is purely linear-algebraic (sign of det X, numerical rank),
     so non-CP pairs reduce fine; Y must be PSD, which the Channel
-    constructor guarantees.  Raises ValueError when det X or a noise
-    eigenvalue overflows a double: no canonical form can represent them.
+    constructor guarantees.  Raises ValueError when det X, the square of
+    a rank-one gain or a noise eigenvalue overflows a double: no
+    canonical form can represent them.
     """
     X, Y = ch.X.ravel().tolist(), ch.Y.ravel().tolist()
     (x11, x12, x21, x22), (y11, y12, _, y22) = X, Y
@@ -245,6 +246,8 @@ def canonical_reduce(ch):
         x11, x12, x21, x22 = x11 / scale, x12 / scale, x21 / scale, x22 / scale
         e, f, g, h = x11 + x22, x11 - x22, x21 + x12, x21 - x12
         kappa = scale * 0.5 * (math.hypot(e, h) + math.hypot(f, g))
+        if not math.isfinite(kappa * kappa):  # S X in the witness check multiplies kappa by X
+            raise ValueError("kappa^2 overflows a double: the gain is out of range")
         alpha, beta = math.atan2(h, e), math.atan2(g, f)
         R, Rt = _rot(0.5 * (beta - alpha)), _rot(0.5 * (alpha - beta))
         S = _mul((1.0 / kappa, 0.0, 0.0, kappa), _rot(-0.5 * (alpha + beta)))

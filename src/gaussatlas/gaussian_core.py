@@ -6,12 +6,8 @@ where Sigma is the direct sum of per-mode blocks [[0, 1], [-1, 0]].
 A single-mode Gaussian state is classical (its P function is a proper
 probability density) iff V >= 1.
 
-All functions are pure; matrices are plain numpy arrays, single mode
-(2x2) or two modes (4x4) with quadrature ordering (q1, p1, q2, p2).
-The two-mode entanglement path (tmsv_variance, apply_channel_one_side,
-ppt_defect, is_ppt_separable) also takes stacks of shape (..., 4, 4),
-or an array of squeezes, and returns one result per matrix; a single
-matrix goes through the same code.
+All functions are pure; matrices are plain numpy arrays, with
+quadrature ordering (q1, p1, q2, p2, ...) for more than one mode.
 """
 
 import numpy as np
@@ -34,10 +30,6 @@ def symplectic_form(n_modes):
     return out
 
 
-SIGMA2 = symplectic_form(2)
-_PARTIAL_T = np.diag([1.0, 1.0, 1.0, -1.0])  # transposition of mode 2: p2 -> -p2
-
-
 def rotation(theta):
     """Phase-space rotation by theta, an element of SO(2) < Sp(2, R)."""
     c, s = np.cos(theta), np.sin(theta)
@@ -47,11 +39,6 @@ def rotation(theta):
 def squeeze(r):
     """Squeeze symplectic diag(e^-r, e^r); scales q down and p up for r > 0."""
     return np.diag([np.exp(-r), np.exp(r)])
-
-
-def _psd_scale(M):
-    """max(1, max|M_ij|) per matrix of a stack (..., n, n)."""
-    return np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
 
 
 def state_defect(V):
@@ -67,57 +54,7 @@ def is_valid_state(V):
     The slack is TOL_PSD * max(1, max|V_ij|) so verdicts stay meaningful for
     large-norm matrices where absolute eigenvalue accuracy degrades.
     """
-    return bool(state_defect(V) >= -TOL_PSD * _psd_scale(V))
-
-
-def tmsv_variance(r):
-    """Two-mode squeezed vacuum variance, cosh(2r) on the diagonal and
-    sinh(2r) * diag(1, -1) correlations between the modes.
-
-    An array of squeezes gives a stack of shape r.shape + (4, 4).
-    """
-    r = np.asarray(r, dtype=float)
-    c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    V = c[..., None, None] * np.eye(4)
-    V[..., 0, 2] = V[..., 2, 0] = s
-    V[..., 1, 3] = V[..., 3, 1] = -s
-    return V
-
-
-def apply_channel_one_side(X, Y, V):
-    """Act with the Gaussian channel (X, Y) on mode 1 of a two-mode variance V.
-
-    The embedded maps are X + identity and Y + zeros on the second mode, so
-    the output is (X (+) 1)^T V (X (+) 1) + (Y (+) 0).  V may be a stack
-    (..., 4, 4); every matrix goes through the same channel.
-    """
-    Xt = np.eye(4)
-    Xt[:2, :2] = X
-    out = Xt.T @ np.asarray(V, dtype=float) @ Xt
-    out[..., :2, :2] += Y
-    return out
-
-
-def ppt_defect(V):
-    """Smallest eigenvalue of Lambda V Lambda + i*Sigma, Lambda = diag(1, 1, 1, -1).
-
-    Nonnegative iff the partial transpose on mode 2 is a valid state, which
-    for 1+1 modes is equivalent to separability of the Gaussian state.
-    A stack (..., 4, 4) gives an array of shape (...), from one LAPACK call.
-    """
-    V = np.asarray(V, dtype=float)
-    return _kernels.hermitian_eigmin(_PARTIAL_T @ V @ _PARTIAL_T, SIGMA2)
-
-
-def is_ppt_separable(V, tol=TOL_PSD):
-    """Whether the two-mode Gaussian state with variance V is separable.
-
-    Uses the partial-transpose test on mode 2, necessary and sufficient
-    for 1+1 modes.  Slack is relative as in is_valid_state, per matrix:
-    a stack (..., 4, 4) gives a bool array of shape (...).
-    """
-    ok = ppt_defect(V) >= -tol * _psd_scale(V)
-    return ok if ok.ndim else bool(ok)
+    return bool(state_defect(V) >= -TOL_PSD * max(1.0, float(np.abs(V).max())))
 
 
 def symplectic_check(S):

@@ -7,6 +7,7 @@ random round-trips) and compares against the implemented predicates.
 test suite runs all of them.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -358,58 +359,101 @@ def criterion_9():
         f"{elapsed:.1f} s")
 
 
-def criterion_10():
-    """The squeezed-probe breaking oracle agrees with the closed form on
-    2000 channels in general position, within 10 s.
+_GENERAL_KINDS = (Kind.I, Kind.II, Kind.III_RANK1, Kind.III_ZERO)
 
-    Kinds I and II have gain log-uniform on [0.1, 10]; rank-one X is
-    rescaled to a norm log-uniform on [0.1, 10] (for rank-one X the
-    rescaling changes neither complete positivity nor the verdict), and
-    X = 0 is included.  The noise straddles the breaking boundary, and
-    every channel sits behind a random symplectic pre-unitary and a
-    random rotation post-unitary.  Channels whose canonical NCB margin is
-    within 1e-5 max(1, |ab|) of zero are skipped: there the closed form's
-    margin and the oracle's dominance value, which differ in scale,
-    may round to different verdicts.
+
+def _log_uniform(rng, lo, hi):
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def _general_position_check(name, seed, noise, verdict, oracle):
+    """An oracle against report(ch)'s verdict on 2000 channels in general position, within 10 s.
+
+    Each channel draws a kind, a gain log-uniform on [0.1, 10] for kinds
+    I and II (kappa is None for kind III) and noise (a, b) = noise(rng,
+    kind, kappa).  It sits behind a random symplectic pre-unitary and a
+    random rotation post-unitary, and a rank-one X is rescaled to a norm
+    log-uniform on [0.1, 10], which changes neither complete positivity
+    nor any verdict.  Channels that is_cp or report calls non-CP are
+    redrawn, and so are those whose canonical margin of the verdict is
+    within 1e-5 max(1, |ab|) of zero: there the closed form's margin and
+    the oracle's value, which differ in scale, may round differently.
     """
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1010)
-    kinds = (Kind.I, Kind.II, Kind.III_RANK1, Kind.III_ZERO)
-    counts = dict.fromkeys(kinds, 0)
-    mismatches = 0
+    rng = np.random.default_rng(seed)
+    counts = dict.fromkeys(_GENERAL_KINDS, 0)
+    mismatches = false_true = 0
     while sum(counts.values()) < 2000:
-        kind = kinds[int(rng.integers(len(kinds)))]
-        if kind in (Kind.I, Kind.II):
-            kappa = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-            # (a - 1)(b - 1) = kappa^4 e^{u + v}: breaking iff u + v >= 0
-            a, b = 1.0 + kappa ** 2 * np.exp(rng.uniform(-1.5, 1.5, size=2))
-            ch = canonical_channel(kind, a, b, kappa)
-        else:
-            # lambda_min(Y) = b: breaking iff b >= 1
-            a = float(np.exp(rng.uniform(0.0, 2.0)))
-            b = 1.0 + float(rng.choice((-1.0, 1.0)) * np.exp(rng.uniform(np.log(1e-4), 0.0)))
-            ch = canonical_channel(kind, a, b)
+        kind = _GENERAL_KINDS[int(rng.integers(len(_GENERAL_KINDS)))]
+        kappa = _log_uniform(rng, 0.1, 10.0) if kind in (Kind.I, Kind.II) else None
+        ch = canonical_channel(kind, *noise(rng, kind, kappa), kappa)
         ch = compose_post_unitary(compose_pre_unitary(ch, _random_symplectic(rng)),
                                   rotation(rng.uniform(-np.pi, np.pi)))
         if kind is Kind.III_RANK1:
-            norm = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+            norm = _log_uniform(rng, 0.1, 10.0)
             ch = Channel(X=ch.X * (norm / np.linalg.norm(ch.X, 2)), Y=ch.Y)
         if not is_cp(ch):
             continue
         rep = report(ch)
-        if abs(rep.margins["ncb"]) < 1e-5 * max(1.0, abs(rep.form.a * rep.form.b)):
+        if not rep.cp or \
+                abs(rep.margins[verdict]) < 1e-5 * max(1.0, abs(rep.form.a * rep.form.b)):
             continue
-        if ncb_oracle_gaussian(ch) != rep.ncb:
+        said = oracle(ch)
+        if said != getattr(rep, verdict):
             mismatches += 1
+            false_true += said
         counts[kind] += 1
     elapsed = time.perf_counter() - t0
-    ok = mismatches == 0 and elapsed < 10.0
-    mix = ", ".join(f"{n} {kind.value}" for kind, n in counts.items())
-    return CheckResult(
-        "ncb-oracle-general-position",
-        ok,
-        f"{sum(counts.values())} channels ({mix}), {mismatches} oracle mismatches, "
-        f"{elapsed:.1f} s")
+    mix = ", ".join(f"{k} {kind.value}" for kind, k in counts.items())
+    false_eb = f"{false_true} false-EB verdicts, " if verdict == "eb" else ""
+    return CheckResult(name, mismatches == 0 and elapsed < 10.0,
+                       f"2000 channels ({mix}), {mismatches} oracle mismatches, "
+                       f"{false_eb}{elapsed:.1f} s")
+
+
+def _ncb_noise(rng, kind, kappa):
+    if kind in (Kind.I, Kind.II):
+        # (a - 1)(b - 1) = kappa^4 e^{u + v}: breaking iff u + v >= 0
+        return 1.0 + kappa ** 2 * np.exp(rng.uniform(-1.5, 1.5, size=2))
+    # lambda_min(Y) = b: breaking iff b >= 1
+    a = float(np.exp(rng.uniform(0.0, 2.0)))
+    return a, 1.0 + float(rng.choice((-1.0, 1.0))) * _log_uniform(rng, 1e-4, 1.0)
+
+
+def _eb_noise(rng, kind, kappa):
+    # a/b = e^{2u}; ab = bound (1 +- delta), breaking iff ab >= bound, with the
+    # bound (1 + kappa^2)^2 for kinds I and II and 1 for kind III
+    bound = 1.0 if kappa is None else (1.0 + kappa ** 2) ** 2
+    u = float(rng.uniform(-6.0, 6.0))
+    root = math.sqrt(bound * (1.0 + float(rng.choice((-1.0, 1.0))) * _log_uniform(rng, 1e-4, 1.0)))
+    return root * math.exp(u), root * math.exp(-u)
+
+
+def criterion_10():
+    """The squeezed-probe breaking oracle agrees with the closed form on
+    2000 channels in general position, within 10 s.
+
+    Gains, rank-one norms and unitaries are drawn as _general_position_check
+    describes.  The noise straddles the NCB boundary: (a - 1)(b - 1) within
+    e^{+-3} of kappa^4 for kinds I and II, lambda_min(Y) within a relative
+    1e-4 to 1 of 1 for kind III.
+    """
+    return _general_position_check("ncb-oracle-general-position", 1010, _ncb_noise, "ncb",
+                                   ncb_oracle_gaussian)
+
+
+def criterion_11():
+    """The two-mode probe entanglement-breaking oracle agrees with the closed
+    form on 2000 channels in general position, within 10 s.
+
+    Gains, rank-one norms and unitaries are drawn as in criterion 10.  The
+    noise asymmetry a/b = e^{2u} has u uniform on [-6, 6], and ab sits a
+    relative distance log-uniform on [1e-4, 1] below or above the EB bound;
+    a slack that grows with the noise turns the channels just below it
+    into false EB verdicts.
+    """
+    return _general_position_check("eb-oracle-general-position", 1111, _eb_noise, "eb",
+                                   eb_oracle_tmsv)
 
 
 def convention_pins():
@@ -461,11 +505,13 @@ CRITERIA = (
     criterion_8,
     criterion_9,
     criterion_10,
+    criterion_11,
 )
 
 SUITES = {
     "table1": (criterion_1, criterion_2, criterion_3),
-    "oracles": (criterion_5, criterion_6, criterion_7, criterion_8, criterion_10),
+    "oracles": (criterion_5, criterion_6, criterion_7, criterion_8, criterion_10,
+                criterion_11),
     "fock": (criterion_4,),
     "fft": (criterion_9, convention_pins),
     "all": CRITERIA + (convention_pins,),

@@ -25,12 +25,7 @@ ALLOWED_UNUSED = {
 }
 
 # options no call inside the package sets, each for a reason
-ALLOWED_NEVER_SET = {
-    "eb_oracle_tmsv.r_list": "tests vary the probe squeezes; the scale-free EB "
-                             "oracle of the roadmap replaces the fixed list",
-    "is_ppt_separable.tol": "tests vary the PPT slack; the scale-free EB oracle "
-                            "of the roadmap restates it",
-}
+ALLOWED_NEVER_SET = {}
 
 
 def _package_nodes():

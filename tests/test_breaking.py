@@ -1,5 +1,6 @@
 """Closed-form breaking predicates, their oracles, orbits, and region atlas."""
 
+import inspect
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from gaussatlas import breaking
 from gaussatlas.breaking import (
     _COARSE_GRID,
     _COARSE_TRIG,
-    DEFAULT_R_LIST,
     _climb,
     _dominance,
     REGION_LABELS,
@@ -28,15 +28,8 @@ from gaussatlas.breaking import (
     report,
     squeeze_orbit,
 )
-from gaussatlas.channels import Channel, Kind, SIGMA3, canonical_channel, canonical_reduce
-from gaussatlas.gaussian_core import (
-    TOL_CLASS,
-    apply_channel_one_side,
-    is_ppt_separable,
-    rotation,
-    squeeze,
-    tmsv_variance,
-)
+from gaussatlas.channels import Channel, Kind, SIGMA3, canonical_channel, canonical_reduce, is_cp
+from gaussatlas.gaussian_core import SIGMA1, TOL_CLASS, rotation, squeeze
 from gaussatlas.cli import REGION_CSV_HEADER, main
 
 ATOL = 1e-12
@@ -48,6 +41,25 @@ def _form(kind, a, b, kappa=None):
 
 def _report(kind, a, b, kappa=None):
     return report(canonical_channel(kind, a, b, kappa=kappa))
+
+
+def _ppt_longhand(ch, r):
+    """Whether one arm of a two-mode squeezed vacuum of squeeze r comes out PPT.
+
+    Builds the probe, the channel on mode 1 and the partial transpose on
+    mode 2 as 4x4 matrices and asks LAPACK for the smallest eigenvalue of
+    V^T2 + i Sigma, with a slack of 1e-9 max|V|.
+    """
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    Z = np.diag([1.0, -1.0])
+    probe = np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]])
+    X4 = np.block([[ch.X, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
+    out = X4.T @ probe @ X4
+    out[:2, :2] += ch.Y
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])  # p2 -> -p2
+    sigma = np.kron(np.eye(2), SIGMA1)
+    defect = np.linalg.eigvalsh(flip @ out @ flip + 1j * sigma)[0]
+    return bool(defect >= -1e-9 * np.abs(out).max())
 
 
 class TestMargins:
@@ -296,36 +308,64 @@ class TestEbOracle:
         assert eb_oracle_tmsv(canonical_channel(Kind.III_ZERO, 2.0, 2.0))
         assert not eb_oracle_tmsv(canonical_channel(Kind.I, 1.0, 1.0, kappa=0.8))
 
-    def test_matches_per_probe_loop(self):
-        # one stacked PPT call gives the verdict of testing probe by probe;
-        # CP channels near the EB boundary, where the probes disagree
+    def test_matches_longhand_ppt_of_probe_outputs(self):
+        # the 4x4 eigvalsh of each partially transposed probe output, at three
+        # squeezes, on CP channels near but outside the EB boundary
         rng = np.random.default_rng(53)
         verdicts = set()
-        for k in range(200):
+        for _ in range(200):
             kappa = rng.uniform(0.5, 3.0)  # keeps the CP bound below the band
-            prod = (1.0 + kappa ** 2) ** 2 * math.exp(rng.uniform(-0.2, 0.05))
+            log_gap = rng.uniform(-0.2, 0.05)
+            if abs(log_gap) < 1e-3:
+                continue
+            prod = (1.0 + kappa ** 2) ** 2 * math.exp(log_gap)
             ratio = math.exp(rng.uniform(0.0, 2.0))
             ch = canonical_channel(Kind.I, math.sqrt(prod * ratio), math.sqrt(prod / ratio),
                                    kappa=kappa)
             S = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-1, 1))
             ch = Channel(X=S @ ch.X, Y=ch.Y)
-            # r = 0 is a product state, separable whatever the channel
-            r_list = DEFAULT_R_LIST if k % 3 else (0.0,) + tuple(rng.uniform(0.0, 8.0, 2))
-            longhand = True
-            for r in r_list:
-                if not is_ppt_separable(apply_channel_one_side(ch.X, ch.Y, tmsv_variance(r))):
-                    longhand = False
-                    break
-            assert eb_oracle_tmsv(ch, r_list) is longhand
-            verdicts.add(longhand)
+            longhand = {_ppt_longhand(ch, r) for r in (0.5, 1.0, 2.0)}
+            assert longhand == {eb_oracle_tmsv(ch)}
+            verdicts |= longhand
         assert verdicts == {True, False}
 
-    def test_probe_list_is_ordered_default(self):
-        assert DEFAULT_R_LIST == (0.5, 1.0, 2.0, 4.0, 8.0)
+    @pytest.mark.parametrize("swap, pre", [(False, 0.0), (True, 0.0), (False, 1.5)])
+    def test_asymmetric_noise_below_the_bound_is_not_eb(self, swap, pre):
+        # kind I at gain 10, a = 1.5 and ab a relative 1e-4 below (1 + kappa^2)^2:
+        # the EB margin is -1.02, but b ~ 7e3 a, and a slack growing with the
+        # probe output's norm called it EB; also with a and b swapped, and
+        # behind a pre-squeeze
+        kappa, a = 10.0, 1.5
+        noise = (a, (1.0 + kappa ** 2) ** 2 * (1.0 - 1e-4) / a)
+        ch = canonical_channel(Kind.I, *(noise[::-1] if swap else noise), kappa=kappa)
+        ch = Channel(X=squeeze(pre) @ ch.X, Y=ch.Y)
+        assert is_cp(ch) and not report(ch).eb
+        assert not eb_oracle_tmsv(ch)
 
-    def test_default_probe_stack_is_built_once_read_only(self):
-        assert np.array_equal(breaking._DEFAULT_PROBES, tmsv_variance(DEFAULT_R_LIST))
-        assert not breaking._DEFAULT_PROBES.flags.writeable
+    def test_exact_boundary_behind_unitaries_is_eb(self):
+        # ab exactly on the EB bound; the unitaries' rounding stays inside the slack
+        rng = np.random.default_rng(54)
+        for k in range(300):
+            kappa = math.exp(rng.uniform(-2.0, 2.0))
+            kind, bound = (Kind.I, (1.0 + kappa ** 2) ** 2) if k % 2 else (Kind.III_RANK1, 1.0)
+            u = rng.uniform(-3.0, 3.0)
+            ch = canonical_channel(kind, math.sqrt(bound) * math.exp(u),
+                                   math.sqrt(bound) * math.exp(-u), kappa=kappa)
+            S = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-1, 1)) \
+                @ rotation(rng.uniform(0, np.pi))
+            R = rotation(rng.uniform(0, np.pi))
+            ch = Channel(X=S @ ch.X @ R, Y=R.T @ ch.Y @ R)
+            assert eb_oracle_tmsv(ch)
+
+    def test_closed_form_without_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eb_oracle_tmsv called LAPACK")
+
+        for name in ("eigvalsh", "eigh", "eig", "eigvals", "svd", "det"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert eb_oracle_tmsv(canonical_channel(Kind.I, 2.0, 2.0, kappa=1.0))
+        assert not eb_oracle_tmsv(canonical_channel(Kind.I, 1.0, 1.0, kappa=0.8))
+        assert list(inspect.signature(eb_oracle_tmsv).parameters) == ["ch"]
 
     def test_requires_cp(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Channel container, canonical reduction, and the two action paths."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -135,6 +136,14 @@ class TestCanonicalReduce:
     def test_refuses_overflowing_det(self):
         with pytest.raises(ValueError, match="det X"):
             canonical_reduce(Channel(X=1e160 * np.eye(2), Y=np.eye(2)))
+
+    def test_refuses_overflowing_rank_one_gain(self):
+        # kappa^2 past the double range, rotated and on the axes; just below, it reduces
+        for X in (np.full((2, 2), 1e160), np.diag([1e200, 0.0])):
+            with pytest.raises(ValueError, match="gain is out of range"):
+                canonical_reduce(Channel(X=X, Y=np.eye(2)))
+        form = canonical_reduce(Channel(X=np.full((2, 2), 5e153), Y=np.eye(2)))
+        assert form.kind is Kind.III_RANK1 and math.isclose(form.kappa, 1e154)
 
     def test_scaled_identity_with_diagonal_noise(self):
         form = canonical_reduce(Channel(X=0.6 * np.eye(2), Y=np.diag([2.0, 3.0])))

@@ -343,6 +343,16 @@ class TestHugeGain:
         err = capsys.readouterr().err
         assert err.startswith("error: channel out of range") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("x", ["[[1e160, 1e160], [1e160, 1e160]]", "[[1e200, 0], [0, 0]]"])
+    @pytest.mark.parametrize("command", ["classify", "check", "orbit"])
+    def test_overflowing_rank_one_gain_is_usage_error(self, tmp_path, command, x, capsys):
+        # kappa^2 passes the largest double, rotated or on the axes
+        text = f'{{"X": {x}, "Y": [[1, 0], [0, 1]]}}'
+        assert main([command, _write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel out of range") and err.count("\n") == 1
+        assert "the gain is out of range" in err
+
     def test_large_finite_gain_still_classifies(self, tmp_path, capsys):
         text = '{"X": [[1e20, 0], [0, 1e20]], "Y": [[1, 0], [0, 1]]}'
         assert main(["classify", _write(tmp_path, text)]) == 0

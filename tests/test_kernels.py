@@ -1,7 +1,7 @@
 """Checks of the low-level numeric kernels.
 
-The eigenvalue kernels are closed forms for 2x2 problems and stacked
-LAPACK calls for larger ones; the tests here pin them against LAPACK and
+The eigenvalue kernels are closed forms for 2x2 problems and one LAPACK
+call for a larger one; the tests here pin them against LAPACK and
 against the closed forms written out.  Grid interpolation is pinned
 against closed-form cubics and an unblocked longhand reference.
 """
@@ -82,16 +82,6 @@ def test_hermitian_eigmin_2x2_is_the_closed_form():
     for _ in range(100):
         a, b = _random_hermitian(rng, 2)
         assert hermitian_eigmin(a, b) == eigmin_herm2(a[0, 0], a[1, 0], a[1, 1], b[0, 1])
-
-
-def test_hermitian_eigmin_stack_equals_per_matrix_calls():
-    rng = np.random.default_rng(20)
-    pairs = [_random_hermitian(rng, 4) for _ in range(30)]
-    a = np.stack([p[0] for p in pairs]).reshape(5, 6, 4, 4)
-    b = np.stack([p[1] for p in pairs]).reshape(5, 6, 4, 4)
-    got = hermitian_eigmin(a, b)
-    assert got.shape == (5, 6)
-    assert np.array_equal(got.ravel(), [hermitian_eigmin(x, y) for x, y in pairs])
 
 
 def test_hermitian_eigmin_pauli_y_block():
