@@ -2,13 +2,14 @@
 
 Eigenvalue policy: every 2x2 problem uses a closed form.  The smallest
 eigenvalue of a symmetric [[m11, m12], [m12, m22]] is
-(m11 + m22)/2 - hypot((m11 - m22)/2, m12), and that of a Hermitian
-[[y11, y12 + i beta], [y12 - i beta, y22]] adds beta under the hypot;
-the latter decides complete positivity, where X sigma X^T = det(X) sigma
-makes the CP matrix Y + i(1 - det X) sigma, and entanglement breaking,
-whose two-mode PPT test reduces to Y + i(1 + det X) sigma.  Only the
-validity test of a state of more than one mode goes to LAPACK
-``eigvalsh``.
+(m11 + m22)/2 - hypot((m11 - m22)/2, m12); it checks that Y is PSD and,
+with det X beside y12 under the hypot, gives the NCB oracle's supremum.
+That of a Hermitian [[y11, y12 + i beta], [y12 - i beta, y22]] adds beta
+under the hypot; it decides complete positivity, where
+X sigma X^T = det(X) sigma makes the CP matrix Y + i(1 - det X) sigma,
+and entanglement breaking, whose two-mode PPT test reduces to
+Y + i(1 + det X) sigma.  Only the validity test of a state of more than
+one mode goes to LAPACK ``eigvalsh``.
 
 Grid interpolation (``interp_cubic2d``) is one blocked pass over flat
 stencil indices; the real grids the library builds are weighted once.
@@ -18,19 +19,14 @@ import math
 
 import numpy as np
 
+_EPS = float(np.finfo(float).eps)
+
 
 def eigmin_sym2(m11, m12, m22):
-    """Smallest eigenvalue of the symmetric 2x2 [[m11, m12], [m12, m22]]."""
-    return float(eigmin_sym2_batch(m11, m12, m22))
-
-
-def eigmin_sym2_batch(m11, m12, m22):
-    """Smallest eigenvalue of symmetric [[m11, m12], [m12, m22]], elementwise."""
-    # np.hypot also for scalars: math.hypot rounds differently in about one
-    # case in 500, and the NCB oracle's search range (from ||X||^2) and its
-    # early exit were validated with these bits
-    half = 0.5 * (m11 - m22)
-    return 0.5 * (m11 + m22) - np.hypot(half, m12)
+    """Smallest eigenvalue of the symmetric 2x2 [[m11, m12], [m12, m22]], as a float."""
+    # np.hypot, not math.hypot, which rounds differently in about one case
+    # in 500: Channel's PSD check of Y keeps the bits it was validated with
+    return float(0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12))
 
 
 def eigmin_herm2(y11, y12, y22, beta):
@@ -39,6 +35,23 @@ def eigmin_herm2(y11, y12, y22, beta):
     The arguments are Python floats; the result is one too.
     """
     return 0.5 * (y11 + y22) - math.hypot(0.5 * (y11 - y22), y12, beta)
+
+
+def herm2_psd(y11, y12, y22, beta):
+    """Whether eigmin_herm2 is at least -16 eps scale, scale = max(1, |arguments|).
+
+    The closed form is a few roundings of operands no larger than scale:
+    on kind I and II channels built exactly on the EB (CP) boundary, with
+    gains up to 1e4, behind random unitaries, it came out within 3 (7)
+    eps scale of 0.  The slack, 16 eps scale, keeps those on the boundary
+    with a margin and is far below every verdict the audit pools and
+    criteria 10 and 11 test (64 eps gives the same verdicts there); unlike
+    a fixed fraction of scale it does not let large noise hide a defect.
+    False when an argument is not finite, where an infinite slack would
+    pass a -inf eigenvalue.
+    """
+    scale = max(1.0, abs(y11), abs(y12), abs(y22), abs(beta))
+    return math.isfinite(scale) and eigmin_herm2(y11, y12, y22, beta) >= -16.0 * _EPS * scale
 
 
 def hermitian_eigmin(A, B):

@@ -19,13 +19,13 @@ condition holds exactly).
 
 Each closed form is backed by an independent numerical oracle:
 
-* ``ncb_oracle_gaussian`` searches for a pure squeezed covariance V with
-  X^T V X dominated by Y - 1; such a witness lets the output P function
-  of any input be written as a smoothed, manifestly nonnegative density.
-  lam_min(Y - 1) < -tol rules a witness out at once; otherwise the vacuum,
-  then a coarse grid and a pattern search over squeezes up to an r_max set
-  by ||X|| and tol, raise lam_min(Y - 1 - X^T V X) to the first certificate
-  (>= -tol), with no fixed resolution that a narrow peak could slip through.
+* ``ncb_oracle_gaussian`` asks for a pure covariance V with X^T V X
+  dominated by Y - 1; such a witness lets the output P function of any
+  input be written as a smoothed, manifestly nonnegative density.  The
+  supremum over pure V of lam_min(Y - 1 - X^T V X) has a closed form in
+  the raw (X, Y), the smaller eigenvalue of
+  [[y11 - 1, hypot(y12, det X)], [hypot(y12, det X), y22 - 1]], and the
+  verdict is that supremum >= -tol.
 * ``ncb_necessity_fock1`` evaluates the closed-form single-photon output
   P function at the origin, whose sign flips exactly at the breaking
   boundary for unit-gain kind-I channels.
@@ -62,15 +62,6 @@ from .gaussian_core import TOL_CLASS
 from .phase_space import fock1_output_p
 
 REGION_LABELS = ("unphysical", "cp_only", "eb_not_ncb", "ncb")
-
-_EPS = float(np.finfo(float).eps)
-# NCB oracle search: the 9x9 pattern stencil offsets (k, l) with its edge
-# mask, and the step-to-radius ratio below which the Cartesian search hands
-# over to the polar one
-_STENCIL_K = np.repeat(np.arange(-4.0, 5.0), 9)
-_STENCIL_L = np.tile(np.arange(-4.0, 5.0), 9)
-_STENCIL_EDGE = np.maximum(np.abs(_STENCIL_K), np.abs(_STENCIL_L)) == 4.0
-_POLAR_HANDOFF = 1.0 / 64
 
 
 # -- closed-form margins --------------------------------------------------- #
@@ -172,144 +163,35 @@ def report(ch, tol=TOL_CLASS):
 # -- independent oracles --------------------------------------------------- #
 
 
-def _unit_disk_grid(n):
-    """An n x n grid over [-1, 1]^2 pulled radially into the unit disk.
-
-    Returns the points as (p, q) and as (r, theta) with theta half their
-    polar angle, the coordinates of _dominance.
-    """
-    axis = np.linspace(-1.0, 1.0, n)
-    p, q = np.repeat(axis, n), np.tile(axis, n)
-    r = np.hypot(p, q)
-    shrink = 1.0 / np.maximum(r, 1.0)
-    return p * shrink, q * shrink, r * shrink, 0.5 * np.arctan2(q, p)
-
-
-_COARSE_N = 41
-_COARSE_GRID = _unit_disk_grid(_COARSE_N)  # scaled by r_max, seeds the oracle search
-_COARSE_TRIG = (np.cos(_COARSE_GRID[3]), np.sin(_COARSE_GRID[3]))  # of its theta, once
-
-
-def _dominance(X, Y):
-    """f(r, theta) = lam_min(Y - 1 - X^T V X) over arrays of pure covariances.
-
-    V(r, theta) = R diag(e^{2r}, e^{-2r}) R^T, R the rotation by theta, is
-    the vacuum squeezed by r along the axis u = (cos theta, sin theta); it
-    equals exp(2 [[p, q], [q, -p]]) with (p, q) = r (cos 2theta, sin 2theta).
-    f uses X^T V X = e^{-2r} X^T X + (e^{2r} - e^{-2r}) (X^T u)(X^T u)^T,
-    which unlike cosh 2r X^T X + (sinh 2r / r) X^T [[p, q], [q, -p]] X
-    does not cancel where e^{2r} is large.  f(r, theta, trig) takes
-    trig = (cos theta, sin theta) when the caller has them already.
-    """
-    (x11, x12), (x21, x22) = X.tolist()
-    (y11, y12), (_, y22) = Y.tolist()
-    d11, d22 = y11 - 1.0, y22 - 1.0
-    g11, g12, g22 = x11 * x11 + x21 * x21, x11 * x12 + x21 * x22, x12 * x12 + x22 * x22
-
-    def f(r, theta, trig=None):
-        c, s = (np.cos(theta), np.sin(theta)) if trig is None else trig
-        shrink = np.exp(-2.0 * r)
-        gap = 1.0 / shrink - shrink
-        xu1, xu2 = x11 * c + x21 * s, x12 * c + x22 * s
-        gap_xu1 = gap * xu1
-        return _kernels.eigmin_sym2_batch(d11 - g11 * shrink - gap_xu1 * xu1,
-                                          y12 - g12 * shrink - gap_xu1 * xu2,
-                                          d22 - g22 * shrink - gap * xu2 * xu2)
-
-    return f
-
-
-def _climb(f, clip, x, y, best, step, y_scale, tol, r_max, handoff=0.0):
-    """Pattern search for max f from (x, y) on a 9x9 stencil of spacing step.
-
-    The stencil spans (x + k step, y + l step y_scale), k, l in -4..4; f
-    evaluates it as clipped into the search domain, and clip maps the
-    point taken into the domain.  A better point on the stencil's edge
-    doubles the step (at most r_max); a better point inside it, or none,
-    halves the step.  Stops once best >= -tol (at once if it starts there)
-    or the step falls below max(1e-12 r_max, handoff |(x, y)|).
-    """
-    stop = 1e-12 * r_max
-    while best < -tol and step > max(stop, handoff * math.hypot(x, y)):
-        xs = x + step * _STENCIL_K
-        ys = y + (step * y_scale) * _STENCIL_L
-        vals = f(xs, ys)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, (x, y) = float(vals[k]), clip(float(xs[k]), float(ys[k]))
-            if _STENCIL_EDGE[k]:
-                step = min(2.0 * step, r_max)
-                continue
-        step *= 0.5
-    return best, x, y, step
-
-
 def ncb_oracle_gaussian(ch, tol=TOL_CLASS):
     """Numerical nonclassicality-breaking check, independent of the table.
 
-    Maximizes f(V) = lam_min(Y - 1 - X^T V X) over pure covariances V and
-    reports whether some V is dominated by the channel noise, f(V) >= -tol.
-    Such a V certifies that every output P function is a Gaussian
-    smoothing of a nonnegative phase-space density, hence pointwise
-    nonnegative for every input state; the existence of such a V (to
-    within tol) is also necessary, so the verdict reproduces the closed
-    form without using it.
+    Asks whether some pure covariance V is dominated by the channel
+    noise, f(V) = lam_min(Y - 1 - X^T V X) >= -tol.  Such a V certifies
+    that every output P function is a Gaussian smoothing of a
+    nonnegative phase-space density, hence pointwise nonnegative for
+    every input state; the existence of such a V (to within tol) is also
+    necessary.  The oracle reads only the raw (X, Y), not the canonical
+    reduction or the closed-form table, and decides by sup_V f >= -tol.
 
-    Since X^T V X >= 0, f <= lam_min(Y - 1) everywhere: below -tol that
-    bound decides "not NCB" at once, and f >= -tol at the vacuum V = 1
-    (the seed grid's centre, same bits) decides "NCB".  Otherwise the search runs over
-    V = exp(2 [[p, q], [q, -p]]) with r = |(p, q)| <= r_max, where
-    r_max = ln(10 ||X||^2 / tol) / 2 (at least 1) keeps the gap a singular
-    X leaves at the edge, ||X||^2 e^{-2 r_max}, at tol/10; tol is floored
-    at the double-precision resolution of f.  A 41x41 grid over the square
-    |p|, |q| <= r_max, pulled into the disk, seeds a pattern search in
-    (p, q), which hands over to a pattern search in (r, theta), theta the
-    squeeze axis, once its step is below r/64.  Near the origin only the
-    Cartesian chart is regular; far from it only polar steps follow the
-    straight ridge that leads to the edge for nearly singular X, which
-    Cartesian steps can only cross.  Both searches stop at the first
-    certificate, f >= -tol, even one they start from (a climb only raises
-    the best value), else when the step falls below 1e-12 r_max.
+    The supremum has a closed form.  With D = Y - 1, f(V) >= t iff
+    D - t 1 >= X^T V X.  For invertible X that holds for some pure V
+    (det V = 1) iff M = X^-T (D - t 1) X^-1 >= 0 with det M >= 1: V <= M
+    forces det M >= det V = 1, and conversely V* = M / sqrt(det M) is
+    pure with V* <= M.  So f reaches t iff D - t 1 >= 0 and
+    det(D - t 1) >= (det X)^2, and the largest such t is the smaller
+    root of t^2 - tr(D) t + det D - (det X)^2 = 0:
+
+        sup_V f = eigmin_sym2(y11 - 1, hypot(y12, det X), y22 - 1).
+
+    For a singular X the same formula gives lam_min(Y - 1), which bounds
+    f since X^T V X >= 0; a V whose long axis lies in ker X^T approaches
+    it as its squeeze grows, but no V attains it.
     """
     if not is_cp(ch):
         raise ValueError("oracle needs a completely positive channel")
-    X, Y = ch.X, ch.Y
-    if _kernels.eigmin_sym2(Y[0, 0] - 1.0, Y[0, 1], Y[1, 1] - 1.0) < -tol:
-        return False
-    dominance = _dominance(X, Y)
-    if dominance(0.0, 0.0, (1.0, 0.0)) >= -tol:
-        return True
-    G = X.T @ X
-    norm2 = -_kernels.eigmin_sym2(-G[0, 0], -G[0, 1], -G[1, 1])  # ||X||_2^2
-    resolution = max(tol, _EPS * max(1.0, float(np.abs(Y).max())))
-    r_max = max(1.0, 0.5 * math.log(max(1.0, 10.0 * norm2 / resolution)))
-
-    def cartesian(p, q):
-        return dominance(np.minimum(np.hypot(p, q), r_max), 0.5 * np.arctan2(q, p))
-
-    def into_disk(p, q):
-        shrink = r_max / max(math.hypot(p, q), r_max)
-        return p * shrink, q * shrink
-
-    def polar(r, theta):
-        return dominance(np.minimum(np.maximum(r, 0.0), r_max), theta)
-
-    def into_range(r, theta):
-        return min(max(r, 0.0), r_max), theta
-
-    grid_p, grid_q, grid_r, grid_theta = _COARSE_GRID
-    vals = dominance(r_max * grid_r, grid_theta, _COARSE_TRIG)
-    k = int(np.argmax(vals))
-    best, p, q = float(vals[k]), r_max * float(grid_p[k]), r_max * float(grid_q[k])
-    step = 2.0 * r_max / (_COARSE_N - 1)
-    best, p, q, step = _climb(cartesian, into_disk, p, q, best, step, 1.0, tol, r_max,
-                              handoff=_POLAR_HANDOFF)
-    r = math.hypot(p, q)
-    if best < -tol and r > 0.0:
-        # a step in theta moves the point 2r times as far as in r
-        best, *_ = _climb(polar, into_range, r, 0.5 * math.atan2(q, p), best, step,
-                          0.5 / r, tol, r_max)
-    return bool(best >= -tol)
+    (y11, y12), (_, y22) = ch.Y.tolist()
+    return _kernels.eigmin_sym2(y11 - 1.0, math.hypot(y12, ch.det_x), y22 - 1.0) >= -tol
 
 
 def ncb_necessity_fock1(form, tol=TOL_CLASS):
@@ -343,18 +225,14 @@ def eb_oracle_tmsv(ch):
     the test is Y + i (1 + det X) sigma >= 0, the same for every r > 0,
     so no probe squeeze is chosen and nothing grows like e^{2r}.  (The CP
     matrix is the same with 1 - det X.)  Its smallest eigenvalue, the
-    closed form of eigmin_herm2, is a few roundings of operands no larger
-    than scale = max(1, |y_ij|, |1 + det X|): on channels exactly on the
-    EB boundary behind random unitaries it came out within 3 eps scale
-    of 0.  The slack, 16 eps scale, keeps those on the EB side with a
-    margin and is far below every verdict the audit pools and criterion
-    11 test (64 eps gives the same verdicts there).
+    closed form of eigmin_herm2, is compared with the slack of
+    _kernels.herm2_psd, 16 eps max(1, |y_ij|, |1 + det X|), a few
+    roundings that do not grow with the noise.
     """
     if not is_cp(ch):
         raise ValueError("oracle needs a completely positive channel")
     (y11, y12), (_, y22) = ch.Y.tolist()
-    entries = (y11, y12, y22, 1.0 + ch.det_x)
-    return _kernels.eigmin_herm2(*entries) >= -16.0 * _EPS * max(1.0, *map(abs, entries))
+    return _kernels.herm2_psd(y11, y12, y22, 1.0 + ch.det_x)
 
 
 # -- squeeze orbits --------------------------------------------------------- #

@@ -290,14 +290,14 @@ def cp_defect(ch):
 
 
 def is_cp(ch):
-    """Whether cp_defect is at least -TOL_PSD max(1, max|Y|, |1 - det X|).
+    """Whether cp_defect is at least -16 eps max(1, max|Y|, |1 - det X|).
 
-    False when det X is beyond the double range: the defect is then -inf,
-    which an infinite slack would pass.
+    The slack is that of eb_oracle_tmsv (see _kernels.herm2_psd): a few
+    roundings, so noise cannot hide a defect.  False when det X is beyond
+    the double range: the defect is then -inf, which an infinite slack
+    would pass.
     """
-    entries = _cp_entries(ch)
-    scale = max(1.0, *map(abs, entries))
-    return math.isfinite(scale) and _kernels.eigmin_herm2(*entries) >= -TOL_PSD * scale
+    return _kernels.herm2_psd(*_cp_entries(ch))
 
 
 def act_variance(ch, V):

@@ -467,7 +467,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # tol = 0 is valid (the oracles floor it); NaN or a negative slack
+        # tol = 0 is valid (an exact comparison); NaN or a negative slack
         # would silently flip every margin comparison
         if hasattr(args, "tol") and not (math.isfinite(args.tol) and args.tol >= 0):
             raise _CliError(2, f"--tol must be finite and nonnegative, got {args.tol!r}")

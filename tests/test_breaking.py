@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussatlas import breaking
 from gaussatlas.breaking import (
-    _COARSE_GRID,
-    _COARSE_TRIG,
-    _climb,
-    _dominance,
     REGION_LABELS,
     boundary_curves,
     cp_margin,
@@ -183,45 +178,6 @@ class TestNcbOracle:
         assert ncb_oracle_gaussian(Channel(X=0.6 * np.eye(2), Y=np.diag([2.0, 3.0])), tol=0.0)
         assert not ncb_oracle_gaussian(Channel(X=np.eye(2), Y=np.diag([2.0, 1.5])), tol=0.0)
 
-    def test_dominance_zero_gain_is_noise_eigmin(self):
-        # X = 0 removes V entirely: every value is lam_min(Y - 1)
-        r, theta = np.meshgrid(np.linspace(0.0, 3.0, 61), np.linspace(0.0, np.pi, 16))
-        y = np.array([[3.0, 0.4], [0.4, 2.0]])
-        got = _dominance(np.zeros((2, 2)), y)(r, theta)
-        np.testing.assert_allclose(got, np.linalg.eigvalsh(y - np.eye(2))[0], atol=ATOL)
-
-    def test_dominance_isotropic_peak_at_vacuum(self):
-        # X = 1, Y = y 1: lam_min = (y - 1) - e^{2r}, largest at r = 0
-        r, theta = np.meshgrid(np.linspace(0.0, 3.0, 61), np.linspace(0.0, np.pi, 16))
-        y = 4.5
-        got = _dominance(np.eye(2), y * np.eye(2))(r, theta)
-        np.testing.assert_allclose(got, (y - 1.0) - np.exp(2.0 * r), rtol=1e-14)
-        assert abs(got.max() - (y - 2.0)) < ATOL
-
-    def test_dominance_with_seed_grid_trig_is_bit_identical(self):
-        rng = np.random.default_rng(52)
-        _, _, grid_r, grid_theta = _COARSE_GRID
-        for _ in range(20):
-            f = _dominance(rng.normal(size=(2, 2)), np.diag(rng.uniform(0.5, 5.0, 2)))
-            r = rng.uniform(1.0, 12.0) * grid_r
-            assert np.array_equal(f(r, grid_theta, _COARSE_TRIG), f(r, grid_theta))
-
-    def test_dominance_matches_matrix_exponential(self):
-        # V = exp(2H) = cosh 2r 1 + (sinh 2r / r) H for H = [[p, q], [q, -p]],
-        # (p, q) = r (cos 2theta, sin 2theta)
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            x = rng.normal(size=(2, 2))
-            a = rng.normal(size=(2, 2))
-            y = a @ a.T + np.eye(2)
-            r, theta = rng.uniform(0.0, 3.0), rng.uniform(0.0, np.pi)
-            c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
-            v = np.cosh(2.0 * r) * np.eye(2) + np.sinh(2.0 * r) * np.array([[c, s], [s, -c]])
-            t = x.T @ v @ x
-            want = np.linalg.eigvalsh(y - np.eye(2) - t)[0]
-            got = _dominance(x, y)(np.array([r]), np.array([theta]))[0]
-            assert abs(got - want) < 1e-12 * max(1.0, np.abs(t).max())
-
     def test_rank_one_high_gain_near_boundary(self):
         # NCB margin 3e-4, below the ||X||^2 e^{-12} = 6e-4 gap a fixed
         # r_max = 6 would leave; the search range must scale with ||X||
@@ -230,62 +186,101 @@ class TestNcbOracle:
         assert ncb_oracle_gaussian(ch)
 
 
-class TestNcbOracleShortcuts:
-    """The oracle stops at its first certificate; these pin where that is."""
+def _dominance_longhand(X, Y, r, theta):
+    """lam_min(Y - 1 - X^T V X) for the pure V squeezed by r along theta.
 
-    @staticmethod
-    def _count_dominance(monkeypatch):
-        calls = []
+    V = R diag(e^{2r}, e^{-2r}) R^T with R the rotation by theta; r and
+    theta broadcast, X^T V X is a numpy matmul and lam_min is LAPACK's.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    diag = np.zeros(np.shape(r) + (2, 2))
+    diag[..., 0, 0], diag[..., 1, 1] = np.exp(2.0 * r), np.exp(-2.0 * r)
+    V = R @ diag @ np.swapaxes(R, -1, -2)
+    return np.linalg.eigvalsh(Y - np.eye(2) - X.T @ V @ X)[..., 0]
 
-        def counting(X, Y):
-            f = _dominance(X, Y)
 
-            def g(*args):
-                calls.append(args)
-                return f(*args)
+def _sup_longhand(ch):
+    """The closed-form supremum, through LAPACK: lam_min of
+    [[y11 - 1, h], [h, y22 - 1]] with h = hypot(y12, det X)."""
+    h = math.hypot(ch.Y[0, 1], np.linalg.det(ch.X))
+    return np.linalg.eigvalsh(np.array([[ch.Y[0, 0] - 1.0, h], [h, ch.Y[1, 1] - 1.0]]))[0]
 
-            return g
 
-        monkeypatch.setattr(breaking, "_dominance", counting)
-        return calls
+def _random_cp_channels(rng, rank, n):
+    """n CP channels in general position with an X of the given rank."""
+    out = []
+    while len(out) < n:
+        second = float(rng.choice((-1.0, 1.0))) if rank == 2 else 0.0
+        x = np.diag([1.0 if rank else 0.0, second]) * float(np.exp(rng.uniform(-1.5, 1.5)))
+        X = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-1, 1)) @ x \
+            @ rotation(rng.uniform(0, np.pi))
+        A = rng.normal(size=(2, 2)) * np.exp(rng.uniform(-1.0, 1.5))
+        ch = Channel(X=X, Y=A @ A.T + rng.uniform(0.0, 3.0) * np.eye(2))
+        if is_cp(ch):
+            out.append(ch)
+    return out
 
-    def test_vacuum_certificate_takes_one_evaluation(self, monkeypatch):
-        # Y - 1 - X^T X = 0.64 * 1 >= 0: the vacuum itself is a certificate
-        calls = self._count_dominance(monkeypatch)
-        assert ncb_oracle_gaussian(canonical_channel(Kind.I, 2.0, 2.0, kappa=0.6))
-        assert len(calls) == 1
 
-    def test_vacuum_value_is_the_seed_grid_centre(self):
-        rng = np.random.default_rng(54)
-        _, _, grid_r, grid_theta = _COARSE_GRID
-        centre = int(np.flatnonzero(grid_r == 0.0)[0])
-        for _ in range(50):
-            f = _dominance(rng.normal(size=(2, 2)), np.diag(rng.uniform(0.5, 5.0, 2)))
-            grid = f(rng.uniform(1.0, 12.0) * grid_r, grid_theta, _COARSE_TRIG)
-            assert f(0.0, 0.0, (1.0, 0.0)) == grid[centre]
+class TestNcbOracleSupremum:
+    """The oracle's closed-form supremum against the dominance objective
+    written out by hand: sup_V lam_min(Y - 1 - X^T V X) over pure V."""
 
-    def test_climb_from_a_certificate_evaluates_nothing(self):
-        def f(x, y):
-            raise AssertionError("f evaluated")
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_no_pure_state_beats_the_supremum(self, rank):
+        rng = np.random.default_rng(61 + rank)
+        r, theta = np.meshgrid(np.linspace(0.0, 4.0, 200),
+                               np.linspace(0.0, np.pi, 400, endpoint=False), indexing="ij")
+        eps = np.finfo(float).eps
+        for ch in _random_cp_channels(rng, rank, 12):
+            sup = _sup_longhand(ch)
+            scale = max(1.0, np.abs(ch.Y).max(), np.linalg.norm(ch.X, 2) ** 2)
+            best = _dominance_longhand(ch.X, ch.Y, r, theta).max()
+            assert best <= sup + 4.0 * eps * scale
+            if rank == 0:  # V drops out: every pure state attains the supremum
+                assert best >= sup - 4.0 * eps * scale
 
-        assert _climb(f, None, 0.3, 0.4, -0.5e-6, 0.1, 1.0, 1e-6, 5.0) == (-0.5e-6, 0.3, 0.4, 0.1)
+    def test_supremum_attained_at_m_over_root_det_m(self):
+        # for invertible X, V* = M / sqrt(det M) with M = X^-T (D - t 1) X^-1 at
+        # t = sup is a pure state with lam_min(Y - 1 - X^T V* X) = t
+        rng = np.random.default_rng(64)
+        for ch in _random_cp_channels(rng, 2, 200):
+            t = _sup_longhand(ch)
+            Xinv = np.linalg.inv(ch.X)
+            M = Xinv.T @ (ch.Y - (1.0 + t) * np.eye(2)) @ Xinv
+            V = M / math.sqrt(np.linalg.det(M))
+            scale = max(1.0, np.abs(ch.Y).max(), np.abs(M).max())
+            assert abs(np.linalg.det(V) - 1.0) < 1e-9
+            assert np.linalg.eigvalsh(V)[0] > 0.0
+            f = np.linalg.eigvalsh(ch.Y - np.eye(2) - ch.X.T @ V @ ch.X)[0]
+            assert abs(f - t) < 1e-9 * scale * np.linalg.cond(ch.X)
 
-    def test_search_still_reaches_the_polar_phase(self, monkeypatch):
-        # lam_min(Y - 1) = 0.15 leaves the verdict to the search; the NCB
-        # margin is -0.25, so no certificate cuts it short
-        phases = []
+    def test_singular_x_approaches_the_supremum_by_squeezing(self):
+        # V squeezed by r with its long axis u in ker X^T: X^T V X = e^{-2r} w w^T,
+        # w = X^T u_perp, so f rises to lam_min(Y - 1) with a gap of at most
+        # e^{-2r} ||X||^2; the matmul rounds V's entries, up to e^{2r}, to eps
+        rng = np.random.default_rng(65)
+        eps = np.finfo(float).eps
+        r = np.array([0.0, 1.0, 2.0, 4.0, 6.0])
+        for ch in _random_cp_channels(rng, 1, 50):
+            u = np.linalg.svd(ch.X.T)[2][-1]  # unit, X^T u = 0
+            f = _dominance_longhand(ch.X, ch.Y, r, np.full(r.shape, math.atan2(u[1], u[0])))
+            sup = _sup_longhand(ch)
+            norm2 = np.linalg.norm(ch.X, 2) ** 2
+            rounding = 8.0 * eps * (np.exp(2.0 * r) * norm2 + max(1.0, np.abs(ch.Y).max()))
+            assert np.all(np.diff(f) > 0.0)
+            assert np.all(f <= sup + rounding)
+            assert np.all(sup - f <= np.exp(-2.0 * r) * norm2 + rounding)
 
-        def recording(f, *args, **kwargs):
-            phases.append(f.__name__)
-            return _climb(f, *args, **kwargs)
-
-        monkeypatch.setattr(breaking, "_climb", recording)
-        calls = self._count_dominance(monkeypatch)
-        ch = Channel(X=np.diag([2.0, 0.5]), Y=np.diag([1.15, 6.0]))
-        assert not report(ch).ncb
-        assert not ncb_oracle_gaussian(ch)
-        assert phases == ["cartesian", "polar"]
-        assert len(calls) > 2
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_verdict_is_supremum_against_tol(self, rank):
+        rng = np.random.default_rng(66 + rank)
+        for ch in _random_cp_channels(rng, rank, 100):
+            sup = _sup_longhand(ch)
+            assert ncb_oracle_gaussian(ch, tol=0.0) is bool(sup >= 0.0)
+            if sup < 0.0:
+                assert ncb_oracle_gaussian(ch, tol=-sup * (1.0 + 1e-9))
+                assert not ncb_oracle_gaussian(ch, tol=-sup * (1.0 - 1e-9))
 
 
 class TestFock1Necessity:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussatlas.breaking import report
 from gaussatlas.channels import (
     SIGMA3,
     CanonicalForm,
@@ -332,6 +333,30 @@ class TestCompletePositivity:
     def test_overflowing_det_is_not_cp(self):
         for scale in (1e155, 1e160):
             assert is_cp(Channel(X=scale * np.eye(2), Y=np.eye(2))) is False
+
+    @pytest.mark.parametrize("u", [6.0, -6.0])
+    def test_lopsided_noise_below_the_bound_is_not_cp(self, u):
+        # kind II, kappa = 2, a/b = e^{2u}, ab a relative 1e-4 below (1 + kappa^2)^2:
+        # cp_defect -1.2e-6 is far past rounding, though a slack of 1e-9 max|Y|
+        # (2e-6) would hide it
+        root = math.sqrt(25.0 * (1.0 - 1e-4))
+        ch = canonical_channel(Kind.II, root * math.exp(u), root * math.exp(-u), kappa=2.0)
+        assert not report(ch).cp
+        assert is_cp(ch) is False
+
+    def test_boundary_channels_behind_unitaries_are_cp(self):
+        # kinds I and II with ab exactly at the CP bound, gains up to 1e4
+        rng = np.random.default_rng(316)
+        for k in range(400):
+            kind = (Kind.I, Kind.II)[k % 2]
+            kappa = float(np.exp(rng.uniform(math.log(0.1), math.log(1e4))))
+            root = abs(1.0 - kappa ** 2) if kind is Kind.I else 1.0 + kappa ** 2
+            u = rng.uniform(-3.0, 3.0)
+            ch = canonical_channel(kind, root * math.exp(u), root * math.exp(-u), kappa=kappa)
+            S = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-1, 1)) \
+                @ rotation(rng.uniform(0, np.pi))
+            ch = compose_post_unitary(compose_pre_unitary(ch, S), rotation(rng.uniform(0, np.pi)))
+            assert is_cp(ch), (kind, kappa, u)
 
     def test_reflection_needs_more_noise(self):
         # det X < 0 raises the requirement to 1 + kappa^2

@@ -103,6 +103,22 @@ class TestCheck:
         assert payload["agree"] is True
         assert code == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("text", [
+        '{"X": [[1e8, 0], [0, 0]], "Y": [[1.5, 0], [0, 1.5]]}',
+        '{"X": [[1e100, 0], [0, 0]], "Y": [[1.5, 0], [0, 1.5]]}',
+        '{"X": [[1e150, 1e150], [1e150, 1e150]], "Y": [[1, 0], [0, 1]]}',
+    ])
+    def test_rank_one_large_norm_oracle_agrees(self, tmp_path, text, capsys):
+        # NCB by lam_min(Y) >= 1; the oracle's supremum is lam_min(Y - 1) for
+        # any singular X, however large its norm
+        code = main(["check", _write(tmp_path, text)])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["closed_form"]["ncb"] is True
+        assert payload["oracles"]["ncb_gaussian"] is True
+        assert payload["agree"] is True
+        assert code == 0
+
     @pytest.mark.parametrize("y", ["[[1e200, 0], [0, 2]]", "[[5, 0], [0, 0]]"])
     def test_single_photon_test_out_of_range_is_usage_error(self, tmp_path, y, capsys):
         # unit gain reaches ncb_necessity_fock1: a ** 2 overflows for a = 1e200,

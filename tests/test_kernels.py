@@ -28,7 +28,7 @@ from gaussatlas._kernels import (
     backend,
     eigmin_herm2,
     eigmin_sym2,
-    eigmin_sym2_batch,
+    herm2_psd,
     hermitian_eigmin,
 )
 
@@ -54,16 +54,25 @@ def test_eigmin_sym2_against_lapack():
         assert abs(lam - np.linalg.eigvalsh(m)[0]) < ATOL_EIG
 
 
-def test_eigmin_sym2_batch_matches_closed_form():
+def test_eigmin_sym2_is_the_np_hypot_closed_form():
+    # Channel's PSD check of Y was validated with np.hypot's bits, which
+    # differ from math.hypot's in about one case in 500
     rng = np.random.default_rng(12)
-    m11 = rng.normal(size=(40, 7))
-    m12 = rng.normal(size=(40, 7))
-    m22 = rng.normal(size=(40, 7))
-    got = eigmin_sym2_batch(m11, m12, m22)
-    expect = 0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12)
-    np.testing.assert_allclose(got, expect, atol=ATOL_EIG)
-    flat = [eigmin_sym2(*args) for args in zip(m11.ravel(), m12.ravel(), m22.ravel())]
-    assert np.array_equal(got.ravel(), flat)
+    for m11, m12, m22 in rng.normal(size=(280, 3)).tolist():
+        got = eigmin_sym2(m11, m12, m22)
+        assert isinstance(got, float)
+        assert got == float(0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12))
+
+
+def test_herm2_psd_slack_is_a_few_roundings_of_the_largest_entry():
+    eps = np.finfo(float).eps
+    # the matrix [[y, h + i beta], [h - i beta, y]] has eigmin y - hypot(h, beta)
+    for scale in (1.0, 1e3, 1e12):
+        assert herm2_psd(scale, 0.0, scale, scale * (1.0 + 8.0 * eps))
+        assert not herm2_psd(scale, 0.0, scale, scale * (1.0 + 32.0 * eps))
+        assert not herm2_psd(scale, 0.0, scale, scale * (1.0 + 1e-9))
+    assert herm2_psd(0.0, 0.0, 0.0, 0.0)
+    assert not herm2_psd(1.0, 0.0, 1.0, math.inf)
 
 
 def test_hermitian_eigmin_matches_lapack():
