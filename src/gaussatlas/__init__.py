@@ -6,10 +6,13 @@ nonclassicality-breaking / entanglement-breaking / complete-positivity
 predicates with independent numerical oracles, squeeze-orbit searches,
 and phase-space (characteristic function / quasiprobability) numerics.
 
-All numerics are numpy: 2x2 eigenproblems (complete positivity,
-single-mode states, and the two-mode PPT test of the
-entanglement-breaking oracle, which reduces to one) use closed forms on
-Python floats.
+All numerics are numpy and Python floats.  Every 2x2 eigenproblem (the
+PSD check and eigenvalues of the noise, complete positivity, the NCB
+oracle's supremum, single-mode state validity, and the two-mode PPT
+test of the entanglement-breaking oracle, which reduces to one) goes
+through one closed form, ``_kernels.eig2``: lam_min = det / lam_max.
+Only the verification criteria call LAPACK, as their independent
+reference.  States are single-mode.
 """
 
 from ._kernels import backend
@@ -23,7 +26,6 @@ from .gaussian_core import (
     squeeze,
     state_defect,
     symplectic_check,
-    symplectic_form,
 )
 from .phase_space import (
     P_EPS,
@@ -52,7 +54,6 @@ from .channels import (
     cp_defect,
     is_cp,
     kind_from_label,
-    singular_x_rank,
 )
 from .breaking import (
     BreakingReport,
@@ -86,7 +87,6 @@ __all__ = [
     "squeeze",
     "state_defect",
     "symplectic_check",
-    "symplectic_form",
     "P_EPS",
     "TOL_FFT",
     "CharGrid",
@@ -111,7 +111,6 @@ __all__ = [
     "cp_defect",
     "is_cp",
     "kind_from_label",
-    "singular_x_rank",
     "BreakingReport",
     "OrbitPoint",
     "RegionSweep",

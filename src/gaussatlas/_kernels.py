@@ -1,15 +1,15 @@
 """Hot numeric kernels, in plain numpy and Python floats.
 
-Eigenvalue policy: every 2x2 problem uses a closed form.  The smallest
-eigenvalue of a symmetric [[m11, m12], [m12, m22]] is
-(m11 + m22)/2 - hypot((m11 - m22)/2, m12); it checks that Y is PSD and,
-with det X beside y12 under the hypot, gives the NCB oracle's supremum.
-That of a Hermitian [[y11, y12 + i beta], [y12 - i beta, y22]] adds beta
-under the hypot; it decides complete positivity, where
-X sigma X^T = det(X) sigma makes the CP matrix Y + i(1 - det X) sigma,
-and entanglement breaking, whose two-mode PPT test reduces to
-Y + i(1 + det X) sigma.  Only the validity test of a state of more than
-one mode goes to LAPACK ``eigvalsh``.
+Eigenvalue policy: one closed form, ``eig2``, gives both eigenvalues of
+every 2x2 problem, the Hermitian [[m11, m12 + i beta], [m12 - i beta, m22]]
+on Python floats; no LAPACK call is left, and states are single-mode.
+lam_max is the mean plus hypot(half the difference, m12, beta), and
+lam_min is det / lam_max, which unlike mean - spread keeps its digits
+when lam_max is past 1/eps times lam_min.  With beta = 0 it gives the
+noise eigenvalues (a, b) and checks that Y is PSD; with beta = det X
+and Y - 1 it is the NCB oracle's supremum; X sigma X^T = det(X) sigma
+makes the CP matrix Y + i(1 - det X) sigma, and the EB oracle's two-mode
+PPT test reduces to Y + i(1 + det X) sigma.
 
 Grid interpolation (``interp_cubic2d``) is one blocked pass over flat
 stencil indices; the real grids the library builds are weighted once.
@@ -22,23 +22,30 @@ import numpy as np
 _EPS = float(np.finfo(float).eps)
 
 
-def eigmin_sym2(m11, m12, m22):
-    """Smallest eigenvalue of the symmetric 2x2 [[m11, m12], [m12, m22]], as a float."""
-    # np.hypot, not math.hypot, which rounds differently in about one case
-    # in 500: Channel's PSD check of Y keeps the bits it was validated with
-    return float(0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12))
+def eig2(m11, m12, m22, beta):
+    """(lam_max, lam_min) of the Hermitian [[m11, m12 + i beta], [m12 - i beta, m22]].
 
-
-def eigmin_herm2(y11, y12, y22, beta):
-    """Smallest eigenvalue of the Hermitian [[y11, y12 + i beta], [y12 - i beta, y22]].
-
-    The arguments are Python floats; the result is one too.
+    The arguments are Python floats; so are the results.  lam_max is
+    (m11 + m22)/2 + hypot((m11 - m22)/2, m12, beta).  For a positive
+    trace lam_max carries no cancellation and is at least every |entry|,
+    so lam_min = det / lam_max, with lam_max divided into each product
+    first so that nothing overflows; otherwise lam_min is the trace
+    minus lam_max, mean - spread, which cancels nothing there.  A
+    positive trace gives lam_max = 0 only on diag(t, 0) or diag(0, t)
+    with t the least subnormal, whose halves round to 0; that is
+    returned exactly.
     """
-    return 0.5 * (y11 + y22) - math.hypot(0.5 * (y11 - y22), y12, beta)
+    trace = m11 + m22
+    lam_max = 0.5 * trace + math.hypot(0.5 * (m11 - m22), m12, beta)
+    if trace > 0.0:
+        if lam_max > 0.0:
+            return lam_max, m11 / lam_max * m22 - m12 / lam_max * m12 - beta / lam_max * beta
+        return trace, 0.0
+    return lam_max, trace - lam_max
 
 
-def herm2_psd(y11, y12, y22, beta):
-    """Whether eigmin_herm2 is at least -16 eps scale, scale = max(1, |arguments|).
+def herm2_psd(m11, m12, m22, beta):
+    """Whether eig2's lam_min is at least -16 eps scale, scale = max(1, |arguments|).
 
     The closed form is a few roundings of operands no larger than scale:
     on kind I and II channels built exactly on the EB (CP) boundary, with
@@ -50,23 +57,8 @@ def herm2_psd(y11, y12, y22, beta):
     False when an argument is not finite, where an infinite slack would
     pass a -inf eigenvalue.
     """
-    scale = max(1.0, abs(y11), abs(y12), abs(y22), abs(beta))
-    return math.isfinite(scale) and eigmin_herm2(y11, y12, y22, beta) >= -16.0 * _EPS * scale
-
-
-def hermitian_eigmin(A, B):
-    """Smallest eigenvalue of the Hermitian matrix A + iB, as a float.
-
-    A is real symmetric and B real antisymmetric, both (n, n).  A 2x2
-    uses the closed form of eigmin_herm2, a larger matrix LAPACK
-    ``eigvalsh``, which like it reads only the lower triangle.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape == B.shape == (2, 2):
-        (a11, _), (a21, a22) = A.tolist()
-        return eigmin_herm2(a11, a21, a22, -float(B[1, 0]))
-    return float(np.linalg.eigvalsh(A + 1j * B)[0])
+    scale = max(1.0, abs(m11), abs(m12), abs(m22), abs(beta))
+    return math.isfinite(scale) and eig2(m11, m12, m22, beta)[1] >= -16.0 * _EPS * scale
 
 
 def backend():

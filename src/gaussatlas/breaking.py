@@ -23,9 +23,9 @@ Each closed form is backed by an independent numerical oracle:
   dominated by Y - 1; such a witness lets the output P function of any
   input be written as a smoothed, manifestly nonnegative density.  The
   supremum over pure V of lam_min(Y - 1 - X^T V X) has a closed form in
-  the raw (X, Y), the smaller eigenvalue of
-  [[y11 - 1, hypot(y12, det X)], [hypot(y12, det X), y22 - 1]], and the
-  verdict is that supremum >= -tol.
+  the raw (X, Y), the smaller eigenvalue of the Hermitian
+  [[y11 - 1, y12 + i det X], [y12 - i det X, y22 - 1]], and the verdict
+  is that supremum >= -tol.
 * ``ncb_necessity_fock1`` evaluates the closed-form single-photon output
   P function at the origin, whose sign flips exactly at the breaking
   boundary for unit-gain kind-I channels.
@@ -180,9 +180,10 @@ def ncb_oracle_gaussian(ch, tol=TOL_CLASS):
     forces det M >= det V = 1, and conversely V* = M / sqrt(det M) is
     pure with V* <= M.  So f reaches t iff D - t 1 >= 0 and
     det(D - t 1) >= (det X)^2, and the largest such t is the smaller
-    root of t^2 - tr(D) t + det D - (det X)^2 = 0:
+    root of t^2 - tr(D) t + det D - (det X)^2 = 0, the smaller eigenvalue
+    of the Hermitian D + i det(X) sigma:
 
-        sup_V f = eigmin_sym2(y11 - 1, hypot(y12, det X), y22 - 1).
+        sup_V f = eig2(y11 - 1, y12, y22 - 1, det X)[1].
 
     For a singular X the same formula gives lam_min(Y - 1), which bounds
     f since X^T V X >= 0; a V whose long axis lies in ker X^T approaches
@@ -191,7 +192,7 @@ def ncb_oracle_gaussian(ch, tol=TOL_CLASS):
     if not is_cp(ch):
         raise ValueError("oracle needs a completely positive channel")
     (y11, y12), (_, y22) = ch.Y.tolist()
-    return _kernels.eigmin_sym2(y11 - 1.0, math.hypot(y12, ch.det_x), y22 - 1.0) >= -tol
+    return _kernels.eig2(y11 - 1.0, y12, y22 - 1.0, ch.det_x)[1] >= -tol
 
 
 def ncb_necessity_fock1(form, tol=TOL_CLASS):
@@ -224,8 +225,8 @@ def eb_oracle_tmsv(ch):
     Y + i sigma + i X^T sigma X is.  For 2x2 X, X^T sigma X = det(X) sigma:
     the test is Y + i (1 + det X) sigma >= 0, the same for every r > 0,
     so no probe squeeze is chosen and nothing grows like e^{2r}.  (The CP
-    matrix is the same with 1 - det X.)  Its smallest eigenvalue, the
-    closed form of eigmin_herm2, is compared with the slack of
+    matrix is the same with 1 - det X.)  Its smallest eigenvalue, by
+    _kernels.eig2, is compared with the slack of
     _kernels.herm2_psd, 16 eps max(1, |y_ij|, |1 + det X|), a few
     roundings that do not grow with the noise.
     """
@@ -278,7 +279,9 @@ def find_r0(form, tol=TOL_CLASS):
     """
     if not eb_margin(form.kind, form.kappa, form.a, form.b) >= -tol:
         raise ValueError("orbit search needs an entanglement-breaking form")
-    r0 = 0.25 * math.log(form.a / form.b)
+    ratio = form.a / form.b
+    # ln a - ln b where a / b overflows; elsewhere ln(a / b), with its bits
+    r0 = 0.25 * (math.log(ratio) if math.isfinite(ratio) else math.log(form.a) - math.log(form.b))
     return r0 if squeeze_orbit(form, r0, tol=tol).ncb else None
 
 

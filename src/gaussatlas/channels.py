@@ -88,7 +88,7 @@ class Channel:
         if abs(y12 - y21) > _ASYM_TOL * yscale:
             raise ValueError("Y must be symmetric")
         y12 += 0.5 * (y21 - y12)  # the midpoint, without overflow; y12 itself if symmetric
-        if _kernels.eigmin_sym2(y11, y12, y22) < -TOL_PSD * yscale:
+        if _kernels.eig2(y11, y12, y22, 0.0)[1] < -TOL_PSD * yscale:
             raise ValueError("Y must be positive semidefinite")
         Y = np.array([[y11, y12], [y12, y22]])
         X.flags.writeable = False
@@ -154,41 +154,6 @@ class CanonicalForm:
     R: np.ndarray
 
 
-def singular_x_rank(X):
-    """Numerical rank of X: singular values below TOL_RANK * ||X||_2 drop.
-
-    Magnitudes below 1e-150 count as an exactly zero matrix.  Closed form,
-    on X scaled to max|x_ij| = 1 so that nothing overflows:
-    ||X||_2 = (hypot(x11 + x22, x12 - x21) + hypot(x11 - x22, x12 + x21)) / 2,
-    and |det X| / ||X||_2^2 is the ratio of the smaller singular value to
-    the larger.
-    """
-    (x11, x12), (x21, x22) = _as_mat2(X, "X").tolist()
-    scale = max(abs(x11), abs(x12), abs(x21), abs(x22))
-    if scale == 0.0:
-        return 0
-    x11, x12, x21, x22 = x11 / scale, x12 / scale, x21 / scale, x22 / scale
-    smax = 0.5 * (math.hypot(x11 + x22, x12 - x21) + math.hypot(x11 - x22, x12 + x21))
-    if scale * smax <= _ZERO_FLOOR:
-        return 0
-    if abs(x11 * x22 - x12 * x21) <= TOL_RANK * smax * smax:
-        return 1
-    return 2
-
-
-def _eigenvalues(y11, y12, y22):
-    """Eigenvalues (a, b), a >= b, of the symmetric [[y11, y12], [y12, y22]].
-
-    a is mean + spread.  b is det Y / a, with a divided into each product
-    first so that nothing overflows; unlike mean - spread, it does not
-    cancel once a/b nears 1/eps.  Raises ValueError when a overflows.
-    """
-    a = float(0.5 * (y11 + y22) + 0.5 * np.hypot(y11 - y22, 2.0 * y12))
-    if not math.isfinite(a):
-        raise ValueError("the noise eigenvalues overflow a double")
-    return a, (y11 / a * y22 - y12 / a * y12 if a else 0.0)
-
-
 def _det(x11, x12, x21, x22):
     """det X != 0 with np.linalg.det's bits: pivoted LU, then sign * exp(sum log|u_ii|)."""
     if abs(x21) > abs(x11):  # swap the rows, negating one to keep the sign
@@ -237,15 +202,21 @@ def canonical_reduce(ch):
     """
     X, Y = ch.X.ravel().tolist(), ch.Y.ravel().tolist()
     (x11, x12, x21, x22), (y11, y12, _, y22) = X, Y
-    a, b = _eigenvalues(y11, y12, y22)
-    rank = singular_x_rank(ch.X)
+    a, b = _kernels.eig2(y11, y12, y22, 0.0)
+    if not math.isfinite(a):
+        raise ValueError("the noise eigenvalues overflow a double")
+    # closed-form SVD: X = Q rot(alpha) + P refl(beta) = rot(phi) diag(Q + P, Q - P) rot(psi),
+    # phi, psi = (alpha +- beta) / 2; hypot and atan2 read 2Q, 2P and the angles off
+    # X / scale, so nothing overflows.  ||X||_2 = scale (Q + P), and singular values
+    # below TOL_RANK ||X||_2 drop: |det X| / ||X||_2^2 is the ratio of the two
+    scale = max(map(abs, X)) or 1.0  # 1 for X = 0, which stays 0
+    u11, u12, u21, u22 = x11 / scale, x12 / scale, x21 / scale, x22 / scale
+    e, f, g, h = u11 + u22, u11 - u22, u21 + u12, u21 - u12
+    smax = 0.5 * (math.hypot(e, h) + math.hypot(f, g))
+    rank = (0 if scale * smax <= _ZERO_FLOOR
+            else 1 if abs(u11 * u22 - u12 * u21) <= TOL_RANK * smax * smax else 2)
     if rank == 1:
-        # closed-form SVD: X = Q rot(alpha) + P refl(beta) = rot(phi) diag(Q + P, Q - P) rot(psi),
-        # phi, psi = (alpha +- beta) / 2; hypot and atan2 read 2Q, 2P and the angles off X / scale
-        scale = max(map(abs, X))
-        x11, x12, x21, x22 = x11 / scale, x12 / scale, x21 / scale, x22 / scale
-        e, f, g, h = x11 + x22, x11 - x22, x21 + x12, x21 - x12
-        kappa = scale * 0.5 * (math.hypot(e, h) + math.hypot(f, g))
+        kappa = scale * smax
         if not math.isfinite(kappa * kappa):  # S X in the witness check multiplies kappa by X
             raise ValueError("kappa^2 overflows a double: the gain is out of range")
         alpha, beta = math.atan2(h, e), math.atan2(g, f)
@@ -284,9 +255,9 @@ def cp_defect(ch):
 
     Nonnegative (within tolerance) iff the channel is completely positive.
     For 2x2 X, X sigma X^T = det(X) sigma, so the matrix is
-    Y + i (1 - det X) sigma and its smallest eigenvalue has a closed form.
+    Y + i (1 - det X) sigma and its smallest eigenvalue is eig2's.
     """
-    return _kernels.eigmin_herm2(*_cp_entries(ch))
+    return _kernels.eig2(*_cp_entries(ch))[1]
 
 
 def is_cp(ch):

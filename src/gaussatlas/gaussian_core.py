@@ -1,13 +1,13 @@
-"""Gaussian state primitives in the real (q, p) phase-space representation.
+"""Single-mode Gaussian state primitives in the real (q, p) phase space.
 
-Variance matrices are real symmetric with the vacuum normalized to the
-identity; a matrix V describes a physical state iff V + i*Sigma >= 0,
-where Sigma is the direct sum of per-mode blocks [[0, 1], [-1, 0]].
-A single-mode Gaussian state is classical (its P function is a proper
-probability density) iff V >= 1.
+Variance matrices are real symmetric 2x2 with the vacuum normalized to
+the identity; V describes a physical state iff V + i*Sigma >= 0, with
+Sigma = [[0, 1], [-1, 0]].  That is a 2x2 Hermitian test, decided by
+the smaller eigenvalue of ``_kernels.eig2`` (det / lam_max, no LAPACK).
+A Gaussian state is classical (its P function is a proper probability
+density) iff V >= 1.
 
-All functions are pure; matrices are plain numpy arrays, with
-quadrature ordering (q1, p1, q2, p2, ...) for more than one mode.
+All functions are pure; matrices are plain numpy arrays.
 """
 
 import numpy as np
@@ -19,15 +19,6 @@ TOL_ALG = 1e-12  # exact-algebra slack (witness identities, symplectic checks)
 TOL_CLASS = 1e-6  # classicality margin slack
 
 SIGMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])  # single-mode symplectic form
-
-
-def symplectic_form(n_modes):
-    """Symplectic form for n modes, block-diagonal [[0, 1], [-1, 0]] per mode."""
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        out[2 * k, 2 * k + 1] = 1.0
-        out[2 * k + 1, 2 * k] = -1.0
-    return out
 
 
 def rotation(theta):
@@ -42,10 +33,16 @@ def squeeze(r):
 
 
 def state_defect(V):
-    """Smallest eigenvalue of V + i*Sigma; nonnegative iff V is a valid state."""
+    """Smallest eigenvalue of V + i*Sigma; nonnegative iff V is a valid state.
+
+    V is a single-mode 2x2 variance matrix, read by its lower triangle;
+    any other shape raises ValueError.
+    """
     V = np.asarray(V, dtype=float)
-    n = V.shape[0] // 2
-    return _kernels.hermitian_eigmin(V, symplectic_form(n))
+    if V.shape != (2, 2):
+        raise ValueError("V must be a single-mode 2x2 variance matrix")
+    (v11, _), (v21, v22) = V.tolist()
+    return _kernels.eig2(v11, v21, v22, 1.0)[1]
 
 
 def is_valid_state(V):
@@ -58,8 +55,6 @@ def is_valid_state(V):
 
 
 def symplectic_check(S):
-    """Whether S preserves the symplectic form, max|S^T Sigma S - Sigma| <= TOL_ALG."""
+    """Whether the 2x2 S preserves the symplectic form, max|S^T Sigma S - Sigma| <= TOL_ALG."""
     S = np.asarray(S, dtype=float)
-    n = S.shape[0] // 2
-    sig = symplectic_form(n)
-    return float(np.abs(S.T @ sig @ S - sig).max()) <= TOL_ALG
+    return float(np.abs(S.T @ SIGMA1 @ S - SIGMA1).max()) <= TOL_ALG

@@ -6,6 +6,10 @@ imports and mentions in docstrings do not count.  An option, a parameter
 with a default of a function in ``gaussatlas.__all__``, is set when some
 ``ast.Call`` of that function in the same files passes it by keyword or
 by position (or passes ``*args`` or ``**kwargs``).
+
+The library calls no ``np.linalg`` routine: every 2x2 problem has a
+closed form.  Only ``verify.py`` keeps LAPACK, as the independent
+reference of its criteria.
 """
 
 import ast
@@ -14,11 +18,12 @@ from pathlib import Path
 
 import gaussatlas
 
+PACKAGE = Path(gaussatlas.__file__).parent
+
 # exported without a caller inside the package, each for a reason
 ALLOWED_UNUSED = {
     "__version__": "package metadata",
     "backend": "recorded in the environment of every benchmark result",
-    "SIGMA1": "documented primitive; tests use it as a reference",
     "squeeze": "documented primitive; tests use it as a reference",
     "is_valid_state": "documented primitive; tests use it as a reference",
     "cp_defect": "documented primitive; tests use it as a reference",
@@ -28,10 +33,20 @@ ALLOWED_UNUSED = {
 ALLOWED_NEVER_SET = {}
 
 
+# modules allowed to call np.linalg, each for a reason
+ALLOWED_LINALG = {
+    "verify.py": "its criteria check the closed forms against LAPACK references",
+}
+
+
+def _module_nodes(path):
+    return ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
 def _package_nodes():
-    for path in Path(gaussatlas.__file__).parent.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
-            yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            yield from _module_nodes(path)
 
 
 def _used_names():
@@ -86,3 +101,42 @@ def test_every_option_is_set_somewhere():
 
 def test_option_allowlist_holds_only_never_set_options():
     assert set(ALLOWED_NEVER_SET) <= _never_set_options()
+
+
+def _linalg_uses(path):
+    """Lines of path that reach numpy.linalg: np.linalg / numpy.linalg, or an import of it."""
+    for node in _module_nodes(path):
+        if isinstance(node, ast.Attribute):
+            found = node.attr == "linalg" and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy")
+        elif isinstance(node, ast.Import):
+            found = any(alias.name.startswith("numpy.linalg") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            found = module.startswith("numpy.linalg") or (
+                module == "numpy" and any(alias.name == "linalg" for alias in node.names))
+        else:
+            found = False
+        if found:
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_linalg_check_sees_every_route_to_numpy_linalg(tmp_path):
+    routes = ["np.linalg.eigvalsh(m)", "la = numpy.linalg", "import numpy.linalg",
+              "import numpy.linalg as la", "from numpy import linalg",
+              "from numpy.linalg import eigvalsh"]
+    for i, line in enumerate(routes):
+        path = tmp_path / f"m{i}.py"
+        path.write_text(f"import numpy as np\n{line}\n")
+        assert list(_linalg_uses(path)) == [f"{path.name}:2"], line
+
+
+def test_no_linalg_call_outside_the_verification_criteria():
+    uses = [line for path in sorted(PACKAGE.glob("*.py"))
+            if path.name not in ALLOWED_LINALG for line in _linalg_uses(path)]
+    assert not uses, f"numpy.linalg in library code: {uses}"
+
+
+def test_linalg_allowlist_holds_only_modules_that_call_it():
+    for name in ALLOWED_LINALG:
+        assert any(_linalg_uses(PACKAGE / name)), name

@@ -185,6 +185,19 @@ class TestNcbOracle:
         assert report(ch).ncb
         assert ncb_oracle_gaussian(ch)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("gain,noise", [
+        (0.0, (1e17, 0.5)),
+        (0.5, (1e17, 0.5)),
+        (0.5, (1e16, 0.3)),
+    ])
+    def test_lopsided_noise_below_one_is_not_ncb(self, gain, noise, swap):
+        # lam_min(Y - 1) is about b - 1 < 0; as mean - spread of a matrix
+        # whose larger eigenvalue is past 1/eps it would cancel to about 0
+        ch = Channel(X=gain * np.eye(2), Y=np.diag(noise[::-1] if swap else noise))
+        assert not report(ch).ncb
+        assert ncb_oracle_gaussian(ch) is False
+
 
 def _dominance_longhand(X, Y, r, theta):
     """lam_min(Y - 1 - X^T V X) for the pure V squeezed by r along theta.

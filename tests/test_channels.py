@@ -23,13 +23,27 @@ from gaussatlas.channels import (
     cp_defect,
     is_cp,
     kind_from_label,
-    singular_x_rank,
 )
 from gaussatlas.gaussian_core import rotation, squeeze
 from gaussatlas.phase_space import GridSpec, char_fock1, char_gaussian, char_vacuum, convert_order
 
 ATOL = 1e-12
 WITNESS_TOL = 1e-10
+
+
+def _rank(X):
+    """The numerical rank of X that canonical_reduce reads off, from its kind.
+
+    The rank rule reads X / max|X|, which a power-of-two rescale of a
+    normal X leaves bit for bit; an X whose det X or gain squared
+    overflows is rescaled to max|X| in [1/2, 1) and reduced again.
+    """
+    try:
+        kind = canonical_reduce(Channel(X=X, Y=np.eye(2))).kind
+    except ValueError:
+        X = np.ldexp(X, -np.frexp(np.abs(X).max())[1])
+        kind = canonical_reduce(Channel(X=X, Y=np.eye(2))).kind
+    return {Kind.III_ZERO: 0, Kind.III_RANK1: 1}.get(kind, 2)
 
 
 class TestChannelContainer:
@@ -54,6 +68,12 @@ class TestChannelContainer:
         ch = Channel(X=np.eye(2), Y=np.eye(2))
         with pytest.raises(ValueError):
             ch.X[0, 0] = 5.0
+
+    @pytest.mark.parametrize("diag", [(5e-324, 0.0), (0.0, 5e-324)])
+    def test_accepts_least_subnormal_noise(self, diag):
+        ch = Channel(X=np.eye(2), Y=np.diag(diag))
+        form = canonical_reduce(ch)
+        assert (form.a, form.b) == (5e-324, 0.0)
 
     def test_det_x(self):
         ch = Channel(X=np.array([[1.0, 2.0], [0.5, 3.0]]), Y=np.zeros((2, 2)))
@@ -91,18 +111,15 @@ class TestKindsAndRank:
         with pytest.raises(ValueError):
             kind_from_label("IV")
 
-    def test_singular_x_rank(self):
-        assert singular_x_rank(np.eye(2)) == 2
-        assert singular_x_rank(np.diag([0.7, 0.0])) == 1
-        assert singular_x_rank(np.zeros((2, 2))) == 0
-        assert singular_x_rank(1e-200 * np.eye(2)) == 0
-        assert singular_x_rank(np.array([[1.0, 1.0], [1.0, 1.0]])) == 1
-        # X is scaled before the closed forms, so none of them overflows
-        assert singular_x_rank(1e160 * rotation(0.3)) == 2
-        assert singular_x_rank(1e300 * squeeze(2.0)) == 2
-        assert singular_x_rank(1.7e308 * rotation(0.7)) == 2
+    def test_kind_follows_the_numerical_rank(self):
+        assert _rank(np.eye(2)) == 2
+        assert _rank(np.diag([0.7, 0.0])) == 1
+        assert _rank(np.zeros((2, 2))) == 0
+        assert _rank(1e-200 * np.eye(2)) == 0
+        assert _rank(np.array([[1.0, 1.0], [1.0, 1.0]])) == 1
+        # full-rank X past the double range: test_refuses_overflowing_det
 
-    def test_singular_x_rank_matches_svd_rule_over_scales(self):
+    def test_kind_matches_svd_rank_rule_over_scales(self):
         def svd_rule(X):
             s = np.linalg.svd(X, compute_uv=False)
             return 0 if s[0] <= 1e-150 else 1 if s[1] <= 1e-10 * s[0] else 2
@@ -116,7 +133,7 @@ class TestKindsAndRank:
                 X = U @ np.diag([s1, ratio * s1]) @ flip @ V.T
                 if ratio == 0.0:  # a rank-one outer product u v^T
                     X = np.outer(rng.normal(size=2), rng.normal(size=2)) * 10.0 ** exponent
-                assert singular_x_rank(X) == svd_rule(X), (exponent, ratio)
+                assert _rank(X) == svd_rule(X), (exponent, ratio)
 
     def test_canonical_channel_needs_kappa_for_full_rank(self):
         with pytest.raises(ValueError):
@@ -134,9 +151,12 @@ class TestKindsAndRank:
 
 
 class TestCanonicalReduce:
-    def test_refuses_overflowing_det(self):
-        with pytest.raises(ValueError, match="det X"):
-            canonical_reduce(Channel(X=1e160 * np.eye(2), Y=np.eye(2)))
+    @pytest.mark.parametrize("X", [1e160 * np.eye(2), 1e160 * rotation(0.3),
+                                   1e300 * squeeze(2.0), 1.7e308 * rotation(0.7)])
+    def test_refuses_overflowing_det(self, X):
+        # the rank rule reads X / max|X|, so these reach the full-rank branch
+        with pytest.raises(ValueError, match="det X overflows"):
+            canonical_reduce(Channel(X=X, Y=np.eye(2)))
 
     def test_refuses_overflowing_rank_one_gain(self):
         # kappa^2 past the double range, rotated and on the axes; just below, it reduces
@@ -256,8 +276,8 @@ class TestCanonicalReduce:
         rng = np.random.default_rng(62)
         for _ in range(2000):
             X = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-5.0, 5.0)
-            if singular_x_rank(X) == 2:
-                form = canonical_reduce(Channel(X=X, Y=np.eye(2)))
+            form = canonical_reduce(Channel(X=X, Y=np.eye(2)))
+            if form.kind in (Kind.I, Kind.II):
                 assert form.kappa == np.sqrt(abs(np.linalg.det(X)))
 
     def test_overflowing_noise_is_refused(self):
@@ -269,10 +289,10 @@ class TestCanonicalReduce:
            st.floats(-3.0, 3.0), st.floats(0.1, 4.0), st.floats(0.1, 4.0))
     def test_witnesses_hold_over_parameter_box(self, x11, x12, x21, x22, y1, y2):
         X = np.array([[x11, x12], [x21, x22]])
-        if singular_x_rank(X) < 2:
-            return
         ch = Channel(X=X, Y=np.diag([y1, y2]))
         form = canonical_reduce(ch)
+        if form.kind not in (Kind.I, Kind.II):
+            return
         scale = max(1.0, np.abs(form.S).max() * np.abs(X).max())
         assert np.abs(form.S @ ch.X @ form.R - form.x_canonical).max() < 1e-8 * scale
 

@@ -130,6 +130,26 @@ class TestCheck:
         assert captured.err.startswith("error: channel out of range")
         assert captured.err.count("\n") == 1
 
+    def test_lopsided_noise_below_one_oracle_agrees(self, tmp_path, capsys):
+        # NCB margin -5e16: b = 0.5 < 1 beside a = 1e17 past 1/eps
+        text = '{"X": [[0.5, 0], [0, 0.5]], "Y": [[1e17, 0], [0, 0.5]]}'
+        code = main(["check", _write(tmp_path, text)])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["closed_form"]["ncb"] is False
+        assert payload["oracles"]["ncb_gaussian"] is False
+        assert payload["agree"] is True
+        assert code == 0
+
+    @pytest.mark.parametrize("y", ["[[5e-324, 0], [0, 0]]", "[[0, 0], [0, 5e-324]]"])
+    def test_least_subnormal_noise(self, tmp_path, y, capsys):
+        # the noise trace halves to 0 in the eigenvalue closed form; the
+        # channel is not CP, and at unit gain the single-photon test refuses b = 0
+        code = main(["check", _write(tmp_path, f'{{"X": [[0.5, 0], [0, 0.5]], "Y": {y}}}')])
+        assert code == 0 and json.loads(capsys.readouterr().out)["agree"] is True
+        assert main(["check", _write(tmp_path, f'{{"X": [[1, 0], [0, 1]], "Y": {y}}}')]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel out of range") and err.count("\n") == 1
+
     def test_non_cp_skips_oracles(self, tmp_path, capsys):
         code = main(["check", _write(tmp_path, NON_CP_CHANNEL)])
         assert code == 0
@@ -234,6 +254,22 @@ class TestOrbit:
         assert payload["r0"] == EB_CHANNEL_R0
         assert len(payload["trace"]) == 7
         assert {"r", "a_r", "b_r", "ncb"} <= set(payload["trace"][0])
+
+    @pytest.mark.parametrize("text,r0", [
+        ('{"X": [[0, 0], [0, 0]], "Y": [[1e200, 0], [0, 2e-200]]}',
+         0.25 * (math.log(1e200) - math.log(2e-200))),
+        ('{"X": [[0.5, 0], [0, 0.5]], "Y": [[1e200, 0], [0, 1e-199]]}',
+         0.25 * (math.log(1e200) - math.log(1e-199))),
+        ('{"X": [[1, 0], [0, 0]], "Y": [[1e160, 0], [0, 1e-150]]}',
+         0.25 * (math.log(1e160) - math.log(1e-150))),
+    ])
+    def test_noise_ratio_past_the_double_range_still_balances(self, tmp_path, text, r0,
+                                                               capsys):
+        # a / b overflows, but ln a - ln b does not: every kind is EB here
+        code = main(["orbit", _write(tmp_path, text), "--grid", "3", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["r0"] == float(f"{r0:.12g}")
 
     def test_non_eb_channel_fails(self, tmp_path, capsys):
         code = main(["orbit", _write(tmp_path, CP_ONLY_CHANNEL)])

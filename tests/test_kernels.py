@@ -1,9 +1,9 @@
 """Checks of the low-level numeric kernels.
 
-The eigenvalue kernels are closed forms for 2x2 problems and one LAPACK
-call for a larger one; the tests here pin them against LAPACK and
-against the closed forms written out.  Grid interpolation is pinned
-against closed-form cubics and an unblocked longhand reference.
+One closed form, eig2, gives both eigenvalues of every 2x2 Hermitian
+problem; the tests here pin it against LAPACK, on lopsided diagonals and
+on huge entries.  Grid interpolation is pinned against closed-form
+cubics and an unblocked longhand reference.
 """
 
 import math
@@ -24,87 +24,84 @@ from gaussatlas import (
     quasi_from_char,
     rotation,
 )
-from gaussatlas._kernels import (
-    backend,
-    eigmin_herm2,
-    eigmin_sym2,
-    herm2_psd,
-    hermitian_eigmin,
-)
+from gaussatlas._kernels import backend, eig2, herm2_psd
 
-ATOL_EIG = 1e-12
-
-
-def _random_hermitian(rng, n):
-    a = rng.normal(size=(n, n))
-    b = rng.normal(size=(n, n))
-    return a + a.T, b - b.T
+EPS = np.finfo(float).eps
 
 
 def test_backend_is_numpy():
     assert backend() == "numpy"
 
 
-def test_eigmin_sym2_against_lapack():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        m = rng.normal(size=(2, 2))
-        m = m + m.T
-        lam = eigmin_sym2(m[0, 0], m[0, 1], m[1, 1])
-        assert abs(lam - np.linalg.eigvalsh(m)[0]) < ATOL_EIG
+def test_eig2_against_lapack():
+    rng = np.random.default_rng(14)
+    for scale in (1e-6, 1.0, 1e6):
+        for _ in range(200):
+            m11, m12, m22, beta = (scale * rng.normal(size=4)).tolist()
+            ref = np.linalg.eigvalsh(np.array([[m11, m12 + 1j * beta], [m12 - 1j * beta, m22]]))
+            got = eig2(m11, m12, m22, beta)
+            assert all(isinstance(v, float) for v in got)
+            tol = 1e-14 * max(abs(m11), abs(m12), abs(m22), abs(beta))
+            assert abs(got[0] - ref[1]) <= tol and abs(got[1] - ref[0]) <= tol
 
 
-def test_eigmin_sym2_is_the_np_hypot_closed_form():
-    # Channel's PSD check of Y was validated with np.hypot's bits, which
-    # differ from math.hypot's in about one case in 500
-    rng = np.random.default_rng(12)
-    for m11, m12, m22 in rng.normal(size=(280, 3)).tolist():
-        got = eigmin_sym2(m11, m12, m22)
-        assert isinstance(got, float)
-        assert got == float(0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12))
+@pytest.mark.parametrize("ratio_exp", [8, 17, 50, 150, 300])
+def test_eig2_lam_min_keeps_its_digits_on_lopsided_diagonals(ratio_exp):
+    # mean - spread would cancel to 0 once the ratio passes 1/eps;
+    # det / lam_max keeps lam_min to a rounding or two
+    for big, small in ((10.0 ** ratio_exp, 1.0), (1.0, 10.0 ** -ratio_exp),
+                       (10.0 ** (ratio_exp / 2), -(10.0 ** (-ratio_exp / 2))),
+                       (10.0 ** ratio_exp, -0.5)):
+        for m11, m22 in ((big, small), (small, big)):
+            lam_max, lam_min = eig2(m11, 0.0, m22, 0.0)
+            assert lam_max == big
+            assert abs(lam_min - small) <= 4.0 * EPS * abs(small)
+
+
+def test_eig2_negative_trace_keeps_its_digits():
+    # a nearly singular matrix of negative trace: lam_max is a tiny
+    # remainder of cancellation, so det / lam_max would be off by up to
+    # the matrix's own size; lam_min is mean - spread, which cancels nothing
+    assert eig2(-1.0, 0.0, -1e300, 0.0)[1] == -1e300
+    for m11, m22 in ((-0.75, -1.5), (-1.5, -0.6), (-1.0, -1.0)):
+        for k in (1, 3, 20):
+            m12 = math.sqrt(m11 * m22) * (1.0 + k * EPS)
+            lam_min = eig2(m11, m12, m22, 0.0)[1]
+            assert abs(lam_min - (0.5 * (m11 + m22) - math.hypot(0.5 * (m11 - m22), m12))) \
+                <= 4.0 * EPS
+
+
+def test_eig2_pauli_y_block():
+    # [[0, -i], [i, 0]] has eigenvalues 1 and -1
+    assert eig2(0.0, 0.0, 0.0, -1.0) == (1.0, -1.0)
+
+
+def test_eig2_huge_entries_stay_finite():
+    # hypot and dividing lam_max into each product keep the closed form
+    # finite where squaring an entry overflows
+    lam_max, lam_min = eig2(1e200, 1e200, 1e200, 1e200)
+    assert math.isclose(lam_max, (1.0 + math.sqrt(2.0)) * 1e200, rel_tol=1e-15)
+    assert math.isclose(lam_min, (1.0 - math.sqrt(2.0)) * 1e200, rel_tol=1e-15)
+    assert eig2(1e200, 0.0, 1e200, 1e200) == (2e200, 0.0)
+
+
+def test_eig2_least_subnormal_trace():
+    # both halves of diag(t, 0) round to 0, so lam_max does too; the
+    # diagonal is returned exactly rather than divided by that 0
+    t = 5e-324
+    assert eig2(t, 0.0, 0.0, 0.0) == (t, 0.0)
+    assert eig2(0.0, 0.0, t, 0.0) == (t, 0.0)
+    assert herm2_psd(t, 0.0, 0.0, 0.0) and herm2_psd(0.0, 0.0, t, 0.0)
 
 
 def test_herm2_psd_slack_is_a_few_roundings_of_the_largest_entry():
-    eps = np.finfo(float).eps
-    # the matrix [[y, h + i beta], [h - i beta, y]] has eigmin y - hypot(h, beta)
+    # the matrix [[y, h + i beta], [h - i beta, y]] has lam_min y - hypot(h, beta)
     for scale in (1.0, 1e3, 1e12):
-        assert herm2_psd(scale, 0.0, scale, scale * (1.0 + 8.0 * eps))
-        assert not herm2_psd(scale, 0.0, scale, scale * (1.0 + 32.0 * eps))
+        assert herm2_psd(scale, 0.0, scale, scale * (1.0 + 8.0 * EPS))
+        assert not herm2_psd(scale, 0.0, scale, scale * (1.0 + 32.0 * EPS))
         assert not herm2_psd(scale, 0.0, scale, scale * (1.0 + 1e-9))
     assert herm2_psd(0.0, 0.0, 0.0, 0.0)
     assert not herm2_psd(1.0, 0.0, 1.0, math.inf)
-
-
-def test_hermitian_eigmin_matches_lapack():
-    rng = np.random.default_rng(14)
-    for n in (2, 4, 6):
-        for _ in range(50):
-            a, b = _random_hermitian(rng, n)
-            ref = np.linalg.eigvalsh(a + 1j * b)[0]
-            got = hermitian_eigmin(a, b)
-            assert isinstance(got, float)
-            assert abs(got - ref) < ATOL_EIG * max(1.0, np.abs(ref))
-
-
-def test_hermitian_eigmin_2x2_is_the_closed_form():
-    rng = np.random.default_rng(15)
-    for _ in range(100):
-        a, b = _random_hermitian(rng, 2)
-        assert hermitian_eigmin(a, b) == eigmin_herm2(a[0, 0], a[1, 0], a[1, 1], b[0, 1])
-
-
-def test_hermitian_eigmin_pauli_y_block():
-    # A + iB = [[0, -i], [i, 0]] has eigenvalues -1 and 1
-    a = np.zeros((2, 2))
-    b = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert abs(hermitian_eigmin(a, b) + 1.0) < ATOL_EIG
-
-
-def test_eigmin_herm2_huge_entries_stay_finite():
-    # hypot keeps the closed form finite where squaring an entry overflows
-    assert math.isclose(eigmin_herm2(1e200, 1e200, 1e200, 1e200),
-                        (1.0 - math.sqrt(2.0)) * 1e200, rel_tol=1e-15)
-    assert eigmin_herm2(1e200, 0.0, 1e200, 1e200) == 0.0
 
 
 def _cubic(xx, yy):
