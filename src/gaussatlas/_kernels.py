@@ -11,8 +11,9 @@ and Y - 1 it is the NCB oracle's supremum; X sigma X^T = det(X) sigma
 makes the CP matrix Y + i(1 - det X) sigma, and the EB oracle's two-mode
 PPT test reduces to Y + i(1 + det X) sigma.
 
-Grid interpolation (``interp_cubic2d``) is one blocked pass over flat
-stencil indices; the real grids the library builds are weighted once.
+Grid interpolation (``interp_cubic2d``) is one blocked pass of gathers
+through offset views and in-place sums, each point's arithmetic the
+longhand's; the real grids the library builds are weighted once.
 """
 
 import math
@@ -70,12 +71,10 @@ INTERP_BLOCK = 1 << 15  # points per interpolation block; keeps temporaries in c
 
 
 def _cubic_weights(t):
-    """4-point Lagrange weights at offset t from the stencil's second node."""
-    w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w1 = (t * t - 1.0) * (t - 2.0) / 2.0
-    w2 = -t * (t + 1.0) * (t - 2.0) / 2.0
-    w3 = t * (t * t - 1.0) / 6.0
-    return w0, w1, w2, w3
+    """4-point Lagrange weights at offset t from the stencil's second node; * 0.5 rounds as / 2."""
+    neg, tm2, sq1 = -t, t - 2.0, t * t - 1.0
+    return (neg * (t - 1.0) * tm2 / 6.0, sq1 * tm2 * 0.5,
+            neg * (t + 1.0) * tm2 * 0.5, t * sq1 / 6.0)
 
 
 def interp_cubic2d(values, fx, fy):
@@ -84,15 +83,19 @@ def interp_cubic2d(values, fx, fy):
     values is a real or complex (n1, n2) array sampled on the integer
     lattice; fx and fy are flat arrays of fractional row and column indices
     that must lie inside the lattice.  Stencils are clamped at the edges.
-    A complex grid is interpolated in one pass: each stencil value is
-    gathered once and its real and imaginary parts are weighted separately,
-    so each part is exactly what a real-valued pass over it would give.
-    The result is float64 for a real grid of any precision, and complex128
-    for a complex one.  Points are processed in blocks of INTERP_BLOCK.
+    Stencil node (i, j) is one take from the flat grid viewed from offset
+    i n2 + j, and each point's products and sums are the longhand's, in
+    order and in place.  A complex grid is interpolated in one pass: each
+    stencil value is gathered once and its real and imaginary parts are
+    weighted separately, so each part is exactly what a real-valued pass
+    over it would give.  The result is float64 for a real grid of any
+    precision, and complex128 for a complex one.  Points are processed in
+    blocks of INTERP_BLOCK.
     """
     n1, n2 = values.shape
-    flat = values.ravel()
-    out = np.zeros(fx.shape, dtype=np.result_type(values.dtype, float))
+    dtype = np.result_type(values.dtype, float)
+    flat = values.astype(dtype, copy=False).ravel()
+    out = np.zeros(fx.shape, dtype=dtype)
     parts = (np.real, np.imag) if np.iscomplexobj(values) else (np.real,)
     for lo in range(0, fx.size, INTERP_BLOCK):
         hi = lo + INTERP_BLOCK
@@ -102,11 +105,13 @@ def interp_cubic2d(values, fx, fy):
         wy = _cubic_weights(fy[lo:hi] - (by + 1))
         corner = bx * n2 + by
         for i in range(4):
-            row = [flat[corner + (i * n2 + j)] for j in range(4)]
+            row = [flat[i * n2 + j:].take(corner) for j in range(4)]
             for part in parts:
-                comp = [part(r) for r in row]
-                acc = wy[0] * comp[0]
-                for j in range(1, 4):
-                    acc = acc + wy[j] * comp[j]
-                part(out)[lo:hi] += wx[i] * acc
+                acc, *rest = (part(r) for r in row)
+                acc *= wy[0]
+                for w, v in zip(wy[1:], rest):
+                    v *= w
+                    acc += v
+                acc *= wx[i]
+                part(out)[lo:hi] += acc
     return out

@@ -274,11 +274,13 @@ def find_r0(form, tol=TOL_CLASS):
     equal, a e^-2r = b e^2r, with peak (sqrt(ab) - 1)^2.  Returns r0 if
     its orbit point passes the breaking test, else None; for an
     entanglement-breaking form the bound ab >= (1 + kappa^2)^2
-    guarantees success.  Raises ValueError when the EB margin is below
-    -tol.
+    guarantees success.  None when a or b is 0, which no squeeze lifts
+    to 1.  Raises ValueError when the EB margin is below -tol.
     """
     if not eb_margin(form.kind, form.kappa, form.a, form.b) >= -tol:
         raise ValueError("orbit search needs an entanglement-breaking form")
+    if form.a == 0.0 or form.b == 0.0:
+        return None
     ratio = form.a / form.b
     # ln a - ln b where a / b overflows; elsewhere ln(a / b), with its bits
     r0 = 0.25 * (math.log(ratio) if math.isfinite(ratio) else math.log(form.a) - math.log(form.b))

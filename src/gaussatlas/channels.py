@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .gaussian_core import TOL_PSD, symplectic_check
-from .phase_space import TOL_FFT, CharGrid
+from .phase_space import TOL_FFT, CharGrid, exp_quadratic
 
 TOL_RANK = 1e-10  # singular values below TOL_RANK * ||X|| count as zero
 _ZERO_FLOOR = 1e-150  # magnitudes below this count as an exactly zero X
@@ -295,24 +295,31 @@ def act_chargrid(ch, grid):
     if grid.s != 0.0:
         raise ValueError("channel action needs a Weyl-ordered grid (s = 0)")
     X, Y = ch.X, ch.Y
-    ax = grid.axis
-    L = grid.extent
-    x1, x2 = np.meshgrid(ax, ax, indexing="ij")
-    m1 = X[0, 0] * x1 + X[0, 1] * x2
-    m2 = X[1, 0] * x1 + X[1, 1] * x2
-    env = np.exp(-0.5 * (Y[0, 0] * x1 * x1 + 2.0 * Y[0, 1] * x1 * x2
-                         + Y[1, 1] * x2 * x2))
-    inside = (np.abs(m1) <= L) & (np.abs(m2) <= L)
-    if np.any(~inside & (env > TOL_FFT)):
-        raise ValueError("mapped points leave the grid where the noise envelope "
-                         "has not decayed; enlarge the grid extent")
-    d = grid.spacing
-    fx = (m1[inside] - ax[0]) / d
-    fy = (m2[inside] - ax[0]) / d
+    ax, L, d, n = grid.axis, grid.extent, grid.spacing, grid.side
+    m1 = (X[0, 0] * ax)[:, None] + X[0, 1] * ax
+    m2 = (X[1, 0] * ax)[:, None] + X[1, 1] * ax
+    env = exp_quadratic(Y[0, 0], Y[0, 1], Y[1, 1], ax)
+    # rounding is monotone, so m1 and m2 are monotone along each axis: corners bound them
+    if all(np.abs(m[::n - 1, ::n - 1]).max() <= L for m in (m1, m2)):
+        inside = None  # every mapped point is inside: no compress and scatter
+        fx, fy = m1.ravel(), m2.ravel()
+    else:
+        inside = (np.abs(m1) <= L) & (np.abs(m2) <= L)
+        if np.any(~inside & (env > TOL_FFT)):
+            raise ValueError("mapped points leave the grid where the noise envelope "
+                             "has not decayed; enlarge the grid extent")
+        fx, fy = m1[inside], m2[inside]
+    for f in (fx, fy):
+        f -= ax[0]
+        f /= d
     inner = _kernels.interp_cubic2d(grid.values, fx, fy)
-    mapped = np.zeros(grid.values.shape, dtype=inner.dtype)
-    mapped[inside] = inner
-    return CharGrid(s=0.0, extent=grid.extent, axis=ax, values=mapped * env)
+    if inside is None:
+        mapped = inner.reshape(env.shape)
+    else:
+        mapped = np.zeros(env.shape, dtype=inner.dtype)
+        mapped[inside] = inner
+    mapped *= env
+    return CharGrid(s=0.0, extent=grid.extent, axis=ax, values=mapped)
 
 
 def compose_pre_unitary(ch, S):

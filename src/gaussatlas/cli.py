@@ -10,7 +10,8 @@ pfunc                    single-photon output P-function samples
 verify [SUITE]           run a named verification suite
 
 Exit codes: 0 success, 1 domain verdict failure (non-EB orbit input,
-oracle disagreement, failed verification), 2 usage or parse error.
+oracle disagreement, failed verification) or standard output closed
+before the output was written (a broken pipe), 2 usage or parse error.
 All floats are printed with 12 significant digits so identical inputs
 produce byte-identical output.
 """
@@ -19,6 +20,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -324,10 +326,9 @@ def _cmd_orbit(args):
 
 def _pfunc_closed(args):
     axis = np.linspace(-args.extent, args.extent, args.grid)
-    a1, a2 = np.meshgrid(axis, axis, indexing="ij")
     try:
         with np.errstate(all="ignore"):  # a non-finite sample is refused below
-            values = fock1_output_p(args.a, args.b, a1, a2, variant=args.variant)
+            values = fock1_output_p(args.a, args.b, axis[:, None], axis, variant=args.variant)
     except OverflowError:  # a ** 2 or b ** 2 in Python floats
         values = np.array(np.nan)
     if not np.isfinite(values).all():
@@ -475,6 +476,9 @@ def main(argv=None):
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:  # the reader left: the exit-time flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

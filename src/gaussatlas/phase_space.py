@@ -18,7 +18,8 @@ the exact s = 1 limit of a classical state is a proper density but need
 not decay on any finite grid.
 
 The states built here are parity-even, so their grids are real (float64)
-and stay real up to the transform; complex grids are accepted too.
+and stay real up to the transform; complex grids are accepted too.  Grids
+are outer sums and products of per-axis vectors, rounded as over meshgrids.
 """
 
 import math
@@ -88,34 +89,49 @@ class QuasiGrid:
         return d * d
 
 
-def _mesh(spec):
-    xi = np.linspace(-spec.extent, spec.extent, spec.side)
-    x1, x2 = np.meshgrid(xi, xi, indexing="ij")
-    return xi, x1, x2
+def _axis(spec):
+    return np.linspace(-spec.extent, spec.extent, spec.side)
+
+
+def _radius2(xi):
+    """xi1^2 + xi2^2 on the grid of axis xi."""
+    sq = xi * xi
+    return sq[:, None] + sq
+
+
+def exp_quadratic(m11, m12, m22, xi):
+    """exp(-(m11 xi1 xi1 + 2 m12 xi1 xi2 + m22 xi2 xi2) / 2) on the grid of axis xi."""
+    q = (2.0 * m12 * xi)[:, None] * xi
+    q += (m11 * xi * xi)[:, None]
+    q += m22 * xi * xi
+    q *= -0.5
+    return np.exp(q, out=q)
 
 
 def char_vacuum(s, spec=GridSpec()):
     """Vacuum characteristic function at order s: exp(((s - 1)/2) |xi|^2)."""
-    xi, x1, x2 = _mesh(spec)
-    values = np.exp(0.5 * (s - 1.0) * (x1 * x1 + x2 * x2))
-    return CharGrid(s=float(s), extent=spec.extent, axis=xi, values=values)
+    xi = _axis(spec)
+    values = _radius2(xi)
+    values *= 0.5 * (s - 1.0)
+    return CharGrid(s=float(s), extent=spec.extent, axis=xi, values=np.exp(values, out=values))
 
 
 def char_fock1(s, spec=GridSpec()):
     """Single-photon characteristic function, (1 - |xi|^2) times the vacuum one."""
-    xi, x1, x2 = _mesh(spec)
-    r2 = x1 * x1 + x2 * x2
-    values = (1.0 - r2) * np.exp(0.5 * (s - 1.0) * r2)
+    xi = _axis(spec)
+    r2 = _radius2(xi)
+    env = 0.5 * (s - 1.0) * r2
+    values = np.subtract(1.0, r2, out=r2)
+    values *= np.exp(env, out=env)
     return CharGrid(s=float(s), extent=spec.extent, axis=xi, values=values)
 
 
 def char_gaussian(V, s, spec=GridSpec()):
     """Characteristic function of a Gaussian state, exp(-xi^T (V - s*1) xi / 2)."""
     V = np.asarray(V, dtype=float)
-    xi, x1, x2 = _mesh(spec)
-    q = ((V[0, 0] - s) * x1 * x1 + 2.0 * V[0, 1] * x1 * x2 + (V[1, 1] - s) * x2 * x2)
+    xi = _axis(spec)
     return CharGrid(s=float(s), extent=spec.extent, axis=xi,
-                    values=np.exp(-0.5 * q))
+                    values=exp_quadratic(V[0, 0] - s, V[0, 1], V[1, 1] - s, xi))
 
 
 def _boundary_max(values):
@@ -134,10 +150,11 @@ def convert_order(grid, s_target):
     ds = float(s_target) - grid.s
     if ds == 0.0:
         return grid
-    x1, x2 = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+    factor = _radius2(grid.axis)
+    factor *= 0.5 * ds
     # overflow leaves inf or nan on the boundary, which quasi_from_char refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        values = grid.values * np.exp(0.5 * ds * (x1 * x1 + x2 * x2))
+        values = grid.values * np.exp(factor, out=factor)
     if ds > 0 and not _boundary_max(values) <= TOL_FFT:
         warnings.warn("upward order conversion amplified the grid boundary above "
                       "TOL_FFT; downstream transforms will be ill-conditioned",

@@ -9,7 +9,8 @@ by position (or passes ``*args`` or ``**kwargs``).
 
 The library calls no ``np.linalg`` routine: every 2x2 problem has a
 closed form.  Only ``verify.py`` keeps LAPACK, as the independent
-reference of its criteria.
+reference of its criteria.  Likewise only ``verify.py`` builds
+``np.meshgrid`` pairs; the library builds its grids from per-axis vectors.
 """
 
 import ast
@@ -36,6 +37,11 @@ ALLOWED_NEVER_SET = {}
 # modules allowed to call np.linalg, each for a reason
 ALLOWED_LINALG = {
     "verify.py": "its criteria check the closed forms against LAPACK references",
+}
+
+# modules allowed to build np.meshgrid pairs, each for a reason
+ALLOWED_MESHGRID = {
+    "verify.py": "its criteria keep full-grid expressions as independent references",
 }
 
 
@@ -140,3 +146,36 @@ def test_no_linalg_call_outside_the_verification_criteria():
 def test_linalg_allowlist_holds_only_modules_that_call_it():
     for name in ALLOWED_LINALG:
         assert any(_linalg_uses(PACKAGE / name)), name
+
+
+def _meshgrid_uses(path):
+    """Lines of path that reach numpy.meshgrid: np.meshgrid / numpy.meshgrid, or an import of it."""
+    for node in _module_nodes(path):
+        if isinstance(node, ast.Attribute):
+            found = node.attr == "meshgrid" and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy")
+        elif isinstance(node, ast.ImportFrom):
+            found = node.module == "numpy" and any(a.name == "meshgrid" for a in node.names)
+        else:
+            found = False
+        if found:
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_meshgrid_check_sees_every_route_to_numpy_meshgrid(tmp_path):
+    routes = ["np.meshgrid(x, x)", "mesh = numpy.meshgrid", "from numpy import meshgrid"]
+    for i, line in enumerate(routes):
+        path = tmp_path / f"m{i}.py"
+        path.write_text(f"import numpy as np\n{line}\n")
+        assert list(_meshgrid_uses(path)) == [f"{path.name}:2"], line
+
+
+def test_no_meshgrid_outside_the_verification_criteria():
+    uses = [line for path in sorted(PACKAGE.glob("*.py"))
+            if path.name not in ALLOWED_MESHGRID for line in _meshgrid_uses(path)]
+    assert not uses, f"numpy.meshgrid in library code: {uses}"
+
+
+def test_meshgrid_allowlist_holds_only_modules_that_call_it():
+    for name in ALLOWED_MESHGRID:
+        assert any(_meshgrid_uses(PACKAGE / name)), name

@@ -433,6 +433,13 @@ class TestOrbit:
         with pytest.raises(ValueError):
             find_r0(_form(Kind.I, 1.0, 1.0, kappa=1.0))
 
+    @pytest.mark.parametrize("a, b", [(5.0, 0.0), (0.0, 5.0), (0.0, 0.0)])
+    def test_find_r0_none_on_a_zero_noise_eigenvalue(self, a, b):
+        # no squeeze lifts a zero eigenvalue to 1; a slack of 10 admits the form
+        form = _form(Kind.III_ZERO, a, b)
+        assert form.a * form.b == 0.0
+        assert find_r0(form, tol=10.0) is None
+
 
 class TestRegions:
     def test_four_classes_at_fixed_gain(self):

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaussatlas
 from gaussatlas.cli import main
 from gaussatlas.phase_space import fock1_output_p
 
@@ -228,6 +232,20 @@ class TestSweep:
         assert "error:" in capsys.readouterr().err
 
 
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # the reader takes one line and closes the pipe while sweep is still writing
+    src = str(Path(gaussatlas.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen([sys.executable, "-m", "gaussatlas.cli", "sweep", "--grid", "400"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"kind,")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err, err
+
+
 class TestOrbit:
     def test_trace_with_r0_header(self, tmp_path, capsys):
         code = main(["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "11"])
@@ -270,6 +288,13 @@ class TestOrbit:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["r0"] == float(f"{r0:.12g}")
+
+    @pytest.mark.parametrize("noise", ["[[5, 0], [0, 0]]", "[[0, 0], [0, 5]]", "[[0, 0], [0, 0]]"])
+    def test_zero_noise_eigenvalue_has_no_r0(self, tmp_path, noise, capsys):
+        text = f'{{"X": [[0, 0], [0, 0]], "Y": {noise}}}'
+        code = main(["orbit", _write(tmp_path, text), "--tol", "10"])
+        assert code == 1
+        assert "no squeeze parameter" in capsys.readouterr().err
 
     def test_non_eb_channel_fails(self, tmp_path, capsys):
         code = main(["orbit", _write(tmp_path, CP_ONLY_CHANNEL)])

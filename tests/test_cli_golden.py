@@ -189,16 +189,19 @@ def test_overflow_prints_inf_in_csv_and_null_in_json(capsys):
     assert record["cp_margin"] is None and record["eb_margin"] is None
 
 
-def _ref_pfunc_csv(a, b, variant, grid, extent):
+def _ref_pfunc_samples(a, b, variant, grid, extent):
     if variant == "fft":
         spec = GridSpec(side=grid, extent=extent)
         out = act_chargrid(Channel(X=np.eye(2), Y=np.diag([a, b])), char_fock1(0.0, spec))
         q = quasi_from_char(convert_order(out, 1.0))
-        axis, values = q.axis / np.sqrt(2.0), 2.0 * np.pi * q.values
-    else:
-        axis = np.linspace(-extent, extent, grid)
-        a1, a2 = np.meshgrid(axis, axis, indexing="ij")
-        values = fock1_output_p(a, b, a1, a2, variant=variant)
+        return q.axis / np.sqrt(2.0), 2.0 * np.pi * q.values
+    axis = np.linspace(-extent, extent, grid)
+    a1, a2 = np.meshgrid(axis, axis, indexing="ij")
+    return axis, fock1_output_p(a, b, a1, a2, variant=variant)
+
+
+def _ref_pfunc_csv(a, b, variant, grid, extent):
+    axis, values = _ref_pfunc_samples(a, b, variant, grid, extent)
     lines = ["alpha1,alpha2,value"]
     for i, x in enumerate(axis):
         for j, y in enumerate(axis):
@@ -215,6 +218,31 @@ def test_pfunc_csv_bytes(variant, grid, extent, tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
     out = tmp_path / "p.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == expected
+    assert capsys.readouterr().out == f"wrote {grid}x{grid} samples to {out}\n"
+
+
+def _ref_pfunc_json(a, b, variant, grid, extent):
+    axis, values = _ref_pfunc_samples(a, b, variant, grid, extent)
+
+    def num(v):
+        return float(f"{v:.12g}") if math.isfinite(v) else None
+
+    payload = {"a": a, "b": b, "variant": variant,
+               "alpha_axis": [num(x) for x in axis],
+               "values": [[num(v) for v in row] for row in values]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("variant, grid, extent", [("rederived", 21, 6.0), ("fft", 129, 10.0)])
+def test_pfunc_json_bytes(variant, grid, extent, tmp_path, capsys):
+    argv = ["pfunc", "--a", "3", "--b", "1.5", "--variant", variant, "--grid", str(grid),
+            "--extent", repr(extent), "--format", "json"]
+    expected = _ref_pfunc_json(3.0, 1.5, variant, grid, extent)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "p.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text() == expected
     assert capsys.readouterr().out == f"wrote {grid}x{grid} samples to {out}\n"

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gaussatlas.channels import Channel, act_chargrid
+from gaussatlas.gaussian_core import rotation
 from gaussatlas.phase_space import (
     TOL_FFT,
     CharGrid,
@@ -222,6 +224,84 @@ class TestTransform:
         grid = CharGrid(s=0.0, extent=g.extent, axis=g.axis, values=bad)
         with pytest.raises(ValueError, match="residue"):
             quasi_from_char(grid)
+
+
+def _same_bits(got, ref):
+    return got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _meshgrid_longhand(axis):
+    return np.meshgrid(axis, axis, indexing="ij")
+
+
+def _act_chargrid_longhand(ch, grid):
+    """act_chargrid over meshgrid pairs, for a grid whose mapped points all stay inside."""
+    X, Y, ax, n = ch.X, ch.Y, grid.axis, grid.side
+    x1, x2 = _meshgrid_longhand(ax)
+    m1 = X[0, 0] * x1 + X[0, 1] * x2
+    m2 = X[1, 0] * x1 + X[1, 1] * x2
+    env = np.exp(-0.5 * (Y[0, 0] * x1 * x1 + 2.0 * Y[0, 1] * x1 * x2
+                         + Y[1, 1] * x2 * x2))
+    assert np.abs(m1).max() <= grid.extent and np.abs(m2).max() <= grid.extent
+    fx = (m1 - ax[0]) / grid.spacing
+    fy = (m2 - ax[0]) / grid.spacing
+    bx = np.clip(np.floor(fx).astype(np.int64) - 1, 0, n - 4)
+    by = np.clip(np.floor(fy).astype(np.int64) - 1, 0, n - 4)
+    tx = fx - (bx + 1)
+    ty = fy - (by + 1)
+    wx = (-tx * (tx - 1.0) * (tx - 2.0) / 6.0, (tx * tx - 1.0) * (tx - 2.0) / 2.0,
+          -tx * (tx + 1.0) * (tx - 2.0) / 2.0, tx * (tx * tx - 1.0) / 6.0)
+    wy = (-ty * (ty - 1.0) * (ty - 2.0) / 6.0, (ty * ty - 1.0) * (ty - 2.0) / 2.0,
+          -ty * (ty + 1.0) * (ty - 2.0) / 2.0, ty * (ty * ty - 1.0) / 6.0)
+    mapped = np.zeros(fx.shape)
+    for i in range(4):
+        acc = wy[0] * grid.values[bx + i, by]
+        for j in range(1, 4):
+            acc = acc + wy[j] * grid.values[bx + i, by + j]
+        mapped += wx[i] * acc
+    return mapped * env
+
+
+class TestBitsAgainstMeshgridLonghand:
+    """Grids are built from per-axis vectors; every sample keeps the bits of
+    the full-grid expression written over meshgrid pairs."""
+
+    SPEC = GridSpec(side=129, extent=7.0)
+
+    @pytest.mark.parametrize("s", [0.0, -0.6, 1.0 - 1e-3])
+    def test_char_vacuum_and_fock1(self, s):
+        x1, x2 = _meshgrid_longhand(np.linspace(-7.0, 7.0, 129))
+        r2 = x1 * x1 + x2 * x2
+        assert _same_bits(char_vacuum(s, self.SPEC).values, np.exp(0.5 * (s - 1.0) * r2))
+        assert _same_bits(char_fock1(s, self.SPEC).values,
+                          (1.0 - r2) * np.exp(0.5 * (s - 1.0) * r2))
+
+    @pytest.mark.parametrize("s", [0.0, -0.6])
+    def test_char_gaussian_with_off_diagonal_covariance(self, s):
+        V = np.array([[1.7, -0.45], [-0.45, 0.9]])
+        x1, x2 = _meshgrid_longhand(np.linspace(-7.0, 7.0, 129))
+        q = (V[0, 0] - s) * x1 * x1 + 2.0 * V[0, 1] * x1 * x2 + (V[1, 1] - s) * x2 * x2
+        assert _same_bits(char_gaussian(V, s, self.SPEC).values, np.exp(-0.5 * q))
+
+    @pytest.mark.parametrize("s_target", [-0.8, 0.5])
+    @pytest.mark.parametrize("complex_grid", [False, True])
+    def test_convert_order_up_and_down(self, s_target, complex_grid):
+        g = char_gaussian([[2.2, 0.3], [0.3, 1.6]], 0.0, self.SPEC)
+        x1, x2 = _meshgrid_longhand(g.axis)
+        values = g.values * np.exp(1j * (0.7 * x1 - 0.4 * x2)) if complex_grid else g.values
+        grid = CharGrid(s=0.0, extent=g.extent, axis=g.axis, values=values)
+        ref = values * np.exp(0.5 * s_target * (x1 * x1 + x2 * x2))
+        assert _same_bits(convert_order(grid, s_target).values, ref)
+
+    @pytest.mark.parametrize("X, Y", [
+        (np.eye(2), np.diag([3.0, 1.5])),
+        # a rotating contraction: mapped points fall between nodes, all inside
+        (0.6 * rotation(0.4) @ np.diag([1.0, 0.7]), np.array([[2.5, 0.3], [0.3, 1.8]])),
+    ])
+    def test_act_chargrid_on_an_all_inside_real_grid(self, X, Y):
+        ch = Channel(X=X, Y=Y)
+        grid = char_fock1(0.0, self.SPEC)
+        assert _same_bits(act_chargrid(ch, grid).values, _act_chargrid_longhand(ch, grid))
 
 
 class TestFock1OutputP:
