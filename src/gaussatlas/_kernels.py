@@ -14,8 +14,13 @@ PPT test reduces to Y + i(1 + det X) sigma.
 Grid interpolation (``interp_cubic2d``) is one blocked pass of gathers
 through offset views and in-place sums, each point's arithmetic the
 longhand's; the real grids the library builds are weighted once.
+
+Bulk float text (``text12``) prints a whole float64 array as
+``"%.12g" % v``, or as JSON's ``repr(float("%.12g" % v))``, byte for byte;
+its docstring gives the layout and why the bytes are exactly Python's.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -115,3 +120,117 @@ def interp_cubic2d(values, fx, fy):
                 acc *= wx[i]
                 part(out)[lo:hi] += acc
     return out
+
+
+# -- 12-digit float text ----------------------------------------------------- #
+
+TEXT_WIDTH = 32  # bytes per value in text12's output, zero-padded
+_SCALE = np.power(10.0, 11 - np.arange(-281, 282))  # 10^(11 - e) at e + 281, within an ulp
+_DIGITS = np.zeros((10, 10, 10, 10, 4), np.uint8)  # ASCII of each 4-digit group
+_TZ = np.zeros((10, 10, 10, 10), np.int64)  # trailing zeros of each group
+_ascii = np.arange(48, 58, dtype=np.uint8)
+_DIGITS[..., 0], _DIGITS[..., 1] = _ascii[:, None, None, None], _ascii[:, None, None]
+_DIGITS[..., 2], _DIGITS[..., 3] = _ascii[:, None], _ascii
+_TZ[..., 0], _TZ[..., 0, 0], _TZ[..., 0, 0, 0], _TZ[0, 0, 0, 0] = 1, 2, 3, 4
+_DIGITS, _TZ = _DIGITS.reshape(-1, 4), _TZ.ravel()
+_QUAD = _DIGITS.view(np.uint32).ravel().astype(np.uint64)
+
+
+@functools.cache
+def _text_tables(json):
+    """text12's case words (7, 572) and exponent words (563,), built on first use.
+
+    A case is (sign, e clipped to [-5, 16], significant digits); its
+    seven words are the sign and "0.000" prefix and the masks that keep
+    the digits left (two words) and right (two) of the point and place
+    the point (two).  A JSON integer below 1e11 shows its ".0" as a point
+    and one more digit.  The exponent word of e, at e + 281, is "e+XX"
+    outside the positional range, and for a JSON integer from 1e11 the
+    zeros past the twelfth digit and ".0".
+    """
+    last = 16 if json else 12
+    e, sig, col = np.arange(-5, 17)[:, None, None], np.arange(13)[:, None], np.arange(16)
+    fixed = (e >= -4) & (e < last)
+    whole = fixed & (e >= 0)
+    point = (whole & ((sig > e + 1) | json & (e < 11))) | (~fixed & (sig > 1))
+    at = np.where(point & whole, e, np.where(point, 0, 12))  # the point follows digit at
+    shown = np.where(whole, np.maximum(sig, np.minimum(e + 1 + json, 12)), sig)
+    case = np.zeros((2, 22, 13, 56), np.uint8)
+    case[1, :, :, 0] = 45
+    for z in range(1, 5):
+        case[:, 5 - z, :, 1:2 + z] = np.frombuffer(b"0.000"[:z + 1], np.uint8)
+    case[..., 8:24] = 255 * ((col <= at) & (col < shown))
+    case[..., 24:40] = 255 * (point & (col >= at + 2) & (col <= shown))
+    case[..., 40:56] = 46 * (point & (col == at + 1))
+    exp = [b"" if -4 <= k < last else b"e%+03d" % k for k in range(-281, 282)]
+    if json:
+        exp[292:297] = [b"0" * pad + b".0" for pad in range(5)]
+    return case.view(np.uint64).reshape(-1, 7).T.copy(), np.array(exp, "S8").view(np.uint64)
+
+
+def text12(values, json=False):
+    """The text of each float as an (n, TEXT_WIDTH) uint8 array, zero-padded.
+
+    A row, zero bytes dropped, is ``"%.12g" % v``, or with json
+    ``repr(float("%.12g" % v))`` and ``null`` for a non-finite v.
+
+    Digits: with e = floor(log10 |v|), m = |v| 10^(11 - e) and the
+    12-digit significand is d = rint(m); d = 10^12 is 10^11 at e + 1.
+    The power is a table entry within an ulp and the product one more
+    rounding, so m is within 3.4e-4 of |v| 10^(11 - e), and d is the
+    correctly rounded significand Python prints whenever
+    |m - d| < 0.499, m >= 1e11 and d <= 1e12: a log10 that rounds up
+    across a power of ten leaves m under 1e11 and is refused, and one
+    that rounds down leaves m at 1e12 + 0.5 or more, refused, or below,
+    where d = 10^12 is right.  Other rows (about 0.1% of random values and
+    every exact tie), and 0, -0.0, non-finite values and |v| outside
+    1e-280..1e280, are printed by Python's own ``%`` and ``repr``.
+
+    Layout: %g is positional for -4 <= e < 12 and repr for -4 <= e < 16;
+    both strip trailing zeros, %g also a bare point, and repr keeps
+    ".0" on an integer; outside that range both write d.ddde+XX.  A row
+    is eight sign-and-prefix bytes ("-0.000" at most), sixteen digit
+    bytes (twelve digits and the point: two 64-bit words of digits,
+    masked, and again shifted one byte up past the point) and eight
+    exponent bytes; the masks come from one table of cases.
+    """
+    case, exp = _text_tables(bool(json))
+    x = np.asarray(values, dtype=float).ravel()
+    mag = np.abs(x)
+    fast = (mag >= 1e-280) & (mag <= 1e280)
+    mag[~fast] = 1.0
+    e = np.floor(np.log10(mag)).astype(np.int64) + 281
+    m = mag * _SCALE.take(e)
+    d = np.rint(m)
+    fast &= (np.abs(m - d) < 0.499) & (m >= 1e11) & (d <= 1e12)
+    d = d.astype(np.int64)
+    top = d == 10 ** 12
+    d[top] = 10 ** 11
+    e += top
+    hi = d // 10 ** 8
+    d -= hi * 10 ** 8
+    mid = d // 10 ** 4
+    lo = d - mid * 10 ** 4
+    tz = _TZ.take(lo)
+    zero = np.flatnonzero(tz == 4)
+    tz[zero] += _TZ.take(mid[zero]) + (mid[zero] == 0) * _TZ.take(hi[zero])
+    w = case.take((x < 0) * 286 + np.clip(e, 276, 297) * 13 + (12 - 276 * 13 - tz), axis=1)
+    d0 = _QUAD.take(hi) | (_QUAD.take(mid) << np.uint64(32))
+    d1 = _QUAD.take(lo)
+    out = np.empty((x.size, 4), np.uint64)
+    out[:, 0] = w[0]
+    out[:, 1] = (d0 & w[1]) | ((d0 << np.uint64(8)) & w[3]) | w[5]
+    out[:, 2] = (d1 & w[2]) | (((d1 << np.uint64(8)) | (d0 >> np.uint64(56))) & w[4]) | w[6]
+    out[:, 3] = exp.take(e)
+    text = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    strs = _python_text(x[slow].tolist(), json)
+    text[slow] = np.array(strs, dtype=f"S{TEXT_WIDTH}").view(np.uint8).reshape(-1, TEXT_WIDTH)
+    return text
+
+
+def _python_text(values, json):
+    """Python's own text of each float, for the rows text12 does not print itself."""
+    if json:
+        return [repr(float("%.12g" % v)) if math.isfinite(v) else "null" for v in values]
+    return ["%.12g" % v for v in values]

@@ -13,7 +13,15 @@ Exit codes: 0 success, 1 domain verdict failure (non-EB orbit input,
 oracle disagreement, failed verification) or standard output closed
 before the output was written (a broken pipe), 2 usage or parse error.
 All floats are printed with 12 significant digits so identical inputs
-produce byte-identical output.
+produce byte-identical output: a CSV field is ``"%.12g" % v`` and a JSON
+number ``repr(float("%.12g" % v))``, or null if v is not finite.
+
+The grid writers (sweep records and curves, pfunc; CSV and JSON) print
+every float through ``_kernels.text12``, whose bytes are exactly
+Python's.  ``_grid_text`` lays out each block of up to TEXT_BLOCK points
+in one zero-padded uint8 array and drops the padding with one
+``bytes.translate``; json.dumps lays out each JSON document, and the
+float arrays are spliced into their slots.
 """
 
 import argparse
@@ -38,6 +46,7 @@ from .breaking import (
     squeeze_orbit,
 )
 from .channels import Channel, Kind, act_chargrid, is_cp, kind_from_label
+from ._kernels import TEXT_WIDTH, text12
 from .gaussian_core import TOL_CLASS
 from .phase_space import (
     GridSpec,
@@ -56,8 +65,7 @@ class _CliError(Exception):
 
 
 REGION_CSV_HEADER = "kind,kappa,a,b,class,cp_margin,eb_margin,ncb_margin"
-_RECORD_JSON_TAIL = ('%s,\n      "class": "%s",\n      "cp_margin": %s,\n'
-                     '      "eb_margin": %s,\n      "ncb_margin": %s\n    }')
+TEXT_BLOCK = 4096  # points per block of grid text
 
 
 def _fmt(v):
@@ -69,25 +77,91 @@ def _json_num(v):
     return repr(float("%.12g" % v)) if math.isfinite(v) else "null"
 
 
-def _grid_rows(prefixes, template, inner, rows, sep="\n"):
-    """Yield the text of a grid row by row, with sep between points.
+def _table(strings):
+    """The strings as a uint8 table, one zero-padded row each."""
+    return np.array([s.encode() for s in strings], dtype=bytes).view(np.uint8).reshape(len(strings), -1)
 
-    Point j of row i reads prefixes[i] + template % (inner[j], *fields),
-    where template holds one %-conversion per field and rows yields, per
-    row, one sequence per field after the first.  Axis values come in
-    preformatted, so each distinct one is formatted once; a row's
-    per-point values are formatted by a single %-operation, and only
-    one row of text is held at a time.
+
+def _grid_text(shape, fields, json=False, drop=0):
+    """Yield the text of a rows x cols grid in row-major order, in blocks of whole rows.
+
+    A point's text is its fields in turn.  A field is a str, the same at
+    every point; a numeric array of the grid's shape, printed by text12
+    (in its JSON layout with json); a (table, index) pair, index an integer
+    array of the grid's shape choosing rows of a uint8 text table; or a
+    uint8 text table that broadcasts against (rows, cols, width), such as
+    (rows, 1, width) for one text per grid row.  Each block of at most
+    TEXT_BLOCK points (one grid row if a row is longer) is laid out in one
+    zero-padded uint8 array, and one translate drops the padding.  The
+    last drop bytes of the text are left out.
     """
-    table = np.empty((len(inner), template.count("%")), dtype=object)
-    table[:, 0] = inner
-    for i, (prefix, fields) in enumerate(zip(prefixes, rows)):
-        for k, column in enumerate(fields, 1):
-            table[:, k] = column
-        row_template = sep.join([prefix.replace("%", "%%") + template] * len(inner))
-        if i:
-            yield sep
-        yield row_template % tuple(table.ravel().tolist())
+    rows, cols = shape
+    step = max(1, TEXT_BLOCK // cols)
+    for lo in range(0, rows, step):
+        parts = []
+        for f in fields:
+            if isinstance(f, str):
+                f = np.frombuffer(f.encode(), np.uint8)
+            elif isinstance(f, tuple):
+                f = f[0].take(f[1][lo:lo + step], axis=0)
+            elif f.dtype != np.uint8:
+                f = text12(f[lo:lo + step], json).reshape(-1, cols, TEXT_WIDTH)
+            elif len(f) > 1:
+                f = f[lo:lo + step]
+            parts.append(f)
+        block = np.empty((min(step, rows - lo), cols, sum(f.shape[-1] for f in parts)), np.uint8)
+        at = 0
+        for f in parts:
+            block[..., at:at + f.shape[-1]] = f
+            at += f.shape[-1]
+        text = block.tobytes().translate(None, b"\0")
+        yield (text[:len(text) - drop] if lo + step >= rows else text).decode()
+
+
+def _column(values, template, json=False):
+    """A uint8 table of template % text, for the text12 text of each value of a 1-D array."""
+    texts = "".join(_grid_text((1, len(values)), [values[None], "\n"], json)).split("\n")
+    return _table([template % t for t in texts[:-1]])
+
+
+def _json_array(values, indent):
+    """Chunks of a 1-D or 2-D float array as json.dumps(indent=2) nests it under indent."""
+    inner, grid = indent + "  ", np.atleast_2d(values)
+    lead, tail = [inner] * grid.shape[1], [",\n"] * grid.shape[1]
+    if values.ndim == 2:  # each row an array of its own
+        lead = [inner + "[\n" + inner + "  "] + [inner + "  "] * (len(lead) - 1)
+        tail[-1] = "\n" + inner + "],\n"
+    yield "[\n"
+    yield from _grid_text(grid.shape, [_table(lead)[None], grid, _table(tail)[None]],
+                          json=True, drop=2)
+    yield "\n" + indent + "]"
+
+
+def _json_chunks(payload):
+    """Chunks of json.dumps(_jsonable(payload), indent=2) and a newline.
+
+    json.dumps lays out the document; each float array in payload goes
+    through _json_array into its slot, and each iterator of chunks is
+    spliced in as is.
+    """
+    bulk = []
+
+    def mark(obj):
+        if isinstance(obj, dict):
+            return {k: mark(v) for k, v in obj.items()}
+        if isinstance(obj, np.ndarray) or hasattr(obj, "__next__"):
+            bulk.append(obj)
+            return "\0"
+        return obj
+
+    pieces = json.dumps(_jsonable(mark(payload)), indent=2).split('"\\u0000"')
+    for piece, part in zip(pieces, bulk):
+        yield piece
+        if isinstance(part, np.ndarray):
+            line = piece[piece.rfind("\n") + 1:]
+            part = _json_array(part, line[:len(line) - len(line.lstrip(" "))])
+        yield from part
+    yield pieces[-1] + "\n"
 
 
 def _emit(chunks, path=None):
@@ -198,43 +272,41 @@ def _cmd_check(args):
     return 0 if agree else 1
 
 
-def _sweep_rows(sweep, n, to_text):
-    """Per-row fields (class, cp, eb, ncb) of a sweep; to_text maps a margin row."""
-    labels = np.array(REGION_LABELS, dtype=object)[sweep.code].reshape(n, n)
-    margins = [m.reshape(n, n) for m in (sweep.cp_margin, sweep.eb_margin, sweep.ncb_margin)]
-    for i in range(n):
-        yield (labels[i],) + tuple(to_text(m[i]) for m in margins)
+def _sweep_fields(sweep, n, labels):
+    """The per-point fields of a sweep: the text labels[code] and the three margins."""
+    return [(_table(labels), sweep.code.reshape(n, n))] + [
+        m.reshape(n, n) for m in (sweep.cp_margin, sweep.eb_margin, sweep.ncb_margin)]
 
 
 def _records_csv(sweep, n):
-    """Chunks of the sweep records CSV, one grid row per chunk."""
-    kind, kappa = sweep.kind.value, _fmt(sweep.kappa)
-    prefixes = [f"{kind},{kappa},{_fmt(a)}," for a in sweep.a[::n].tolist()]
-    b_text = [_fmt(b) for b in sweep.b[:n].tolist()]
+    """Chunks of the sweep records CSV."""
+    a_rows = _column(sweep.a[::n], f"{sweep.kind.value},{_fmt(sweep.kappa)},%s,")[:, None]
+    label, cp, eb, ncb = _sweep_fields(sweep, n, [f"{label}," for label in REGION_LABELS])
     yield REGION_CSV_HEADER + "\n"
-    yield from _grid_rows(prefixes, "%s,%s,%.12g,%.12g,%.12g", b_text,
-                          _sweep_rows(sweep, n, lambda row: row))
-    yield "\n"
+    yield from _grid_text((n, n), [a_rows, _column(sweep.b[:n], "%s,")[None], label,
+                                   cp, ",", eb, ",", ncb, "\n"])
 
 
 def _records_json(sweep, n):
-    """The records array of the sweep JSON, as json.dumps(indent=2) nests it."""
+    """Chunks of the records array of the sweep JSON, as json.dumps(indent=2) nests it."""
     head = f'    {{\n      "kind": {json.dumps(sweep.kind.value)},\n' \
-           f'      "kappa": {_json_num(sweep.kappa)},\n'
-    prefixes = [f'{head}      "a": {_json_num(a)},\n      "b": ' for a in sweep.a[::n].tolist()]
-    b_text = [_json_num(b) for b in sweep.b[:n].tolist()]
-    rows = _sweep_rows(sweep, n, lambda row: [_json_num(v) for v in row.tolist()])
+           f'      "kappa": {_json_num(sweep.kappa)},\n      "a": %s,\n      "b": '
+    label, cp, eb, ncb = _sweep_fields(
+        sweep, n, [f'{label}",\n      "cp_margin": ' for label in REGION_LABELS])
     yield "[\n"
-    yield from _grid_rows(prefixes, _RECORD_JSON_TAIL, b_text, rows, sep=",\n")
+    yield from _grid_text((n, n), [
+        _column(sweep.a[::n], head, json=True)[:, None],
+        _column(sweep.b[:n], '%s,\n      "class": "', json=True)[None], label, cp,
+        ',\n      "eb_margin": ', eb, ',\n      "ncb_margin": ', ncb, "\n    },\n"], json=True, drop=2)
     yield "\n  ]"
 
 
 def _curves_csv(a, curves):
     """Chunks of the boundary-curves CSV, all three curves on the one a axis."""
     yield "curve,a,b\n"
-    yield from _grid_rows([f"{name}," for name in curves], "%s,%.12g",
-                          [_fmt(v) for v in a.tolist()], ((b,) for b in curves.values()))
-    yield "\n"
+    yield from _grid_text((len(curves), len(a)), [
+        _table([f"{name}," for name in curves])[:, None], _column(a, "%s,")[None],
+        np.stack(list(curves.values())), "\n"])
 
 
 def _cmd_sweep(args):
@@ -257,12 +329,9 @@ def _cmd_sweep(args):
     a_curve = np.linspace(args.amin, args.amax, 512)
     curves = boundary_curves(kind, args.kappa, a_curve)
     if args.format == "json":
-        payload = {"records": None,
-                   "curves": {name: {"a": a_curve, "b": b} for name, b in curves.items()}}
-        # json.dumps lays out the document; the records array goes in its slot
-        head, _, tail = json.dumps(_jsonable(payload), indent=2).partition('"records": null')
-        _emit(itertools.chain([head, '"records": '], _records_json(sweep, args.grid),
-                              [tail, "\n"]), args.out)
+        _emit(_json_chunks({"records": _records_json(sweep, args.grid),
+                            "curves": {name: {"a": a_curve, "b": b} for name, b in curves.items()}}),
+              args.out)
         if args.out:
             print(f"wrote {count} records to {args.out}")
         return 0
@@ -366,16 +435,12 @@ def _cmd_pfunc(args):
     else:
         axis, values = _pfunc_closed(args)
     if args.format == "json":
-        payload = {"a": args.a, "b": args.b, "variant": args.variant,
-                   "alpha_axis": axis, "values": values}
-        chunks = [json.dumps(_jsonable(payload), indent=2) + "\n"]
+        chunks = _json_chunks({"a": args.a, "b": args.b, "variant": args.variant,
+                               "alpha_axis": axis, "values": values})
     else:
-        axis_text = [_fmt(x) for x in axis.tolist()]
-        chunks = itertools.chain(
-            ["alpha1,alpha2,value\n"],
-            _grid_rows([x + "," for x in axis_text], "%s,%.12g", axis_text,
-                       ((row,) for row in values)),
-            ["\n"])
+        axis_text = _column(axis, "%s,")
+        chunks = itertools.chain(["alpha1,alpha2,value\n"], _grid_text(
+            values.shape, [axis_text[:, None], axis_text[None], values, "\n"]))
     _emit(chunks, args.out)
     if args.out:
         print(f"wrote {len(axis)}x{len(axis)} samples to {args.out}")

@@ -11,6 +11,8 @@ The library calls no ``np.linalg`` routine: every 2x2 problem has a
 closed form.  Only ``verify.py`` keeps LAPACK, as the independent
 reference of its criteria.  Likewise only ``verify.py`` builds
 ``np.meshgrid`` pairs; the library builds its grids from per-axis vectors.
+Bulk float text has one route, ``_kernels.text12``: a ``.12g`` format
+spec appears only in its Python fallback and in the CLI's scalar helpers.
 """
 
 import ast
@@ -37,6 +39,13 @@ ALLOWED_NEVER_SET = {}
 # modules allowed to call np.linalg, each for a reason
 ALLOWED_LINALG = {
     "verify.py": "its criteria check the closed forms against LAPACK references",
+}
+
+# functions allowed a ".12g" format spec, each for a reason
+ALLOWED_TEXT_SPEC = {
+    "_kernels.py:_python_text": "text12's fallback: the rows the kernel leaves to Python",
+    "cli.py:_fmt": "one float at a time, in messages and record heads",
+    "cli.py:_json_num": "one float at a time, in a JSON record head",
 }
 
 # modules allowed to build np.meshgrid pairs, each for a reason
@@ -179,3 +188,46 @@ def test_no_meshgrid_outside_the_verification_criteria():
 def test_meshgrid_allowlist_holds_only_modules_that_call_it():
     for name in ALLOWED_MESHGRID:
         assert any(_meshgrid_uses(PACKAGE / name)), name
+
+
+def _text_spec_uses(path):
+    """file:function of each ".12g" format spec in path, docstrings aside.
+
+    A %-format, an f-string spec, format() and str.format all keep the
+    spec in a string constant; code outside any function reads <module>.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and ".12g" in node.value and id(node) not in docs:
+            yield f"{path.name}:{where}"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    return list(visit(tree, "<module>"))
+
+
+def test_text_spec_check_sees_every_route(tmp_path):
+    routes = ['"%.12g" % v', 'f"{v:.12g}"', 'format(v, ".12g")', '"{:.12g}".format(v)',
+              '"%s,%.12g" % (k, v)', 'f"{k},{v:.12g}"']
+    for i, line in enumerate(routes):
+        path = tmp_path / f"m{i}.py"
+        path.write_text(f'"""Prints with "%.12g"."""\n\n\ndef f(k, v):\n    """{{v:.12g}}"""\n'
+                        f"    return {line}\n\n\nTOP = {line.replace('v', '1.5')}\n")
+        assert _text_spec_uses(path) == [f"{path.name}:f", f"{path.name}:<module>"], line
+
+
+def test_bulk_float_text_goes_through_the_kernel():
+    uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in _text_spec_uses(path)]
+    assert not sorted(set(uses) - set(ALLOWED_TEXT_SPEC)), f".12g outside text12: {uses}"
+
+
+def test_text_spec_allowlist_holds_only_functions_that_use_it():
+    uses = {use for path in PACKAGE.glob("*.py") for use in _text_spec_uses(path)}
+    assert set(ALLOWED_TEXT_SPEC) <= uses

@@ -39,6 +39,9 @@ SWEEPS = {
     # the product a*b overflows to inf at the top corner
     "overflow": ["--form", "I", "--kappa", "2.0", "--amin", "0.5", "--amax", "1e200",
                  "--bmin", "0.5", "--bmax", "1e200", "--grid", "3"],
+    # 17161 points: the writers' 8192-row blocks end inside a grid row
+    "blocks": ["--form", "II", "--kappa", "0.45", "--amin", "0.02", "--amax", "7.5",
+               "--bmin", "0.03", "--bmax", "6.5", "--grid", "131"],
 }
 
 
@@ -210,7 +213,8 @@ def _ref_pfunc_csv(a, b, variant, grid, extent):
 
 
 @pytest.mark.parametrize("variant, grid, extent", [
-    ("rederived", 21, 6.0), ("printed", 9, 2.0), ("rederived", 2, 1e-05), ("fft", 129, 10.0)])
+    ("rederived", 21, 6.0), ("printed", 9, 2.0), ("rederived", 2, 1e-05), ("fft", 129, 10.0),
+    ("rederived", 131, 6.0)])
 def test_pfunc_csv_bytes(variant, grid, extent, tmp_path, capsys):
     argv = ["pfunc", "--a", "3", "--b", "1.5", "--variant", variant, "--grid", str(grid),
             "--extent", repr(extent)]
@@ -235,7 +239,8 @@ def _ref_pfunc_json(a, b, variant, grid, extent):
     return json.dumps(payload, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("variant, grid, extent", [("rederived", 21, 6.0), ("fft", 129, 10.0)])
+@pytest.mark.parametrize("variant, grid, extent", [
+    ("rederived", 21, 6.0), ("fft", 129, 10.0), ("rederived", 131, 6.0)])
 def test_pfunc_json_bytes(variant, grid, extent, tmp_path, capsys):
     argv = ["pfunc", "--a", "3", "--b", "1.5", "--variant", variant, "--grid", str(grid),
             "--extent", repr(extent), "--format", "json"]

@@ -3,7 +3,9 @@
 One closed form, eig2, gives both eigenvalues of every 2x2 Hermitian
 problem; the tests here pin it against LAPACK, on lopsided diagonals and
 on huge entries.  Grid interpolation is pinned against closed-form
-cubics and an unblocked longhand reference.
+cubics and an unblocked longhand reference.  The float text kernel,
+text12, is checked value by value against Python's own ``"%.12g" % v``
+and ``repr(float("%.12g" % v))``.
 """
 
 import math
@@ -24,7 +26,7 @@ from gaussatlas import (
     quasi_from_char,
     rotation,
 )
-from gaussatlas._kernels import backend, eig2, herm2_psd
+from gaussatlas._kernels import backend, eig2, herm2_psd, text12
 
 EPS = np.finfo(float).eps
 
@@ -282,3 +284,67 @@ def test_interp_cubic2d_edge_clamp_stays_exact():
     fy = np.array([0.0, n - 1.0, 0.5, n - 1.0])
     got = _kernels.interp_cubic2d(values, fx, fy)
     np.testing.assert_allclose(got, _cubic(fx, fy), atol=1e-10)
+
+
+def _python_text(v, json):
+    if json:
+        return repr(float("%.12g" % v)) if math.isfinite(v) else "null"
+    return "%.12g" % v
+
+
+def _text_mismatches(values, json):
+    """(value, kernel text, Python's text) wherever text12 differs from Python."""
+    rows = text12(values, json)
+    lines = np.concatenate([rows, np.full((len(rows), 1), ord("\n"), np.uint8)], axis=1)
+    got = lines.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    assert len(got) == len(values)
+    return [(v, g, _python_text(v, json)) for v, g in zip(values.tolist(), got)
+            if g != _python_text(v, json)]
+
+
+def _text_samples():
+    rng = np.random.default_rng(20130621)
+    n = 45000
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    special = [9.999999999995, 999999999999.5, 1e-5, 1e12, 1e16, 0.0, -0.0, np.inf, -np.inf,
+               np.nan, 5e-324, np.finfo(float).max, 1e11, 99999999999.95, 1e15, 123456789012.0]
+    return np.concatenate([
+        rng.uniform(-10.0, 10.0, n),
+        rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-700.0, 700.0, n)),
+        rng.integers(-10 ** 14, 10 ** 14, n).astype(float),
+        rng.integers(-10 ** 16, 10 ** 16, n // 4).astype(float),
+        rng.integers(-10 ** 6, 10 ** 6, n // 4) + 0.5,
+        np.array([float("%.12g" % v) for v in rng.uniform(-1e4, 1e4, n).tolist()]),
+        near, -near, special])
+
+
+@pytest.mark.parametrize("json", [False, True])
+def test_text12_is_pythons_text(json):
+    values = _text_samples()
+    assert values.size > 200000
+    assert _text_mismatches(values, json) == []
+
+
+@pytest.mark.parametrize("json", [False, True])
+def test_text12_exact_ties_go_to_python(json, monkeypatch):
+    # d.ddddddddddd5 exactly: rint of an m two roundings off could go either
+    # way, so the guard hands the value to Python, which rounds half to even
+    seen = []
+    real = _kernels._python_text
+    monkeypatch.setattr(_kernels, "_python_text", lambda vals, js: seen.extend(vals) or real(vals, js))
+    ties = np.array([999999999999.5, 100000000000.5, -123456789012.5, 12345678901.25,
+                     1234567890125.0])
+    assert _text_mismatches(ties, json) == []
+    assert seen == ties.tolist()
+
+
+def test_text12_layouts():
+    values = np.array([0.5, 100.0, -2.5e-05, 1e12, 123456789012345.0, 1e16, -0.0, np.nan, np.inf])
+    csv = ["0.5", "100", "-2.5e-05", "1e+12", "1.23456789012e+14", "1e+16", "-0", "nan", "inf"]
+    js = ["0.5", "100.0", "-2.5e-05", "1000000000000.0", "123456789012000.0", "1e+16", "-0.0",
+          "null", "null"]
+    for json, want in ((False, csv), (True, js)):
+        rows = text12(values, json)
+        assert rows.shape == (len(values), _kernels.TEXT_WIDTH)
+        assert [r.tobytes().replace(b"\0", b"").decode() for r in rows] == want
