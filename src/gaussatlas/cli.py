@@ -72,14 +72,10 @@ def _fmt(v):
     return f"{v:.12g}"
 
 
-def _json_num(v):
-    """A float as _jsonable and json.dumps print it: 12 digits, null if not finite."""
-    return repr(float("%.12g" % v)) if math.isfinite(v) else "null"
-
-
 def _table(strings):
     """The strings as a uint8 table, one zero-padded row each."""
-    return np.array([s.encode() for s in strings], dtype=bytes).view(np.uint8).reshape(len(strings), -1)
+    table = np.array([s.encode() for s in strings], dtype=bytes)
+    return table.view(np.uint8).reshape(len(strings), -1)
 
 
 def _grid_text(shape, fields, json=False, drop=0):
@@ -290,14 +286,15 @@ def _records_csv(sweep, n):
 def _records_json(sweep, n):
     """Chunks of the records array of the sweep JSON, as json.dumps(indent=2) nests it."""
     head = f'    {{\n      "kind": {json.dumps(sweep.kind.value)},\n' \
-           f'      "kappa": {_json_num(sweep.kappa)},\n      "a": %s,\n      "b": '
+           f'      "kappa": {json.dumps(_jsonable(sweep.kappa))},\n      "a": %s,\n      "b": '
     label, cp, eb, ncb = _sweep_fields(
         sweep, n, [f'{label}",\n      "cp_margin": ' for label in REGION_LABELS])
     yield "[\n"
     yield from _grid_text((n, n), [
         _column(sweep.a[::n], head, json=True)[:, None],
         _column(sweep.b[:n], '%s,\n      "class": "', json=True)[None], label, cp,
-        ',\n      "eb_margin": ', eb, ',\n      "ncb_margin": ', ncb, "\n    },\n"], json=True, drop=2)
+        ',\n      "eb_margin": ', eb, ',\n      "ncb_margin": ', ncb, "\n    },\n"],
+        json=True, drop=2)
     yield "\n  ]"
 
 
@@ -329,8 +326,8 @@ def _cmd_sweep(args):
     a_curve = np.linspace(args.amin, args.amax, 512)
     curves = boundary_curves(kind, args.kappa, a_curve)
     if args.format == "json":
-        _emit(_json_chunks({"records": _records_json(sweep, args.grid),
-                            "curves": {name: {"a": a_curve, "b": b} for name, b in curves.items()}}),
+        curve_arrays = {name: {"a": a_curve, "b": b} for name, b in curves.items()}
+        _emit(_json_chunks({"records": _records_json(sweep, args.grid), "curves": curve_arrays}),
               args.out)
         if args.out:
             print(f"wrote {count} records to {args.out}")

@@ -12,7 +12,7 @@ closed form.  Only ``verify.py`` keeps LAPACK, as the independent
 reference of its criteria.  Likewise only ``verify.py`` builds
 ``np.meshgrid`` pairs; the library builds its grids from per-axis vectors.
 Bulk float text has one route, ``_kernels.text12``: a ``.12g`` format
-spec appears only in its Python fallback and in the CLI's scalar helpers.
+spec appears only in its Python fallback and in the CLI's scalar helper.
 """
 
 import ast
@@ -44,8 +44,7 @@ ALLOWED_LINALG = {
 # functions allowed a ".12g" format spec, each for a reason
 ALLOWED_TEXT_SPEC = {
     "_kernels.py:_python_text": "text12's fallback: the rows the kernel leaves to Python",
-    "cli.py:_fmt": "one float at a time, in messages and record heads",
-    "cli.py:_json_num": "one float at a time, in a JSON record head",
+    "cli.py:_fmt": "one float at a time, in messages, record heads and _jsonable",
 }
 
 # modules allowed to build np.meshgrid pairs, each for a reason

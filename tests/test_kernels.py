@@ -332,7 +332,8 @@ def test_text12_exact_ties_go_to_python(json, monkeypatch):
     # way, so the guard hands the value to Python, which rounds half to even
     seen = []
     real = _kernels._python_text
-    monkeypatch.setattr(_kernels, "_python_text", lambda vals, js: seen.extend(vals) or real(vals, js))
+    monkeypatch.setattr(_kernels, "_python_text",
+                        lambda vals, js: seen.extend(vals) or real(vals, js))
     ties = np.array([999999999999.5, 100000000000.5, -123456789012.5, 12345678901.25,
                      1234567890125.0])
     assert _text_mismatches(ties, json) == []
