@@ -8,8 +8,8 @@ and phase-space (characteristic function / quasiprobability) numerics.
 
 All numerics are numpy and Python floats.  Every 2x2 eigenproblem (the
 PSD check and eigenvalues of the noise, complete positivity, the NCB
-oracle's supremum, single-mode state validity, and the two-mode PPT
-test of the entanglement-breaking oracle, which reduces to one) goes
+oracle's supremum, and the two-mode PPT test of the
+entanglement-breaking oracle, which reduces to one) goes
 through one closed form, ``_kernels.eig2``: lam_min = det / lam_max.
 Only the verification criteria call LAPACK, as their independent
 reference.  States are single-mode.
@@ -21,10 +21,8 @@ from .gaussian_core import (
     TOL_ALG,
     TOL_CLASS,
     TOL_PSD,
-    is_valid_state,
     rotation,
     squeeze,
-    state_defect,
     symplectic_check,
 )
 from .phase_space import (
@@ -60,12 +58,10 @@ from .breaking import (
     OrbitPoint,
     RegionSweep,
     boundary_curves,
-    cp_margin,
-    eb_margin,
     eb_oracle_tmsv,
     find_r0,
+    margins,
     ncb_eb_tangency,
-    ncb_margin,
     ncb_necessity_fock1,
     ncb_oracle_gaussian,
     region_sweep,
@@ -82,10 +78,8 @@ __all__ = [
     "TOL_ALG",
     "TOL_CLASS",
     "TOL_PSD",
-    "is_valid_state",
     "rotation",
     "squeeze",
-    "state_defect",
     "symplectic_check",
     "P_EPS",
     "TOL_FFT",
@@ -115,12 +109,10 @@ __all__ = [
     "OrbitPoint",
     "RegionSweep",
     "boundary_curves",
-    "cp_margin",
-    "eb_margin",
     "eb_oracle_tmsv",
     "find_r0",
+    "margins",
     "ncb_eb_tangency",
-    "ncb_margin",
     "ncb_necessity_fock1",
     "ncb_oracle_gaussian",
     "region_sweep",

@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the least normal double
 
 
 def eig2(m11, m12, m22, beta):
@@ -35,7 +36,8 @@ def eig2(m11, m12, m22, beta):
     (m11 + m22)/2 + hypot((m11 - m22)/2, m12, beta).  For a positive
     trace lam_max carries no cancellation and is at least every |entry|,
     so lam_min = det / lam_max, with lam_max divided into each product
-    first so that nothing overflows; otherwise lam_min is the trace
+    first so that nothing overflows (into m22, not m11, where m11 / lam_max
+    would be subnormal and lose digits); otherwise lam_min is the trace
     minus lam_max, mean - spread, which cancels nothing there.  A
     positive trace gives lam_max = 0 only on diag(t, 0) or diag(0, t)
     with t the least subnormal, whose halves round to 0; that is
@@ -45,7 +47,10 @@ def eig2(m11, m12, m22, beta):
     lam_max = 0.5 * trace + math.hypot(0.5 * (m11 - m22), m12, beta)
     if trace > 0.0:
         if lam_max > 0.0:
-            return lam_max, m11 / lam_max * m22 - m12 / lam_max * m12 - beta / lam_max * beta
+            head = m11 / lam_max
+            # a subnormal m11 / lam_max has lost digits; divide lam_max into m22 instead
+            head = head * m22 if abs(head) >= _TINY else m22 / lam_max * m11
+            return lam_max, head - m12 / lam_max * m12 - beta / lam_max * beta
         return trace, 0.0
     return lam_max, trace - lam_max
 

@@ -34,17 +34,18 @@ Each closed form is backed by an independent numerical oracle:
   Schur complement of the probe's block reduces that test, exactly and
   for every squeeze, to one closed-form 2x2 Hermitian eigenvalue.
 
-The margins take scalars or arrays of noise eigenvalues.  The gain-only
-bounds are computed once per call as Python floats, so an array margin
-is bit-identical to the same margin evaluated point by point.
-``region_sweep`` classifies a whole n-by-n noise grid at once and
-returns a ``RegionSweep`` of columns (a, b, region code and the three
-margins, a-major), not one object per point; for one channel,
-``report(ch).region`` names the region by the same rule, and
-``boundary_curves`` gives the three region boundaries b(a).
-``gaussatlas sweep`` writes these columns with the same bytes as
-printing every field of every point with ``f"{v:.12g}"``;
-tests/test_cli_golden.py pins them.
+``margins`` is the one evaluator of the table: it returns all three
+signed margins, for scalar noise eigenvalues or for arrays that
+broadcast.  The gain-only bounds are computed once per call as Python
+floats, so an array margin is bit-identical to the same margin evaluated
+point by point.  ``report`` reads it for one channel; ``region_sweep``
+evaluates it once on an (n, 1) a axis against an (n,) b axis and
+returns a ``RegionSweep`` of the two axes and (n, n) grids (region code
+and the three margins), not one object per point; ``report(ch).region``
+names the region by the same rule, and ``boundary_curves`` gives the
+three region boundaries b(a).  ``gaussatlas sweep`` writes these grids
+with the same bytes as printing every field of every point with
+``f"{v:.12g}"``; tests/test_cli_golden.py pins them.
 
 Every entanglement-breaking channel becomes nonclassicality-breaking
 after one post-squeeze: ``find_r0`` returns the squeeze r0 = ln(a/b)/4
@@ -86,36 +87,26 @@ def _kappa_bounds(kind, kappa):
     return 1.0, 1.0, None
 
 
-def cp_margin(kind, kappa, a, b):
-    """Signed slack of the complete-positivity condition, ab minus its bound.
+def margins(kind, kappa, a, b):
+    """Signed slacks {"cp", "eb", "ncb"} of the table's three conditions.
 
-    a and b may be arrays of one shape; the margin is elementwise.
+    cp and eb are ab minus their bounds.  For kinds I and II all three
+    NCB constraints (a above 1, b above 1, and the product inequality)
+    must hold, so the ncb margin is their minimum; for kind III it is
+    the distance of the smaller noise eigenvalue from 1.  a and b are
+    scalars, giving Python floats, or arrays that broadcast, such as an
+    (n, 1) column of a against an (n,) row of b, giving one grid each.
+    The bounds are Python floats, so every element of an array margin
+    has the bits of the same margin evaluated at that point alone.
     """
-    return a * b - _kappa_bounds(kind, kappa)[0]
-
-
-def eb_margin(kind, kappa, a, b):
-    """Signed slack of the entanglement-breaking condition."""
-    return a * b - _kappa_bounds(kind, kappa)[1]
-
-
-def ncb_margin(kind, kappa, a, b):
-    """Signed slack of the nonclassicality-breaking condition.
-
-    For kinds I and II all three constraints (a above 1, b above 1, and
-    the product inequality) must hold, so the margin is their minimum;
-    for kind III it is the distance of the smaller noise eigenvalue
-    from 1.
-    """
-    return _ncb_slack(_kappa_bounds(kind, kappa)[2], a, b)
-
-
-def _ncb_slack(k4, a, b):
-    """ncb_margin from the bound k4 of _kappa_bounds."""
-    margin = np.minimum(a - 1.0, b - 1.0)
+    cp, eb, k4 = _kappa_bounds(kind, kappa)
+    ab = a * b
+    ncb = np.minimum(a - 1.0, b - 1.0)
     if k4 is not None:
-        margin = np.minimum(margin, (a - 1.0) * (b - 1.0) - k4)
-    return margin if isinstance(margin, np.ndarray) else float(margin)
+        ncb = np.minimum(ncb, (a - 1.0) * (b - 1.0) - k4)
+    if isinstance(ncb, np.ndarray):
+        return {"cp": ab - cp, "eb": ab - eb, "ncb": ncb}
+    return {"cp": float(ab - cp), "eb": float(ab - eb), "ncb": float(ncb)}
 
 
 # -- reports --------------------------------------------------------------- #
@@ -146,17 +137,15 @@ class BreakingReport:
 def report(ch, tol=TOL_CLASS):
     """Reduce a channel and evaluate every closed-form predicate."""
     form = canonical_reduce(ch)
-    cp, eb, k4 = _kappa_bounds(form.kind, form.kappa)
-    ab = form.a * form.b
-    margins = {"cp": ab - cp, "eb": ab - eb, "ncb": _ncb_slack(k4, form.a, form.b)}
+    slack = margins(form.kind, form.kappa, form.a, form.b)
     shift = form.kappa ** 2 - 1.0
     return BreakingReport(
         form=form,
-        cp=margins["cp"] >= -tol,
-        eb=margins["eb"] >= -tol,
-        ncb=margins["ncb"] >= -tol,
+        cp=slack["cp"] >= -tol,
+        eb=slack["eb"] >= -tol,
+        ncb=slack["ncb"] >= -tol,
         shifted_noise=(form.a + shift, form.b + shift),
-        margins=margins,
+        margins=slack,
     )
 
 
@@ -261,7 +250,7 @@ def squeeze_orbit(form, r, tol=TOL_CLASS):
     """
     a_r = form.a * math.exp(-2.0 * r)
     b_r = form.b * math.exp(2.0 * r)
-    verdict = ncb_margin(form.kind, form.kappa, a_r, b_r) >= -tol
+    verdict = margins(form.kind, form.kappa, a_r, b_r)["ncb"] >= -tol
     return OrbitPoint(r=float(r), a_r=a_r, b_r=b_r, ncb=verdict)
 
 
@@ -277,7 +266,7 @@ def find_r0(form, tol=TOL_CLASS):
     guarantees success.  None when a or b is 0, which no squeeze lifts
     to 1.  Raises ValueError when the EB margin is below -tol.
     """
-    if not eb_margin(form.kind, form.kappa, form.a, form.b) >= -tol:
+    if not form.a * form.b - _kappa_bounds(form.kind, form.kappa)[1] >= -tol:
         raise ValueError("orbit search needs an entanglement-breaking form")
     if form.a == 0.0 or form.b == 0.0:
         return None
@@ -292,10 +281,11 @@ def find_r0(form, tol=TOL_CLASS):
 
 @dataclass(frozen=True, eq=False)
 class RegionSweep:
-    """Columns of an n-by-n region sweep at one (kind, kappa).
+    """An n-by-n region sweep at one (kind, kappa).
 
-    Every column has n*n entries in a-major order (b varies fastest);
-    code indexes REGION_LABELS.
+    a and b are the two noise axes, n points each; code and each entry
+    of margins ({"cp", "eb", "ncb"}) are (n, n) grids, row i at a[i] and
+    column j at b[j].  code indexes REGION_LABELS.
     """
 
     kind: Kind
@@ -303,13 +293,11 @@ class RegionSweep:
     a: np.ndarray
     b: np.ndarray
     code: np.ndarray
-    cp_margin: np.ndarray
-    eb_margin: np.ndarray
-    ncb_margin: np.ndarray
+    margins: dict
 
 
 def region_sweep(kind, kappa, a_min, a_max, b_min, b_max, n, tol=TOL_CLASS):
-    """Classify an n-by-n noise grid; columns ordered a-major then b.
+    """Classify an n-by-n noise grid, margins evaluated on the broadcast axes.
 
     A product beyond the double range gives an inf margin, the intended
     value, without an overflow warning.
@@ -317,14 +305,13 @@ def region_sweep(kind, kappa, a_min, a_max, b_min, b_max, n, tol=TOL_CLASS):
     if n < 2:
         raise ValueError("sweep needs at least a 2x2 grid")
     kind = kind_from_label(kind)
-    a = np.repeat(np.linspace(a_min, a_max, n), n)
-    b = np.tile(np.linspace(b_min, b_max, n), n)
+    a = np.linspace(a_min, a_max, n)
+    b = np.linspace(b_min, b_max, n)
     with np.errstate(over="ignore"):
-        margins = (cp_margin(kind, kappa, a, b), eb_margin(kind, kappa, a, b),
-                   ncb_margin(kind, kappa, a, b))
+        grids = margins(kind, kappa, a[:, None], b)
     # the first failing condition names the region, as in BreakingReport.region
-    code = np.select([m < -tol for m in margins], [0, 1, 2], 3).astype(np.int8)
-    return RegionSweep(kind, float(kappa), a, b, code, *margins)
+    code = np.select([m < -tol for m in grids.values()], [0, 1, 2], 3).astype(np.int8)
+    return RegionSweep(kind, float(kappa), a, b, code, grids)
 
 
 # -- boundary curves --------------------------------------------------------- #
@@ -339,17 +326,16 @@ def boundary_curves(kind, kappa, a):
     ab = bound; "ncb" is b = 1 + kappa^4/(a - 1) for kinds I and II
     (a > 1) and the corner line b = 1, a >= 1, for kind III.
     """
-    kind = kind_from_label(kind)
-    kappa = float(kappa)
+    cp, eb, k4 = _kappa_bounds(kind, kappa)
     a = np.asarray(a, dtype=float)
     curves = {}
     with np.errstate(over="ignore"):
-        for name, margin in (("cp", cp_margin), ("eb", eb_margin)):
-            bound = margin(kind, kappa, 0.0, 0.0) * -1.0  # -0.0 at a zero bound
+        for name, bound in (("cp", cp), ("eb", eb)):
+            bound = -(0.0 - bound)  # -0.0 at a zero bound
             curves[name] = np.where(a > 0, bound / np.where(a > 0, a, 1.0), np.inf)
-        if kind in (Kind.I, Kind.II):
+        if k4 is not None:
             safe = np.where(a > 1.0, a - 1.0, 1.0)
-            curves["ncb"] = np.where(a > 1.0, 1.0 + kappa ** 4 / safe, np.inf)
+            curves["ncb"] = np.where(a > 1.0, 1.0 + k4 / safe, np.inf)
         else:
             curves["ncb"] = np.where(a >= 1.0, 1.0, np.inf)
     return {name: b if b.ndim else float(b) for name, b in curves.items()}
@@ -366,8 +352,7 @@ def ncb_eb_tangency(kappa):
     kappa = float(kappa)
     if not kappa > 0:
         raise ValueError("tangency needs a positive kappa")
-    k4 = kappa ** 4
-    eb_bound = (1.0 + kappa ** 2) ** 2
+    _, eb_bound, k4 = _kappa_bounds(Kind.I, kappa)
 
     def gap_slope(a):
         return eb_bound / a ** 2 - k4 / (a - 1.0) ** 2

@@ -20,8 +20,8 @@ The grid writers (sweep records and curves, pfunc; CSV and JSON) print
 every float through ``_kernels.text12``, whose bytes are exactly
 Python's.  ``_grid_text`` lays out each block of up to TEXT_BLOCK points
 in one zero-padded uint8 array and drops the padding with one
-``bytes.translate``; json.dumps lays out each JSON document, and the
-float arrays are spliced into their slots.
+``bytes.translate``.  Every JSON document goes through ``_json_chunks``:
+json.dumps lays it out, and the float arrays are spliced into their slots.
 """
 
 import argparse
@@ -134,7 +134,7 @@ def _json_array(values, indent):
 
 
 def _json_chunks(payload):
-    """Chunks of json.dumps(_jsonable(payload), indent=2) and a newline.
+    """Chunks of json.dumps(_jsonable(payload), indent=2) and a newline, arrays as lists.
 
     json.dumps lays out the document; each float array in payload goes
     through _json_array into its slot, and each iterator of chunks is
@@ -175,8 +175,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (float, np.floating)):
@@ -231,7 +229,7 @@ def _cmd_classify(args):
         "margins": rep.margins,
         "shifted_noise": list(rep.shifted_noise),
     }
-    print(json.dumps(_jsonable(payload), indent=2))
+    _emit(_json_chunks(payload))
     return 0
 
 
@@ -264,35 +262,30 @@ def _cmd_check(args):
         agree = not rep.cp
     payload["oracles"] = oracles
     payload["agree"] = agree
-    print(json.dumps(_jsonable(payload), indent=2))
+    _emit(_json_chunks(payload))
     return 0 if agree else 1
 
 
-def _sweep_fields(sweep, n, labels):
-    """The per-point fields of a sweep: the text labels[code] and the three margins."""
-    return [(_table(labels), sweep.code.reshape(n, n))] + [
-        m.reshape(n, n) for m in (sweep.cp_margin, sweep.eb_margin, sweep.ncb_margin)]
-
-
-def _records_csv(sweep, n):
+def _records_csv(sweep):
     """Chunks of the sweep records CSV."""
-    a_rows = _column(sweep.a[::n], f"{sweep.kind.value},{_fmt(sweep.kappa)},%s,")[:, None]
-    label, cp, eb, ncb = _sweep_fields(sweep, n, [f"{label}," for label in REGION_LABELS])
+    a_rows = _column(sweep.a, f"{sweep.kind.value},{_fmt(sweep.kappa)},%s,")[:, None]
+    label = (_table([f"{label}," for label in REGION_LABELS]), sweep.code)
+    cp, eb, ncb = sweep.margins.values()
     yield REGION_CSV_HEADER + "\n"
-    yield from _grid_text((n, n), [a_rows, _column(sweep.b[:n], "%s,")[None], label,
-                                   cp, ",", eb, ",", ncb, "\n"])
+    yield from _grid_text(sweep.code.shape, [a_rows, _column(sweep.b, "%s,")[None], label,
+                                             cp, ",", eb, ",", ncb, "\n"])
 
 
-def _records_json(sweep, n):
+def _records_json(sweep):
     """Chunks of the records array of the sweep JSON, as json.dumps(indent=2) nests it."""
     head = f'    {{\n      "kind": {json.dumps(sweep.kind.value)},\n' \
            f'      "kappa": {json.dumps(_jsonable(sweep.kappa))},\n      "a": %s,\n      "b": '
-    label, cp, eb, ncb = _sweep_fields(
-        sweep, n, [f'{label}",\n      "cp_margin": ' for label in REGION_LABELS])
+    label = (_table([f'{label}",\n      "cp_margin": ' for label in REGION_LABELS]), sweep.code)
+    cp, eb, ncb = sweep.margins.values()
     yield "[\n"
-    yield from _grid_text((n, n), [
-        _column(sweep.a[::n], head, json=True)[:, None],
-        _column(sweep.b[:n], '%s,\n      "class": "', json=True)[None], label, cp,
+    yield from _grid_text(sweep.code.shape, [
+        _column(sweep.a, head, json=True)[:, None],
+        _column(sweep.b, '%s,\n      "class": "', json=True)[None], label, cp,
         ',\n      "eb_margin": ', eb, ',\n      "ncb_margin": ', ncb, "\n    },\n"],
         json=True, drop=2)
     yield "\n  ]"
@@ -327,12 +320,12 @@ def _cmd_sweep(args):
     curves = boundary_curves(kind, args.kappa, a_curve)
     if args.format == "json":
         curve_arrays = {name: {"a": a_curve, "b": b} for name, b in curves.items()}
-        _emit(_json_chunks({"records": _records_json(sweep, args.grid), "curves": curve_arrays}),
+        _emit(_json_chunks({"records": _records_json(sweep), "curves": curve_arrays}),
               args.out)
         if args.out:
             print(f"wrote {count} records to {args.out}")
         return 0
-    records = _records_csv(sweep, args.grid)
+    records = _records_csv(sweep)
     curve_rows = _curves_csv(a_curve, curves)
     if args.out:
         out = Path(args.out)
@@ -340,7 +333,7 @@ def _cmd_sweep(args):
         _emit(records, out)
         _emit(curve_rows, curves_path)
         print(f"wrote {count} records to {out} and curves to {curves_path}")
-        counts = np.bincount(sweep.code, minlength=len(REGION_LABELS))
+        counts = np.bincount(sweep.code.ravel(), minlength=len(REGION_LABELS))
         for label, c in zip(REGION_LABELS, counts.tolist()):
             print(f"{label}: {c}")
     else:
@@ -377,7 +370,7 @@ def _cmd_orbit(args):
             "trace": [{"r": p.r, "a_r": p.a_r, "b_r": p.b_r, "ncb": p.ncb}
                       for p in points],
         }
-        chunks = [json.dumps(_jsonable(payload), indent=2) + "\n"]
+        chunks = _json_chunks(payload)
     else:
         chunks = [] if args.out else [f"# r0 = {_fmt(r0)}\n"]
         chunks.append("r,a_r,b_r,ncb\n")

@@ -15,12 +15,10 @@ import numpy as np
 
 from .breaking import (
     boundary_curves,
-    cp_margin,
-    eb_margin,
     eb_oracle_tmsv,
     find_r0,
+    margins,
     ncb_eb_tangency,
-    ncb_margin,
     ncb_necessity_fock1,
     ncb_oracle_gaussian,
     report,
@@ -122,16 +120,12 @@ def criterion_2():
     checked = 0
     for kind in (Kind.I, Kind.II, Kind.III_RANK1):
         for kappa in _KAPPAS_GRID:
-            for a in vals:
-                for b in vals:
-                    cp_v = cp_margin(kind, kappa, a, b) >= -TOL_CLASS
-                    eb_v = eb_margin(kind, kappa, a, b) >= -TOL_CLASS
-                    ncb_v = ncb_margin(kind, kappa, a, b) >= -TOL_CLASS
-                    checked += 1
-                    if (ncb_v and not eb_v) or (eb_v and not cp_v):
-                        chain_breaks += 1
-                    if kind in (Kind.II, Kind.III_RANK1) and eb_v != cp_v:
-                        collapse_breaks += 1
+            grids = margins(kind, kappa, vals[:, None], vals)
+            cp_v, eb_v, ncb_v = (m >= -TOL_CLASS for m in grids.values())
+            checked += cp_v.size
+            chain_breaks += int(np.sum((ncb_v & ~eb_v) | (eb_v & ~cp_v)))
+            if kind in (Kind.II, Kind.III_RANK1):
+                collapse_breaks += int(np.sum(eb_v != cp_v))
     ok = chain_breaks == 0 and collapse_breaks == 0
     return CheckResult(
         "verdict-chain",
@@ -208,9 +202,8 @@ def criterion_5():
         for kappa in _KAPPAS_GRID:
             for a in grid:
                 for b in grid:
-                    if cp_margin(kind, kappa, a, b) < _BOUNDARY_SKIP:
-                        continue
-                    if abs(ncb_margin(kind, kappa, a, b)) < _BOUNDARY_SKIP:
+                    slack = margins(kind, kappa, a, b)
+                    if slack["cp"] < _BOUNDARY_SKIP or abs(slack["ncb"]) < _BOUNDARY_SKIP:
                         continue
                     ch = canonical_channel(kind, a, b, kappa)
                     if ncb_oracle_gaussian(ch) != report(ch).ncb:
@@ -234,9 +227,8 @@ def criterion_6():
     for kappa in _KAPPAS_GRID:
         for a in vals:
             for b in vals:
-                if cp_margin(Kind.I, kappa, a, b) < _BOUNDARY_SKIP:
-                    continue
-                if abs(eb_margin(Kind.I, kappa, a, b)) < 1e-6:
+                slack = margins(Kind.I, kappa, a, b)
+                if slack["cp"] < _BOUNDARY_SKIP or abs(slack["eb"]) < 1e-6:
                     continue
                 ch = canonical_channel(Kind.I, a, b, kappa)
                 oracle = eb_oracle_tmsv(ch)

@@ -10,7 +10,9 @@ by position (or passes ``*args`` or ``**kwargs``).
 The library calls no ``np.linalg`` routine: every 2x2 problem has a
 closed form.  Only ``verify.py`` keeps LAPACK, as the independent
 reference of its criteria.  Likewise only ``verify.py`` builds
-``np.meshgrid`` pairs; the library builds its grids from per-axis vectors.
+``np.meshgrid`` pairs, and no module builds ``np.repeat`` / ``np.tile``
+columns; the library builds its grids from per-axis vectors that
+broadcast.
 Bulk float text has one route, ``_kernels.text12``: a ``.12g`` format
 spec appears only in its Python fallback and in the CLI's scalar helper.
 """
@@ -28,7 +30,6 @@ ALLOWED_UNUSED = {
     "__version__": "package metadata",
     "backend": "recorded in the environment of every benchmark result",
     "squeeze": "documented primitive; tests use it as a reference",
-    "is_valid_state": "documented primitive; tests use it as a reference",
     "cp_defect": "documented primitive; tests use it as a reference",
 }
 
@@ -51,6 +52,8 @@ ALLOWED_TEXT_SPEC = {
 ALLOWED_MESHGRID = {
     "verify.py": "its criteria keep full-grid expressions as independent references",
 }
+
+GRID_COPIES = ("repeat", "tile")  # numpy functions that copy an axis into a full grid
 
 
 def _module_nodes(path):
@@ -156,14 +159,14 @@ def test_linalg_allowlist_holds_only_modules_that_call_it():
         assert any(_linalg_uses(PACKAGE / name)), name
 
 
-def _meshgrid_uses(path):
-    """Lines of path that reach numpy.meshgrid: np.meshgrid / numpy.meshgrid, or an import of it."""
+def _numpy_uses(path, names):
+    """Lines of path that reach numpy's names: np.<name> / numpy.<name>, or an import of one."""
     for node in _module_nodes(path):
         if isinstance(node, ast.Attribute):
-            found = node.attr == "meshgrid" and isinstance(node.value, ast.Name) \
+            found = node.attr in names and isinstance(node.value, ast.Name) \
                 and node.value.id in ("np", "numpy")
         elif isinstance(node, ast.ImportFrom):
-            found = node.module == "numpy" and any(a.name == "meshgrid" for a in node.names)
+            found = node.module == "numpy" and any(a.name in names for a in node.names)
         else:
             found = False
         if found:
@@ -175,18 +178,33 @@ def test_meshgrid_check_sees_every_route_to_numpy_meshgrid(tmp_path):
     for i, line in enumerate(routes):
         path = tmp_path / f"m{i}.py"
         path.write_text(f"import numpy as np\n{line}\n")
-        assert list(_meshgrid_uses(path)) == [f"{path.name}:2"], line
+        assert list(_numpy_uses(path, ("meshgrid",))) == [f"{path.name}:2"], line
 
 
 def test_no_meshgrid_outside_the_verification_criteria():
     uses = [line for path in sorted(PACKAGE.glob("*.py"))
-            if path.name not in ALLOWED_MESHGRID for line in _meshgrid_uses(path)]
+            if path.name not in ALLOWED_MESHGRID for line in _numpy_uses(path, ("meshgrid",))]
     assert not uses, f"numpy.meshgrid in library code: {uses}"
 
 
 def test_meshgrid_allowlist_holds_only_modules_that_call_it():
     for name in ALLOWED_MESHGRID:
-        assert any(_meshgrid_uses(PACKAGE / name)), name
+        assert any(_numpy_uses(PACKAGE / name, ("meshgrid",))), name
+
+
+def test_grid_copy_check_sees_every_route_to_numpy_repeat_and_tile(tmp_path):
+    routes = ["np.repeat(x, n)", "np.tile(x, n)", "copy = numpy.repeat", "copy = numpy.tile",
+              "from numpy import repeat", "from numpy import linspace, tile"]
+    for i, line in enumerate(routes):
+        path = tmp_path / f"m{i}.py"
+        path.write_text(f"import numpy as np\n{line}\n")
+        assert list(_numpy_uses(path, GRID_COPIES)) == [f"{path.name}:2"], line
+
+
+def test_no_repeat_or_tile_grids_in_the_package():
+    uses = [line for path in sorted(PACKAGE.glob("*.py"))
+            for line in _numpy_uses(path, GRID_COPIES)]
+    assert not uses, f"numpy.repeat / numpy.tile in the package: {uses}"
 
 
 def _text_spec_uses(path):

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from gaussatlas.breaking import (
     REGION_LABELS,
     boundary_curves,
-    cp_margin,
-    eb_margin,
     eb_oracle_tmsv,
     find_r0,
+    margins,
     ncb_eb_tangency,
-    ncb_margin,
     ncb_necessity_fock1,
     ncb_oracle_gaussian,
     region_sweep,
@@ -59,41 +57,66 @@ def _ppt_longhand(ch, r):
 
 class TestMargins:
     def test_closed_forms_kind_i(self):
-        k = 0.6
-        assert abs(cp_margin(Kind.I, k, 2.0, 3.0) - (6.0 - 0.64 ** 2)) < ATOL
-        assert abs(eb_margin(Kind.I, k, 2.0, 3.0) - (6.0 - 1.36 ** 2)) < ATOL
-        assert abs(ncb_margin(Kind.I, k, 2.0, 3.0) - min(1.0, 2.0, 2.0 - 0.6 ** 4)) < ATOL
+        m = margins(Kind.I, 0.6, 2.0, 3.0)
+        assert abs(m["cp"] - (6.0 - 0.64 ** 2)) < ATOL
+        assert abs(m["eb"] - (6.0 - 1.36 ** 2)) < ATOL
+        assert abs(m["ncb"] - min(1.0, 2.0, 2.0 - 0.6 ** 4)) < ATOL
 
     def test_reflection_collapses_cp_to_eb(self):
         for k in (0.4, 0.8, 1.3):
             for a, b in [(1.2, 2.0), (3.0, 0.5)]:
-                assert cp_margin(Kind.II, k, a, b) == eb_margin(Kind.II, k, a, b)
+                m = margins(Kind.II, k, a, b)
+                assert m["cp"] == m["eb"]
 
     def test_kind_iii_margins(self):
-        assert abs(cp_margin(Kind.III_RANK1, 0.7, 2.0, 1.5) - 2.0) < ATOL
-        assert cp_margin(Kind.III_ZERO, 0.0, 2.0, 1.5) == eb_margin(Kind.III_RANK1, 0.7, 2.0, 1.5)
-        assert abs(ncb_margin(Kind.III_ZERO, 0.0, 2.0, 1.5) - 0.5) < ATOL
+        assert abs(margins(Kind.III_RANK1, 0.7, 2.0, 1.5)["cp"] - 2.0) < ATOL
+        assert margins(Kind.III_ZERO, 0.0, 2.0, 1.5)["cp"] == \
+            margins(Kind.III_RANK1, 0.7, 2.0, 1.5)["eb"]
+        assert abs(margins(Kind.III_ZERO, 0.0, 2.0, 1.5)["ncb"] - 0.5) < ATOL
 
     def test_unit_gain_boundary_point(self):
         # a = b = 2 at unit gain sits on the NCB and EB boundaries at once
-        assert abs(ncb_margin(Kind.I, 1.0, 2.0, 2.0)) < ATOL
-        assert abs(eb_margin(Kind.I, 1.0, 2.0, 2.0)) < ATOL
+        m = margins(Kind.I, 1.0, 2.0, 2.0)
+        assert abs(m["ncb"]) < ATOL
+        assert abs(m["eb"]) < ATOL
 
     def test_attenuator_boundary_point(self):
         # a = b = 1 + kappa^2 is the double boundary for any gain
         k = 0.6
         v = 1.0 + k ** 2
-        assert abs(ncb_margin(Kind.I, k, v, v)) < ATOL
-        assert abs(eb_margin(Kind.I, k, v, v)) < ATOL
+        m = margins(Kind.I, k, v, v)
+        assert abs(m["ncb"]) < ATOL
+        assert abs(m["eb"]) < ATOL
 
     @settings(deadline=None, max_examples=150)
     @given(st.sampled_from([Kind.I, Kind.II, Kind.III_RANK1, Kind.III_ZERO]),
            st.floats(0.1, 2.0), st.floats(0.01, 6.0), st.floats(0.01, 6.0))
     def test_verdict_chain_is_nested(self, kind, kappa, a, b):
-        ncb = ncb_margin(kind, kappa, a, b) >= 0
-        eb = eb_margin(kind, kappa, a, b) >= 0
-        cp = cp_margin(kind, kappa, a, b) >= 0
+        m = margins(kind, kappa, a, b)
+        ncb, eb, cp = (m[name] >= 0 for name in ("ncb", "eb", "cp"))
         assert (not ncb or eb) and (not eb or cp)
+
+    def test_scalars_give_python_floats(self):
+        for a, b in ((2.0, 3.0), (np.float64(2.0), np.float64(3.0)), (np.array(2.0), 3.0)):
+            m = margins(Kind.I, 0.6, a, b)
+            assert list(m) == ["cp", "eb", "ncb"]
+            assert all(type(v) is float for v in m.values())
+
+    @pytest.mark.parametrize("kind", [Kind.I, Kind.II, Kind.III_RANK1, Kind.III_ZERO])
+    @pytest.mark.parametrize("kappa", [0.6, 1.0, 3.0])
+    def test_broadcast_axes_equal_pointwise_margins_bit_for_bit(self, kind, kappa):
+        # an (n, 1) a axis against an (n,) b axis; the axes reach 1e200,
+        # where ab overflows to inf, and pass through 1, where a - 1 is 0
+        a = np.array([0.05, 0.5, 1.0, 1.0 + kappa ** 2, 7.3, 1e200])
+        b = np.array([1e200, 1.0, 0.2, 1.0 + kappa ** 2, 2.9, 0.05])
+        with np.errstate(over="ignore"):
+            grids = margins(kind, kappa, a[:, None], b)
+        assert np.isinf(grids["cp"][-1, 0]) and np.isinf(grids["eb"][-1, 0])
+        for name, grid in grids.items():
+            assert grid.shape == (a.size, b.size)
+            pointwise = np.array([[margins(kind, kappa, float(x), float(y))[name] for y in b]
+                                  for x in a])
+            assert grid.tobytes() == pointwise.tobytes(), name
 
 
 class TestReport:
@@ -132,8 +155,9 @@ class TestVerdictsOnForms:
         # a = b = 1 + kappa^2 puts a reflection on all three boundaries at once
         rep = _report(Kind.II, 1.64, 1.64, kappa=0.8)
         assert rep.cp and rep.eb and rep.ncb
-        assert abs(cp_margin(Kind.II, 0.8, 1.64, 1.64)) < ATOL
-        assert abs(ncb_margin(Kind.II, 0.8, 1.64, 1.64)) < ATOL
+        m = margins(Kind.II, 0.8, 1.64, 1.64)
+        assert abs(m["cp"]) < ATOL
+        assert abs(m["ncb"]) < ATOL
 
     def test_reflection_eb_without_ncb(self):
         rep = _report(Kind.II, 3.4, 0.85, kappa=0.8)
@@ -454,22 +478,22 @@ class TestRegions:
 
     def test_sweep_ordering_and_size(self):
         sweep = region_sweep(Kind.I, 0.6, 1.0, 2.0, 3.0, 4.0, 3)
-        columns = (sweep.a, sweep.b, sweep.code, sweep.cp_margin, sweep.eb_margin,
-                   sweep.ncb_margin)
-        assert all(col.shape == (9,) for col in columns)
-        assert sweep.a[0] == 1.0 and sweep.b[0] == 3.0
-        assert sweep.a[1] == 1.0 and sweep.b[1] == 3.5  # b varies fastest
-        assert sweep.a[3] == 1.5
+        assert sweep.a.tolist() == [1.0, 1.5, 2.0] and sweep.b.tolist() == [3.0, 3.5, 4.0]
+        assert list(sweep.margins) == ["cp", "eb", "ncb"]
+        assert all(grid.shape == (3, 3) for grid in (sweep.code, *sweep.margins.values()))
+        # row i at a[i], column j at b[j]
+        assert sweep.margins["cp"][1, 2] == 1.5 * 4.0 - (1.0 - 0.36) ** 2
 
     def test_sweep_columns_match_pointwise_classification(self):
         sweep = region_sweep(Kind.II, 0.8, 0.2, 4.0, 0.3, 5.0, 9)
-        for i in range(sweep.code.size):
-            a, b = float(sweep.a[i]), float(sweep.b[i])
-            margins = [margin(Kind.II, 0.8, a, b) for margin in (cp_margin, eb_margin, ncb_margin)]
-            assert [sweep.cp_margin[i], sweep.eb_margin[i], sweep.ncb_margin[i]] == margins
-            # the first failing condition names the region; all passing is ncb
-            passed = [m >= -TOL_CLASS for m in margins]
-            assert REGION_LABELS[sweep.code[i]] == REGION_LABELS[(*passed, False).index(False)]
+        for i, a in enumerate(sweep.a.tolist()):
+            for j, b in enumerate(sweep.b.tolist()):
+                m = margins(Kind.II, 0.8, a, b)
+                assert [grid[i, j] for grid in sweep.margins.values()] == list(m.values())
+                # the first failing condition names the region; all passing is ncb
+                passed = [v >= -TOL_CLASS for v in m.values()]
+                assert REGION_LABELS[sweep.code[i, j]] == \
+                    REGION_LABELS[(*passed, False).index(False)]
 
     def test_sweep_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):

@@ -154,6 +154,18 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: channel out of range") and err.count("\n") == 1
 
+    def test_noise_ratio_past_the_least_normal_double(self, tmp_path, capsys):
+        # b / a = 1e-601: det / lam_max must not pass through the subnormal
+        # b / a, which would round b = 1e-300 to 0 and call the channel unphysical
+        text = '{"X": [[0.01, 0], [0, 0.01]], "Y": [[1e-300, 0], [0, 1e301]]}'
+        assert main(["classify", _write(tmp_path, text)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["form"]["b"] == 1e-300 and payload["class"] == "eb_not_ncb"
+        assert main(["check", _write(tmp_path, text)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["closed_form"]["eb"] and payload["oracles"]["eb_tmsv"]
+        assert payload["agree"] is True
+
     def test_non_cp_skips_oracles(self, tmp_path, capsys):
         code = main(["check", _write(tmp_path, NON_CP_CHANNEL)])
         assert code == 0

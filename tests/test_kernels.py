@@ -60,6 +60,15 @@ def test_eig2_lam_min_keeps_its_digits_on_lopsided_diagonals(ratio_exp):
             assert abs(lam_min - small) <= 4.0 * EPS * abs(small)
 
 
+@pytest.mark.parametrize("small, big", [(1e-160, 1e160), (1e-300, 1e301), (3e-200, 7e150)])
+def test_eig2_lam_min_survives_a_subnormal_ratio(small, big):
+    # small / big is subnormal (or 0), so det / lam_max divides lam_max into big instead
+    for m11, m22 in ((small, big), (big, small)):
+        lam_max, lam_min = eig2(m11, 0.0, m22, 0.0)
+        assert lam_max == big
+        assert abs(lam_min - small) <= 4.0 * EPS * small
+
+
 def test_eig2_negative_trace_keeps_its_digits():
     # a nearly singular matrix of negative trace: lam_max is a tiny
     # remainder of cancellation, so det / lam_max would be off by up to
