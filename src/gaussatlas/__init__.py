@@ -8,23 +8,14 @@ and phase-space (characteristic function / quasiprobability) numerics.
 
 All numerics are numpy and Python floats.  Every 2x2 eigenproblem (the
 PSD check and eigenvalues of the noise, complete positivity, the NCB
-oracle's supremum, and the two-mode PPT test of the
-entanglement-breaking oracle, which reduces to one) goes
-through one closed form, ``_kernels.eig2``: lam_min = det / lam_max.
-Only the verification criteria call LAPACK, as their independent
-reference.  States are single-mode.
+oracle's supremum, and the two-mode PPT test of the entanglement-breaking
+oracle, which reduces to one) goes through one closed form,
+``_kernels.eig2``: lam_min = det / lam_max.  Only the verification
+criteria call LAPACK, as their independent reference.  The verdict slack
+TOL_CLASS lives in ``breaking``; TOL_PSD and TOL_ALG live in ``channels``.
 """
 
 from ._kernels import backend
-from .gaussian_core import (
-    SIGMA1,
-    TOL_ALG,
-    TOL_CLASS,
-    TOL_PSD,
-    rotation,
-    squeeze,
-    symplectic_check,
-)
 from .phase_space import (
     P_EPS,
     TOL_FFT,
@@ -40,6 +31,8 @@ from .phase_space import (
     quasi_from_char,
 )
 from .channels import (
+    TOL_ALG,
+    TOL_PSD,
     CanonicalForm,
     Channel,
     Kind,
@@ -52,8 +45,11 @@ from .channels import (
     cp_defect,
     is_cp,
     kind_from_label,
+    rotation,
+    symplectic_check,
 )
 from .breaking import (
+    TOL_CLASS,
     BreakingReport,
     OrbitPoint,
     RegionSweep,
@@ -74,12 +70,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "backend",
-    "SIGMA1",
     "TOL_ALG",
     "TOL_CLASS",
     "TOL_PSD",
     "rotation",
-    "squeeze",
     "symplectic_check",
     "P_EPS",
     "TOL_FFT",

@@ -17,6 +17,10 @@ with a >= b the eigenvalues of Y.  ``canonical_reduce`` returns the
 canonical data together with the witnesses (S, R), re-verified on exit:
 S X R = X_c, R^T Y R = Y_c, det S = 1, R^T R = 1, all in closed form
 on Python floats (a rank-one X included).
+
+Gaussian unitaries are 2x2 symplectic S; S^T sigma S = det(S) sigma, so
+``symplectic_check`` tests det S = 1 to TOL_ALG; ``rotation`` builds the
+rotations.  ``Channel`` accepts Y down to a -TOL_PSD max(1, max|Y_ij|) eigenvalue.
 """
 
 import json
@@ -27,9 +31,10 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .gaussian_core import TOL_PSD, symplectic_check
 from .phase_space import TOL_FFT, CharGrid, exp_quadratic
 
+TOL_PSD = 1e-9  # positive-semidefinite slack, relative to max(1, matrix norm)
+TOL_ALG = 1e-12  # slack on |det S - 1|, relative to the larger product of det S
 TOL_RANK = 1e-10  # singular values below TOL_RANK * ||X|| count as zero
 _ZERO_FLOOR = 1e-150  # magnitudes below this count as an exactly zero X
 _ASYM_TOL = 1e-12  # largest tolerated |Y12 - Y21|, relative to max(1, max|Y|)
@@ -320,6 +325,22 @@ def act_chargrid(ch, grid):
         mapped[inside] = inner
     mapped *= env
     return CharGrid(s=0.0, extent=grid.extent, axis=ax, values=mapped)
+
+
+def rotation(theta):
+    """Phase-space rotation by theta, an element of SO(2) < Sp(2, R)."""
+    return np.array(_rot(theta)).reshape(2, 2)
+
+
+def symplectic_check(S):
+    """Whether the 2x2 S is symplectic: |det S - 1| <= TOL_ALG max(1, |s11 s22|, |s12 s21|).
+
+    The slack outgrows the determinant's rounding (a few eps times its
+    larger product) at any squeeze; an overflowing product fails.
+    """
+    (s11, s12), (s21, s22) = np.asarray(S, dtype=float).tolist()
+    p, q = s11 * s22, s12 * s21
+    return abs(p - q - 1.0) <= TOL_ALG * max(1.0, abs(p), abs(q)) < math.inf
 
 
 def compose_pre_unitary(ch, S):

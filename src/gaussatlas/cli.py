@@ -36,6 +36,7 @@ import numpy as np
 
 from .breaking import (
     REGION_LABELS,
+    TOL_CLASS,
     boundary_curves,
     eb_oracle_tmsv,
     find_r0,
@@ -47,7 +48,6 @@ from .breaking import (
 )
 from .channels import Channel, Kind, act_chargrid, is_cp, kind_from_label
 from ._kernels import TEXT_WIDTH, text12
-from .gaussian_core import TOL_CLASS
 from .phase_space import (
     GridSpec,
     char_fock1,
@@ -175,13 +175,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return float(_fmt(v)) if math.isfinite(v) else None
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+    if isinstance(obj, float):
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     return obj
 
 

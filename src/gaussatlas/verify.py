@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .breaking import (
+    TOL_CLASS,
     boundary_curves,
     eb_oracle_tmsv,
     find_r0,
@@ -34,8 +35,8 @@ from .channels import (
     compose_post_unitary,
     compose_pre_unitary,
     is_cp,
+    rotation,
 )
-from .gaussian_core import TOL_CLASS, rotation
 from .phase_space import (
     GridSpec,
     P_EPS,

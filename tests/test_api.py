@@ -29,7 +29,6 @@ PACKAGE = Path(gaussatlas.__file__).parent
 ALLOWED_UNUSED = {
     "__version__": "package metadata",
     "backend": "recorded in the environment of every benchmark result",
-    "squeeze": "documented primitive; tests use it as a reference",
     "cp_defect": "documented primitive; tests use it as a reference",
 }
 

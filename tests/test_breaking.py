@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gaussatlas.breaking import (
     REGION_LABELS,
+    TOL_CLASS,
     boundary_curves,
     eb_oracle_tmsv,
     find_r0,
@@ -21,11 +22,23 @@ from gaussatlas.breaking import (
     report,
     squeeze_orbit,
 )
-from gaussatlas.channels import Channel, Kind, SIGMA3, canonical_channel, canonical_reduce, is_cp
-from gaussatlas.gaussian_core import SIGMA1, TOL_CLASS, rotation, squeeze
+from gaussatlas.channels import (
+    SIGMA3,
+    Channel,
+    Kind,
+    canonical_channel,
+    canonical_reduce,
+    is_cp,
+    rotation,
+)
 from gaussatlas.cli import REGION_CSV_HEADER, main
 
 ATOL = 1e-12
+
+
+def _squeeze(r):
+    """The squeeze symplectic diag(e^-r, e^r)."""
+    return np.diag([np.exp(-r), np.exp(r)])
 
 
 def _form(kind, a, b, kappa=None):
@@ -50,7 +63,7 @@ def _ppt_longhand(ch, r):
     out = X4.T @ probe @ X4
     out[:2, :2] += ch.Y
     flip = np.diag([1.0, 1.0, 1.0, -1.0])  # p2 -> -p2
-    sigma = np.kron(np.eye(2), SIGMA1)
+    sigma = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])  # two-mode symplectic form
     defect = np.linalg.eigvalsh(flip @ out @ flip + 1j * sigma)[0]
     return bool(defect >= -1e-9 * np.abs(out).max())
 
@@ -101,6 +114,28 @@ class TestMargins:
             m = margins(Kind.I, 0.6, a, b)
             assert list(m) == ["cp", "eb", "ncb"]
             assert all(type(v) is float for v in m.values())
+
+    @pytest.mark.parametrize("kind, kappa", [(Kind.I, 0.6), (Kind.III_ZERO, 0.0)])
+    def test_nan_noise_gives_nan_margins(self, kind, kappa):
+        # a NaN in a or in b reaches every margin, scalar or array: the ncb
+        # minimum keeps the NaN rather than picking the other term
+        for a, b in ((math.nan, 2.0), (2.0, math.nan)):
+            assert all(math.isnan(v) for v in margins(kind, kappa, a, b).values())
+        a, b = np.array([[math.nan], [3.0], [1.5]]), np.array([2.0, math.nan, 0.5])
+        nan_at = np.isnan(a) | np.isnan(b)
+        with np.errstate(invalid="ignore"):
+            grids = margins(kind, kappa, a, b)
+        for grid in grids.values():
+            np.testing.assert_array_equal(np.isnan(grid), nan_at)
+
+    def test_unit_noise_against_infinite_noise_gives_nan_ncb(self):
+        # (a - 1)(b - 1) is 0 * inf at a = 1, b = inf, and its NaN wins the minimum
+        m = margins(Kind.I, 1.0, 1.0, math.inf)
+        assert m["cp"] == m["eb"] == math.inf and math.isnan(m["ncb"])
+        with np.errstate(invalid="ignore"):
+            grids = margins(Kind.I, 1.0, np.array([[1.0], [2.0]]), np.array([math.inf, 3.0]))
+        np.testing.assert_array_equal(np.isnan(grids["ncb"]), [[True, False], [False, False]])
+        assert np.isinf(grids["cp"][0, 0]) and np.isinf(grids["eb"][0, 0])
 
     @pytest.mark.parametrize("kind", [Kind.I, Kind.II, Kind.III_RANK1, Kind.III_ZERO])
     @pytest.mark.parametrize("kappa", [0.6, 1.0, 3.0])
@@ -186,7 +221,6 @@ class TestNcbOracle:
 
     def test_rotated_channel_same_verdict(self):
         from gaussatlas.channels import compose_pre_unitary
-        from gaussatlas.gaussian_core import rotation
         ch = compose_pre_unitary(canonical_channel(Kind.I, 2.0, 2.0, kappa=0.6),
                                  rotation(0.9))
         assert ncb_oracle_gaussian(ch)
@@ -250,7 +284,7 @@ def _random_cp_channels(rng, rank, n):
     while len(out) < n:
         second = float(rng.choice((-1.0, 1.0))) if rank == 2 else 0.0
         x = np.diag([1.0 if rank else 0.0, second]) * float(np.exp(rng.uniform(-1.5, 1.5)))
-        X = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-1, 1)) @ x \
+        X = rotation(rng.uniform(0, np.pi)) @ _squeeze(rng.uniform(-1, 1)) @ x \
             @ rotation(rng.uniform(0, np.pi))
         A = rng.normal(size=(2, 2)) * np.exp(rng.uniform(-1.0, 1.5))
         ch = Channel(X=X, Y=A @ A.T + rng.uniform(0.0, 3.0) * np.eye(2))
@@ -354,7 +388,7 @@ class TestEbOracle:
             ratio = math.exp(rng.uniform(0.0, 2.0))
             ch = canonical_channel(Kind.I, math.sqrt(prod * ratio), math.sqrt(prod / ratio),
                                    kappa=kappa)
-            S = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-1, 1))
+            S = rotation(rng.uniform(0, np.pi)) @ _squeeze(rng.uniform(-1, 1))
             ch = Channel(X=S @ ch.X, Y=ch.Y)
             longhand = {_ppt_longhand(ch, r) for r in (0.5, 1.0, 2.0)}
             assert longhand == {eb_oracle_tmsv(ch)}
@@ -370,7 +404,7 @@ class TestEbOracle:
         kappa, a = 10.0, 1.5
         noise = (a, (1.0 + kappa ** 2) ** 2 * (1.0 - 1e-4) / a)
         ch = canonical_channel(Kind.I, *(noise[::-1] if swap else noise), kappa=kappa)
-        ch = Channel(X=squeeze(pre) @ ch.X, Y=ch.Y)
+        ch = Channel(X=_squeeze(pre) @ ch.X, Y=ch.Y)
         assert is_cp(ch) and not report(ch).eb
         assert not eb_oracle_tmsv(ch)
 
@@ -383,7 +417,7 @@ class TestEbOracle:
             u = rng.uniform(-3.0, 3.0)
             ch = canonical_channel(kind, math.sqrt(bound) * math.exp(u),
                                    math.sqrt(bound) * math.exp(-u), kappa=kappa)
-            S = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-1, 1)) \
+            S = rotation(rng.uniform(0, np.pi)) @ _squeeze(rng.uniform(-1, 1)) \
                 @ rotation(rng.uniform(0, np.pi))
             R = rotation(rng.uniform(0, np.pi))
             ch = Channel(X=S @ ch.X @ R, Y=R.T @ ch.Y @ R)

@@ -23,12 +23,18 @@ from gaussatlas.channels import (
     cp_defect,
     is_cp,
     kind_from_label,
+    rotation,
+    symplectic_check,
 )
-from gaussatlas.gaussian_core import rotation, squeeze
 from gaussatlas.phase_space import GridSpec, char_fock1, char_gaussian, char_vacuum, convert_order
 
 ATOL = 1e-12
 WITNESS_TOL = 1e-10
+
+
+def _squeeze(r):
+    """The squeeze symplectic diag(e^-r, e^r)."""
+    return np.diag([np.exp(-r), np.exp(r)])
 
 
 def _rank(X):
@@ -152,7 +158,7 @@ class TestKindsAndRank:
 
 class TestCanonicalReduce:
     @pytest.mark.parametrize("X", [1e160 * np.eye(2), 1e160 * rotation(0.3),
-                                   1e300 * squeeze(2.0), 1.7e308 * rotation(0.7)])
+                                   1e300 * _squeeze(2.0), 1.7e308 * rotation(0.7)])
     def test_refuses_overflowing_det(self, X):
         # the rank rule reads X / max|X|, so these reach the full-rank branch
         with pytest.raises(ValueError, match="det X overflows"):
@@ -299,7 +305,7 @@ class TestCanonicalReduce:
     def test_invariants_under_pre_unitary(self):
         ch = Channel(X=np.array([[0.9, 0.2], [-0.1, 0.7]]), Y=np.diag([2.0, 1.5]))
         base = canonical_reduce(ch)
-        S = rotation(0.7) @ squeeze(0.5)
+        S = rotation(0.7) @ _squeeze(0.5)
         moved = canonical_reduce(compose_pre_unitary(ch, S))
         assert moved.kind is base.kind
         assert abs(moved.kappa - base.kappa) < 1e-10
@@ -320,7 +326,7 @@ class TestCompletePositivity:
         rng = np.random.default_rng(43)
         for y_scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             for k in range(40):
-                S = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-2, 2))
+                S = rotation(rng.uniform(0, np.pi)) @ _squeeze(rng.uniform(-2, 2))
                 # every fourth X is symplectic, det X = 1, so beta = 0
                 X = S if k % 4 == 0 else rng.normal(size=(2, 2)) * rng.uniform(0.1, 3.0)
                 A = rng.normal(size=(2, 2))
@@ -373,7 +379,7 @@ class TestCompletePositivity:
             root = abs(1.0 - kappa ** 2) if kind is Kind.I else 1.0 + kappa ** 2
             u = rng.uniform(-3.0, 3.0)
             ch = canonical_channel(kind, root * math.exp(u), root * math.exp(-u), kappa=kappa)
-            S = rotation(rng.uniform(0, np.pi)) @ squeeze(rng.uniform(-1, 1)) \
+            S = rotation(rng.uniform(0, np.pi)) @ _squeeze(rng.uniform(-1, 1)) \
                 @ rotation(rng.uniform(0, np.pi))
             ch = compose_post_unitary(compose_pre_unitary(ch, S), rotation(rng.uniform(0, np.pi)))
             assert is_cp(ch), (kind, kappa, u)
@@ -393,7 +399,7 @@ class TestActVariance:
 
     def test_general_congruence(self):
         ch = Channel(X=np.array([[0.5, 0.1], [0.0, 0.8]]), Y=np.diag([1.0, 2.0]))
-        S = rotation(0.2) @ squeeze(-0.4)
+        S = rotation(0.2) @ _squeeze(-0.4)
         V = S @ S.T  # squeezed vacuum
         got = act_variance(ch, V)
         np.testing.assert_allclose(got, ch.X.T @ V @ ch.X + ch.Y, atol=ATOL)
@@ -460,10 +466,59 @@ class TestActChargrid:
             act_chargrid(Channel(X=SIGMA3, Y=np.zeros((2, 2))), g0)
 
 
+class TestSymplectic:
+    def test_rotation_and_squeeze_are_symplectic(self):
+        for theta in (0.0, 0.3, -1.2, np.pi):
+            assert symplectic_check(rotation(theta))
+        for r in (-1.5, 0.0, 0.7):
+            assert symplectic_check(_squeeze(r))
+        assert not symplectic_check(np.diag([2.0, 2.0]))
+
+    @settings(deadline=None, max_examples=40)
+    @given(r=st.floats(-2.0, 2.0), theta=st.floats(0.0, np.pi))
+    def test_symplectic_conjugation_preserves_validity(self, r, theta):
+        S = rotation(theta) @ _squeeze(r)
+        assert symplectic_check(S)
+        V = S.T @ np.eye(2) @ S
+        sigma = np.array([[0.0, 1.0], [-1.0, 0.0]])  # single-mode symplectic form
+        # the vacuum maps to a pure state: V + i sigma >= 0 with a zero eigenvalue
+        defect = np.linalg.eigvalsh(V + 1j * sigma)[0]
+        assert abs(defect) < 1e-8 * max(1.0, np.abs(V).max())
+
+    def test_large_squeeze_is_symplectic(self):
+        # det S rounds by a few eps times its products, about e^16 here: an
+        # absolute 1e-12 slack on S^T Sigma S - Sigma refuses this S
+        S = rotation(0.3) @ np.diag([np.exp(8.0), np.exp(-8.0)]) @ rotation(1.1)
+        assert symplectic_check(S)
+        ch = compose_pre_unitary(Channel(X=np.eye(2), Y=np.eye(2)), S)
+        np.testing.assert_array_equal(ch.X, S)
+        for bad in (2.0 * np.eye(2), np.diag([1.0, 2.0])):
+            assert not symplectic_check(bad)
+            with pytest.raises(ValueError, match="not symplectic"):
+                compose_pre_unitary(ch, bad)
+
+    def test_slack_follows_the_determinant_products(self):
+        # 1e-12 absolute while every product is at most 1
+        assert symplectic_check(np.diag([1.0 + 0.9e-12, 1.0]))
+        assert not symplectic_check(np.diag([1.0 + 1.1e-12, 1.0]))
+        # relative to the larger product, not to max|S_ij|^2
+        assert symplectic_check(np.diag([1e200, 1e-200]))
+        assert not symplectic_check(np.diag([1e13, 1.0]))
+        # an overflowing or NaN product fails
+        assert not symplectic_check(np.diag([1e200, 1e200]))
+        assert not symplectic_check(np.diag([math.inf, 1.0]))
+        assert not symplectic_check(np.diag([math.nan, 1.0]))
+
+    def test_rotation_matrix(self):
+        for theta in (0.0, 0.4, -2.5):
+            c, s = np.cos(theta), np.sin(theta)
+            np.testing.assert_array_equal(rotation(theta), [[c, -s], [s, c]])
+
+
 class TestCompose:
     def test_pre_unitary_maps_gain(self):
         ch = Channel(X=0.7 * np.eye(2), Y=np.eye(2))
-        S = squeeze(0.3)
+        S = _squeeze(0.3)
         out = compose_pre_unitary(ch, S)
         np.testing.assert_allclose(out.X, S @ ch.X, atol=ATOL)
         np.testing.assert_array_equal(out.Y, ch.Y)
@@ -484,8 +539,8 @@ class TestCompose:
 
     def test_composition_matches_variance_action(self):
         ch = Channel(X=0.8 * np.eye(2), Y=0.5 * np.eye(2))
-        S = rotation(0.4) @ squeeze(0.2)
-        V = squeeze(-0.3) @ squeeze(-0.3)  # squeezed vacuum
+        S = rotation(0.4) @ _squeeze(0.2)
+        V = _squeeze(-0.3) @ _squeeze(-0.3)  # squeezed vacuum
         left = act_variance(compose_pre_unitary(ch, S), V)
         right = act_variance(ch, S.T @ V @ S)
         np.testing.assert_allclose(left, right, atol=1e-12)

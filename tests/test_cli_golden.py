@@ -109,8 +109,8 @@ class _Reference:
         bmin, bmax = float(_opt(argv, "--bmin", "0.05")), float(_opt(argv, "--bmax", "6"))
         n = int(_opt(argv, "--grid", "200"))
         self.points = []
-        for a in np.linspace(self.amin, self.amax, n):
-            for b in np.linspace(bmin, bmax, n):
+        for a in np.linspace(self.amin, self.amax, n).tolist():
+            for b in np.linspace(bmin, bmax, n).tolist():
                 label, cp, eb, ncb = _ref_point(self.kind, self.kappa, a, b, tol)
                 self.points.append((float(a), float(b), label, float(cp), float(eb), float(ncb)))
         self.curve_a = np.linspace(self.amin, self.amax, 512)

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gaussatlas.channels import Channel, act_chargrid
-from gaussatlas.gaussian_core import rotation
+from gaussatlas.channels import Channel, act_chargrid, rotation
 from gaussatlas.phase_space import (
     TOL_FFT,
     CharGrid,
