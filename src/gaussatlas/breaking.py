@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channels import CanonicalForm, Kind, canonical_reduce, is_cp, kind_from_label
+from .channels import CanonicalForm, Kind, _canonical_form, is_cp, kind_from_label
 from .phase_space import fock1_output_p
 
 TOL_CLASS = 1e-6  # default verdict slack: a margin >= -TOL_CLASS holds
@@ -87,6 +87,11 @@ def _kappa_bounds(kind, kappa):
     return 1.0, 1.0, None
 
 
+def _fmin(x, y):
+    """np.minimum's rule on two Python floats, bit for bit: y unless x is smaller or NaN."""
+    return x if x < y or x != x else y
+
+
 def margins(kind, kappa, a, b):
     """Signed slacks {"cp", "eb", "ncb"} of the table's three conditions.
 
@@ -100,10 +105,11 @@ def margins(kind, kappa, a, b):
     has the bits of the same margin evaluated at that point alone.
     """
     cp, eb, k4 = _kappa_bounds(kind, kappa)
+    minimum = _fmin if type(a) is float and type(b) is float else np.minimum
     ab = a * b
-    ncb = np.minimum(a - 1.0, b - 1.0)
+    ncb = minimum(a - 1.0, b - 1.0)
     if k4 is not None:
-        ncb = np.minimum(ncb, (a - 1.0) * (b - 1.0) - k4)
+        ncb = minimum(ncb, (a - 1.0) * (b - 1.0) - k4)
     if isinstance(ncb, np.ndarray):
         return {"cp": ab - cp, "eb": ab - eb, "ncb": ncb}
     return {"cp": float(ab - cp), "eb": float(ab - eb), "ncb": float(ncb)}
@@ -116,9 +122,10 @@ def margins(kind, kappa, a, b):
 class BreakingReport:
     """All three verdicts for one channel, with margins and shifted noise.
 
-    shifted_noise is (a + kappa^2 - 1, b + kappa^2 - 1), the effective
-    added noise relative to the classicality threshold at unit gain.
-    The verdicts always satisfy ncb <= eb <= cp as booleans.
+    The verdicts read only the form's (kind, kappa, a, b), not its
+    witnesses.  shifted_noise is (a + kappa^2 - 1, b + kappa^2 - 1), the
+    effective added noise relative to the classicality threshold at unit
+    gain.  The verdicts always satisfy ncb <= eb <= cp as booleans.
     """
 
     form: CanonicalForm
@@ -135,8 +142,8 @@ class BreakingReport:
 
 
 def report(ch, tol=TOL_CLASS):
-    """Reduce a channel and evaluate every closed-form predicate."""
-    form = canonical_reduce(ch)
+    """Every closed-form predicate, from the channel's (kind, kappa, a, b) alone."""
+    form = _canonical_form(ch)
     slack = margins(form.kind, form.kappa, form.a, form.b)
     shift = form.kappa ** 2 - 1.0
     return BreakingReport(
@@ -180,7 +187,7 @@ def ncb_oracle_gaussian(ch, tol=TOL_CLASS):
     """
     if not is_cp(ch):
         raise ValueError("oracle needs a completely positive channel")
-    (y11, y12), (_, y22) = ch.Y.tolist()
+    y11, y12, _, y22 = ch._y
     return _kernels.eig2(y11 - 1.0, y12, y22 - 1.0, ch.det_x)[1] >= -tol
 
 
@@ -221,7 +228,7 @@ def eb_oracle_tmsv(ch):
     """
     if not is_cp(ch):
         raise ValueError("oracle needs a completely positive channel")
-    (y11, y12), (_, y22) = ch.Y.tolist()
+    y11, y12, _, y22 = ch._y
     return _kernels.herm2_psd(y11, y12, y22, 1.0 + ch.det_x)
 
 

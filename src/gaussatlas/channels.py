@@ -13,10 +13,10 @@ post-unitary R, to one of four canonical kinds fixed by det X:
 * ``Kind.III_RANK1``  rank X = 1: X_c = diag(1, 0), Y_c = R^T Y R kept whole
 * ``Kind.III_ZERO``   X = 0: X_c = 0, Y_c = diag(a, b)
 
-with a >= b the eigenvalues of Y.  ``canonical_reduce`` returns the
-canonical data together with the witnesses (S, R), re-verified on exit:
-S X R = X_c, R^T Y R = Y_c, det S = 1, R^T R = 1, all in closed form
-on Python floats (a rank-one X included).
+with a >= b the eigenvalues of Y.  The verdicts read only (kind, kappa,
+a, b); the witnesses (S, R) are built and re-verified by
+``canonical_reduce``, or else on first access: S X R = X_c, R^T Y R = Y_c,
+det S = 1, R^T R = 1, all in closed form on Python floats (rank one too).
 
 Gaussian unitaries are 2x2 symplectic S; S^T sigma S = det(S) sigma, so
 ``symplectic_check`` tests det S = 1 to TOL_ALG; ``rotation`` builds the
@@ -25,7 +25,8 @@ rotations.  ``Channel`` accepts Y down to a -TOL_PSD max(1, max|Y_ij|) eigenvalu
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -70,9 +71,10 @@ def _as_mat2(M, name):
         raise ValueError(f"{name} must be a 2x2 real matrix") from exc
     if M.shape != (2, 2):
         raise ValueError(f"{name} must be a 2x2 real matrix")
-    if not all(map(math.isfinite, M.ravel().tolist())):
+    entries = tuple(M.ravel().tolist())
+    if not all(map(math.isfinite, entries)):
         raise ValueError(f"{name} must be finite")
-    return M
+    return M, entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +89,8 @@ class Channel:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = _as_mat2(self.X, "X")
-        (y11, y12), (y21, y22) = _as_mat2(self.Y, "Y").tolist()
+        X, x = _as_mat2(self.X, "X")
+        y11, y12, y21, y22 = _as_mat2(self.Y, "Y")[1]
         yscale = max(1.0, abs(y11), abs(y12), abs(y21), abs(y22))
         if abs(y12 - y21) > _ASYM_TOL * yscale:
             raise ValueError("Y must be symmetric")
@@ -98,12 +100,12 @@ class Channel:
         Y = np.array([[y11, y12], [y12, y22]])
         X.flags.writeable = False
         Y.flags.writeable = False
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
+        # frozen, so past __setattr__; _x and _y keep the entries as row-major float tuples
+        vars(self).update(X=X, Y=Y, _x=x, _y=(y11, y12, y12, y22))
 
     @property
     def det_x(self):
-        (x11, x12), (x21, x22) = self.X.tolist()
+        x11, x12, x21, x22 = self._x
         return x11 * x22 - x12 * x21
 
     @classmethod
@@ -141,10 +143,12 @@ def canonical_channel(kind, a, b, kappa=None):
 
 @dataclass(frozen=True, eq=False)
 class CanonicalForm:
-    """Canonical data of a channel plus the reducing witnesses.
+    """Canonical data (kind, kappa, a, b) of a channel; the verdicts read only these.
 
-    x_canonical = S X R and y_canonical = R^T Y R; (a, b) are the
-    eigenvalues of Y in descending order.  For Kind.III_RANK1 the
+    (a, b) are the eigenvalues of Y in descending order.  The witnesses
+    S, R, x_canonical = S X R and y_canonical = R^T Y R are built from
+    channel and verified by canonical_reduce, or else on first access,
+    raising RuntimeError if they fail.  For Kind.III_RANK1 the
     post-rotation is pinned by X, so y_canonical stays a full symmetric
     matrix; for the other kinds it is diag(a, b).
     """
@@ -153,10 +157,37 @@ class CanonicalForm:
     kappa: float
     a: float
     b: float
-    x_canonical: np.ndarray
-    y_canonical: np.ndarray
-    S: np.ndarray
-    R: np.ndarray
+    channel: Channel = field(repr=False)
+
+    x_canonical = property(lambda self: self._witnesses[0])
+    y_canonical = property(lambda self: self._witnesses[1])
+    S = property(lambda self: self._witnesses[2])
+    R = property(lambda self: self._witnesses[3])
+
+    @cached_property
+    def _witnesses(self):
+        """(x_canonical, y_canonical, S, R) as 2x2 arrays, verified; see canonical_reduce."""
+        X, Y, kappa = self.channel._x, self.channel._y, self.kappa
+        (x11, x12, x21, x22), (y11, y12, _, y22) = X, Y
+        if self.kind is Kind.III_RANK1:  # the angles of the closed-form SVD
+            u11, u12, u21, u22 = (x / max(map(abs, X)) for x in X)
+            alpha, beta = math.atan2(u21 - u12, u11 + u22), math.atan2(u21 + u12, u11 - u22)
+            R, Rt = _rot(0.5 * (beta - alpha)), _rot(0.5 * (alpha - beta))
+            S = _mul((1.0 / kappa, 0.0, 0.0, kappa), _rot(-0.5 * (alpha + beta)))
+            x_can, y_can = (1.0, 0.0, 0.0, 0.0), _mul(_mul(Rt, Y), R)
+        else:
+            theta = 0.5 * math.atan2(2.0 * y12, y11 - y22)
+            R, Rt, y_can = _rot(theta), _rot(-theta), (self.a, 0.0, 0.0, self.b)
+            if self.kind is Kind.III_ZERO:
+                x_can, S = (0.0,) * 4, (1.0, 0.0, 0.0, 1.0)
+            else:
+                p11, p12, p21, p22 = (x / kappa for x in X)
+                if self.kind is Kind.I:  # S = R^T (X / kappa)^-1
+                    x_can, S = (kappa, 0.0, 0.0, kappa), _mul(Rt, (p22, -p12, -p21, p11))
+                else:  # S = R (X sigma3 / kappa)^-1
+                    x_can, S = (kappa, 0.0, 0.0, -kappa), _mul(R, (-p22, p12, -p21, p11))
+        _verify_witnesses(X, Y, S, R, x_can, y_can)
+        return tuple(np.array((x_can, y_can, S, R)).reshape(4, 2, 2))
 
 
 def _det(x11, x12, x21, x22):
@@ -170,7 +201,7 @@ def _det(x11, x12, x21, x22):
         return math.inf
 
 
-# canonical_reduce holds each 2x2 matrix as a row-major 4-tuple of floats
+# the witnesses hold each 2x2 matrix as a row-major 4-tuple of floats, as Channel does
 def _rot(theta):
     c, s = math.cos(theta), math.sin(theta)
     return c, -s, s, c
@@ -196,17 +227,10 @@ def _verify_witnesses(X, Y, S, R, x_can, y_can):
         raise RuntimeError("canonical reduction witnesses failed verification")
 
 
-def canonical_reduce(ch):
-    """Reduce a channel to canonical form with verified witnesses.
-
-    Dispatch is purely linear-algebraic (sign of det X, numerical rank),
-    so non-CP pairs reduce fine; Y must be PSD, which the Channel
-    constructor guarantees.  Raises ValueError when det X, the square of
-    a rank-one gain or a noise eigenvalue overflows a double: no
-    canonical form can represent them.
-    """
-    X, Y = ch.X.ravel().tolist(), ch.Y.ravel().tolist()
-    (x11, x12, x21, x22), (y11, y12, _, y22) = X, Y
+def _canonical_form(ch):
+    """canonical_reduce's (kind, kappa, a, b) and refusals, its witnesses left unbuilt."""
+    X, (y11, y12, _, y22) = ch._x, ch._y
+    x11, x12, x21, x22 = X
     a, b = _kernels.eig2(y11, y12, y22, 0.0)
     if not math.isfinite(a):
         raise ValueError("the noise eigenvalues overflow a double")
@@ -218,40 +242,36 @@ def canonical_reduce(ch):
     u11, u12, u21, u22 = x11 / scale, x12 / scale, x21 / scale, x22 / scale
     e, f, g, h = u11 + u22, u11 - u22, u21 + u12, u21 - u12
     smax = 0.5 * (math.hypot(e, h) + math.hypot(f, g))
-    rank = (0 if scale * smax <= _ZERO_FLOOR
-            else 1 if abs(u11 * u22 - u12 * u21) <= TOL_RANK * smax * smax else 2)
-    if rank == 1:
+    if scale * smax <= _ZERO_FLOOR:
+        return CanonicalForm(Kind.III_ZERO, 0.0, a, b, ch)
+    if abs(u11 * u22 - u12 * u21) <= TOL_RANK * smax * smax:
         kappa = scale * smax
         if not math.isfinite(kappa * kappa):  # S X in the witness check multiplies kappa by X
             raise ValueError("kappa^2 overflows a double: the gain is out of range")
-        alpha, beta = math.atan2(h, e), math.atan2(g, f)
-        R, Rt = _rot(0.5 * (beta - alpha)), _rot(0.5 * (alpha - beta))
-        S = _mul((1.0 / kappa, 0.0, 0.0, kappa), _rot(-0.5 * (alpha + beta)))
-        kind, x_can, y_can = Kind.III_RANK1, (1.0, 0.0, 0.0, 0.0), _mul(_mul(Rt, Y), R)
-    else:
-        theta = 0.5 * math.atan2(2.0 * y12, y11 - y22)
-        R, Rt, y_can = _rot(theta), _rot(-theta), (a, 0.0, 0.0, b)
-        if rank == 0:
-            kind, kappa, x_can, S = Kind.III_ZERO, 0.0, (0.0,) * 4, (1.0, 0.0, 0.0, 1.0)
-        else:
-            det = _det(x11, x12, x21, x22)
-            if not math.isfinite(det):
-                raise ValueError("det X overflows a double: the gain is out of range")
-            kappa = math.sqrt(abs(det))
-            p11, p12, p21, p22 = x11 / kappa, x12 / kappa, x21 / kappa, x22 / kappa
-            if det > 0:  # S = R^T (X / kappa)^-1
-                kind, x_can, S = Kind.I, (kappa, 0.0, 0.0, kappa), _mul(Rt, (p22, -p12, -p21, p11))
-            else:  # S = R (X sigma3 / kappa)^-1
-                kind, x_can, S = Kind.II, (kappa, 0.0, 0.0, -kappa), _mul(R, (-p22, p12, -p21, p11))
-    _verify_witnesses(X, Y, S, R, x_can, y_can)
-    mats = np.array((x_can, y_can, S, R)).reshape(4, 2, 2)
-    return CanonicalForm(kind=kind, kappa=kappa, a=a, b=b, x_canonical=mats[0],
-                         y_canonical=mats[1], S=mats[2], R=mats[3])
+        return CanonicalForm(Kind.III_RANK1, kappa, a, b, ch)
+    det = _det(x11, x12, x21, x22)
+    if not math.isfinite(det):
+        raise ValueError("det X overflows a double: the gain is out of range")
+    return CanonicalForm(Kind.I if det > 0 else Kind.II, math.sqrt(abs(det)), a, b, ch)
+
+
+def canonical_reduce(ch):
+    """Reduce a channel to canonical form with verified witnesses.
+
+    Dispatch is purely linear-algebraic (sign of det X, numerical rank),
+    so non-CP pairs reduce fine; Y must be PSD, which the Channel
+    constructor guarantees.  Raises ValueError when det X, the square of
+    a rank-one gain or a noise eigenvalue overflows a double: no
+    canonical form can represent them.
+    """
+    form = _canonical_form(ch)
+    form._witnesses  # build and verify them now: a failure raises RuntimeError here
+    return form
 
 
 def _cp_entries(ch):
     """(y11, y12, y22, 1 - det X) as Python floats, the entries of the CP matrix."""
-    (y11, y12), (_, y22) = ch.Y.tolist()
+    y11, y12, _, y22 = ch._y
     return y11, y12, y22, 1.0 - ch.det_x
 
 
@@ -280,7 +300,7 @@ def act_variance(ch, V):
     """Output covariance X^T V X + Y; refuses to act through a non-CP pair."""
     if not is_cp(ch):
         raise ValueError("channel is not completely positive")
-    V = _as_mat2(V, "V")
+    V = _as_mat2(V, "V")[0]
     return ch.X.T @ V @ ch.X + ch.Y
 
 
@@ -345,7 +365,7 @@ def symplectic_check(S):
 
 def compose_pre_unitary(ch, S):
     """The channel preceded by the Gaussian unitary of symplectic S: (S X, Y)."""
-    S = _as_mat2(S, "S")
+    S = _as_mat2(S, "S")[0]
     if not symplectic_check(S):
         raise ValueError("S is not symplectic")
     return Channel(X=S @ ch.X, Y=ch.Y)
@@ -353,7 +373,7 @@ def compose_pre_unitary(ch, S):
 
 def compose_post_unitary(ch, S):
     """The channel followed by the Gaussian unitary of S: (X S, S^T Y S)."""
-    S = _as_mat2(S, "S")
+    S = _as_mat2(S, "S")[0]
     if not symplectic_check(S):
         raise ValueError("S is not symplectic")
     return Channel(X=ch.X @ S, Y=S.T @ ch.Y @ S)

@@ -200,16 +200,9 @@ def _report(ch, tol):
 
 
 def _form_payload(form):
-    return {
-        "kind": form.kind.value,
-        "kappa": form.kappa,
-        "a": form.a,
-        "b": form.b,
-        "x_canonical": form.x_canonical,
-        "y_canonical": form.y_canonical,
-        "S": form.S,
-        "R": form.R,
-    }
+    """The canonical form with its witnesses, which this builds and verifies."""
+    return {"kind": form.kind.value, **{name: getattr(form, name) for name in (
+        "kappa", "a", "b", "x_canonical", "y_canonical", "S", "R")}}
 
 
 def _cmd_classify(args):

@@ -1,6 +1,7 @@
 """Closed-form breaking predicates, their oracles, orbits, and region atlas."""
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussatlas import breaking
 from gaussatlas.breaking import (
     REGION_LABELS,
     TOL_CLASS,
+    _fmin,
     boundary_curves,
     eb_oracle_tmsv,
     find_r0,
@@ -28,6 +31,8 @@ from gaussatlas.channels import (
     Kind,
     canonical_channel,
     canonical_reduce,
+    compose_post_unitary,
+    compose_pre_unitary,
     is_cp,
     rotation,
 )
@@ -66,6 +71,12 @@ def _ppt_longhand(ch, r):
     sigma = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])  # two-mode symplectic form
     defect = np.linalg.eigvalsh(flip @ out @ flip + 1j * sigma)[0]
     return bool(defect >= -1e-9 * np.abs(out).max())
+
+
+# signed zeros, NaNs of both signs, infinities, subnormals, the least normal
+# double, and values whose products pass 1e308
+_EDGE_FLOATS = (0.0, -0.0, 1.0, -1.0, 2.0, math.nan, -math.nan, math.inf, -math.inf,
+                5e-324, -5e-324, 2.2250738585072014e-308, 1e154, 1e308, -1e308)
 
 
 class TestMargins:
@@ -137,6 +148,33 @@ class TestMargins:
         np.testing.assert_array_equal(np.isnan(grids["ncb"]), [[True, False], [False, False]])
         assert np.isinf(grids["cp"][0, 0]) and np.isinf(grids["eb"][0, 0])
 
+    def test_float_minimum_has_the_numpy_bits(self):
+        # y unless x is smaller or NaN: np.minimum(0.0, -0.0) is -0.0, min(0.0, -0.0) is 0.0
+        for x, y in itertools.product(_EDGE_FLOATS, repeat=2):
+            assert np.float64(_fmin(x, y)).tobytes() == np.minimum(x, y).tobytes(), (x, y)
+
+    @pytest.mark.parametrize("kind, kappa", [(Kind.I, 0.6), (Kind.II, 3.0),
+                                             (Kind.III_RANK1, 0.7), (Kind.III_ZERO, 0.0)])
+    def test_python_floats_give_the_numpy_scalar_bits(self, kind, kappa, monkeypatch):
+        # two Python floats skip numpy; np.float64 inputs, or _fmin swapped back
+        # for np.minimum, take numpy's minimum.  The one exception is the sign of
+        # cp and eb at a NaN times a NaN: IEEE 754 leaves it open, and Python's
+        # and numpy's scalar multiply differ there, a product this branch keeps
+        pairs = list(itertools.product(_EDGE_FLOATS, repeat=2))
+        got = [margins(kind, kappa, a, b) for a, b in pairs]
+        with np.errstate(all="ignore"):
+            numpy_scalars = [margins(kind, kappa, np.float64(a), np.float64(b)) for a, b in pairs]
+        monkeypatch.setattr(breaking, "_fmin", np.minimum)
+        numpy_minimum = [margins(kind, kappa, a, b) for a, b in pairs]
+        for (a, b), g, s, m in zip(pairs, got, numpy_scalars, numpy_minimum):
+            for name in g:
+                bits = np.float64(g[name]).tobytes()
+                assert bits == np.float64(m[name]).tobytes(), (a, b, name)
+                if name == "ncb" or not (math.isnan(a) and math.isnan(b)):
+                    assert bits == np.float64(s[name]).tobytes(), (a, b, name)
+                else:
+                    assert math.isnan(s[name]), (a, b, name)
+
     @pytest.mark.parametrize("kind", [Kind.I, Kind.II, Kind.III_RANK1, Kind.III_ZERO])
     @pytest.mark.parametrize("kappa", [0.6, 1.0, 3.0])
     def test_broadcast_axes_equal_pointwise_margins_bit_for_bit(self, kind, kappa):
@@ -179,6 +217,39 @@ class TestReport:
         rep = report(canonical_channel(Kind.II, 3.0, 2.0, kappa=0.8))
         assert rep.form.kind is Kind.II
         assert abs(rep.form.kappa - 0.8) < ATOL
+
+
+class TestReportAgreesWithReduction:
+    def test_form_fields_equal_canonical_reduce_bit_for_bit(self):
+        # all four kinds in general position: a pre-squeeze up to e^+-2 and a rotation after
+        rng = np.random.default_rng(1701)
+        kinds = (Kind.I, Kind.II, Kind.III_RANK1, Kind.III_ZERO)
+        for i in range(2000):
+            a, b = np.exp(rng.uniform(-3.0, 3.0, 2)).tolist()
+            ch = canonical_channel(kinds[i % 4], a, b, kappa=float(np.exp(rng.uniform(-2.3, 2.3))))
+            S = rotation(rng.uniform(-np.pi, np.pi)) @ _squeeze(rng.uniform(-2.0, 2.0)) \
+                @ rotation(rng.uniform(-np.pi, np.pi))
+            ch = compose_post_unitary(compose_pre_unitary(ch, S), rotation(rng.uniform(-np.pi, np.pi)))
+            light, full = report(ch).form, canonical_reduce(ch)
+            assert light.kind is full.kind is kinds[i % 4]
+            assert np.array([light.kappa, light.a, light.b]).tobytes() == \
+                np.array([full.kappa, full.a, full.b]).tobytes()
+            # the report's witnesses, built on request, are canonical_reduce's
+            for name in ("x_canonical", "y_canonical", "S", "R"):
+                assert getattr(light, name).tobytes() == getattr(full, name).tobytes(), name
+
+    @pytest.mark.parametrize("X, Y", [
+        (np.eye(2), rotation(0.3).T @ np.diag([1e308, 1e308]) @ rotation(0.3)),  # noise
+        (1e200 * np.eye(2), np.eye(2)),  # det X
+        (np.diag([1e200, 0.0]), np.eye(2)),  # a rank-one kappa^2
+    ])
+    def test_refusals_equal_canonical_reduce(self, X, Y):
+        ch = Channel(X=X, Y=Y)
+        with pytest.raises(ValueError) as light:
+            report(ch)
+        with pytest.raises(ValueError) as full:
+            canonical_reduce(ch)
+        assert str(light.value) == str(full.value)
 
 
 class TestVerdictsOnForms:

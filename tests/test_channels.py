@@ -75,6 +75,14 @@ class TestChannelContainer:
         with pytest.raises(ValueError):
             ch.X[0, 0] = 5.0
 
+    def test_keeps_the_validated_entries_as_float_tuples(self):
+        # row-major, with the bits of the read-only arrays (Y symmetrised, -0.0 kept)
+        ch = Channel(X=[[1, -0.0], [0.5, 3]], Y=np.array([[1.0, 0.3 + 1e-14], [0.3, 2.0]]))
+        for entries, M in ((ch._x, ch.X), (ch._y, ch.Y)):
+            assert type(entries) is tuple and all(type(v) is float for v in entries)
+            assert np.array(entries).tobytes() == M.tobytes()
+            assert not M.flags.writeable
+
     @pytest.mark.parametrize("diag", [(5e-324, 0.0), (0.0, 5e-324)])
     def test_accepts_least_subnormal_noise(self, diag):
         ch = Channel(X=np.eye(2), Y=np.diag(diag))

@@ -464,7 +464,7 @@ class TestOrbitReduction:
         import gaussatlas.channels
 
         calls = []
-        original = gaussatlas.channels.canonical_reduce
+        original = gaussatlas.channels._canonical_form
 
         def counting(ch):
             calls.append(ch)
@@ -473,11 +473,51 @@ class TestOrbitReduction:
         # rebind every gaussatlas namespace that imported the function
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "gaussatlas" and \
-                    getattr(module, "canonical_reduce", None) is original:
-                monkeypatch.setattr(module, "canonical_reduce", counting)
+                    getattr(module, "_canonical_form", None) is original:
+                monkeypatch.setattr(module, "_canonical_form", counting)
         assert main(["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "5"]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+
+class TestVerdictsWithoutWitnesses:
+    # kind I at unit gain, behind a pre-squeeze and a rotation, so check runs the
+    # single-photon test; EB and NCB, so orbit finds r0
+    CHANNEL = gaussatlas.compose_post_unitary(gaussatlas.compose_pre_unitary(
+        gaussatlas.canonical_channel("I", 3.0, 2.5, kappa=1.0),
+        gaussatlas.rotation(0.4) @ np.diag([np.exp(-0.7), np.exp(0.7)])), gaussatlas.rotation(1.1))
+
+    def _write_channel(self, tmp_path):
+        return _write(tmp_path, json.dumps({"X": self.CHANNEL.X.tolist(),
+                                            "Y": self.CHANNEL.Y.tolist()}))
+
+    def test_verdict_path_builds_no_witness(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reduction witness was built on the verdict path")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gaussatlas" and hasattr(module, "canonical_reduce"):
+                monkeypatch.setattr(module, "canonical_reduce", refuse)
+        monkeypatch.setattr(gaussatlas.CanonicalForm, "_witnesses", property(refuse))
+        rep = gaussatlas.report(self.CHANNEL)
+        assert rep.form.kind is gaussatlas.Kind.I and rep.eb and rep.ncb
+        r0 = gaussatlas.find_r0(rep.form)
+        assert gaussatlas.squeeze_orbit(rep.form, r0).ncb
+        assert gaussatlas.ncb_necessity_fock1(rep.form)
+        path = self._write_channel(tmp_path)
+        assert main(["check", path]) == 0
+        assert json.loads(capsys.readouterr().out)["oracles"]["ncb_fock1"] is True
+        assert main(["orbit", path, "--grid", "5"]) == 0
+        with pytest.raises(AssertionError, match="witness"):
+            rep.form.S
+
+    def test_classify_prints_the_witnesses_of_canonical_reduce(self, tmp_path, capsys):
+        assert main(["classify", self._write_channel(tmp_path)]) == 0
+        printed = json.loads(capsys.readouterr().out)["form"]
+        form = gaussatlas.canonical_reduce(self.CHANNEL)
+        for name in ("x_canonical", "y_canonical", "S", "R"):  # printed with %.12g
+            want = [[float(f"{v:.12g}") for v in row] for row in getattr(form, name).tolist()]
+            assert printed[name] == want, name
 
 
 class TestTolValidation:
