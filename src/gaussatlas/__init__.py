@@ -13,23 +13,14 @@ oracle, which reduces to one) goes through one closed form,
 ``_kernels.eig2``: lam_min = det / lam_max.  Only the verification
 criteria call LAPACK, as their independent reference.  The verdict slack
 TOL_CLASS lives in ``breaking``; TOL_PSD and TOL_ALG live in ``channels``.
+Importing the package imports no numpy: ``Channel`` keeps floats and builds
+its arrays on request, functions that need numpy import it when called,
+and the ``phase_space`` and ``verify`` exports are loaded on first use.
 """
 
+import importlib
+
 from ._kernels import backend
-from .phase_space import (
-    P_EPS,
-    TOL_FFT,
-    CharGrid,
-    GridSpec,
-    QuasiGrid,
-    char_fock1,
-    char_gaussian,
-    char_vacuum,
-    convert_order,
-    fock1_output_p,
-    fock1_output_p_grid_units,
-    quasi_from_char,
-)
 from .channels import (
     TOL_ALG,
     TOL_PSD,
@@ -64,7 +55,16 @@ from .breaking import (
     report,
     squeeze_orbit,
 )
-from .verify import CheckResult, run_suite
+
+
+def __getattr__(name):
+    """An export of phase_space or verify, read from its module on each access: never
+    copied here, so a rebinding there (as by a tracer) shows through the package."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = "verify" if name in ("CheckResult", "run_suite") else "phase_space"
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"
 

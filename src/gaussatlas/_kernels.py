@@ -22,11 +22,10 @@ its docstring gives the layout and why the bytes are exactly Python's.
 
 import functools
 import math
+import sys
 
-import numpy as np
-
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)  # the least normal double
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # the least normal double
 
 
 def eig2(m11, m12, m22, beta):
@@ -102,6 +101,7 @@ def interp_cubic2d(values, fx, fy):
     precision, and complex128 for a complex one.  Points are processed in
     blocks of INTERP_BLOCK.
     """
+    import numpy as np
     n1, n2 = values.shape
     dtype = np.result_type(values.dtype, float)
     flat = values.astype(dtype, copy=False).ravel()
@@ -130,22 +130,14 @@ def interp_cubic2d(values, fx, fy):
 # -- 12-digit float text ----------------------------------------------------- #
 
 TEXT_WIDTH = 32  # bytes per value in text12's output, zero-padded
-_SCALE = np.power(10.0, 11 - np.arange(-281, 282))  # 10^(11 - e) at e + 281, within an ulp
-_DIGITS = np.zeros((10, 10, 10, 10, 4), np.uint8)  # ASCII of each 4-digit group
-_TZ = np.zeros((10, 10, 10, 10), np.int64)  # trailing zeros of each group
-_ascii = np.arange(48, 58, dtype=np.uint8)
-_DIGITS[..., 0], _DIGITS[..., 1] = _ascii[:, None, None, None], _ascii[:, None, None]
-_DIGITS[..., 2], _DIGITS[..., 3] = _ascii[:, None], _ascii
-_TZ[..., 0], _TZ[..., 0, 0], _TZ[..., 0, 0, 0], _TZ[0, 0, 0, 0] = 1, 2, 3, 4
-_DIGITS, _TZ = _DIGITS.reshape(-1, 4), _TZ.ravel()
-_QUAD = _DIGITS.view(np.uint32).ravel().astype(np.uint64)
 
 
 @functools.cache
 def _text_tables(json):
-    """text12's case words (7, 572) and exponent words (563,), built on first use.
+    """text12's case words (7, 572), exponent words and powers 10^(11 - e) at e + 281
+    (563,), and trailing zeros and ASCII words of 4-digit groups (10^4,), built on first use.
 
-    A case is (sign, e clipped to [-5, 16], significant digits); its
+    A power is within an ulp.  A case is (sign, e clipped to [-5, 16], significant digits); its
     seven words are the sign and "0.000" prefix and the masks that keep
     the digits left (two words) and right (two) of the point and place
     the point (two).  A JSON integer below 1e11 shows its ".0" as a point
@@ -153,6 +145,9 @@ def _text_tables(json):
     outside the positional range, and for a JSON integer from 1e11 the
     zeros past the twelfth digit and ".0".
     """
+    import numpy as np
+    group = np.arange(10 ** 4)
+    digits = (group[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
     last = 16 if json else 12
     e, sig, col = np.arange(-5, 17)[:, None, None], np.arange(13)[:, None], np.arange(16)
     fixed = (e >= -4) & (e < last)
@@ -170,7 +165,10 @@ def _text_tables(json):
     exp = [b"" if -4 <= k < last else b"e%+03d" % k for k in range(-281, 282)]
     if json:
         exp[292:297] = [b"0" * pad + b".0" for pad in range(5)]
-    return case.view(np.uint64).reshape(-1, 7).T.copy(), np.array(exp, "S8").view(np.uint64)
+    return (case.view(np.uint64).reshape(-1, 7).T.copy(), np.array(exp, "S8").view(np.uint64),
+            np.power(10.0, 11 - np.arange(-281, 282)),
+            sum(group % 10 ** k == 0 for k in range(1, 5)),  # trailing zeros
+            digits.view(np.uint32).ravel().astype(np.uint64))
 
 
 def text12(values, json=False):
@@ -199,13 +197,14 @@ def text12(values, json=False):
     masked, and again shifted one byte up past the point) and eight
     exponent bytes; the masks come from one table of cases.
     """
-    case, exp = _text_tables(bool(json))
+    import numpy as np
+    case, exp, scale, tzs, quad = _text_tables(bool(json))
     x = np.asarray(values, dtype=float).ravel()
     mag = np.abs(x)
     fast = (mag >= 1e-280) & (mag <= 1e280)
     mag[~fast] = 1.0
     e = np.floor(np.log10(mag)).astype(np.int64) + 281
-    m = mag * _SCALE.take(e)
+    m = mag * scale.take(e)
     d = np.rint(m)
     fast &= (np.abs(m - d) < 0.499) & (m >= 1e11) & (d <= 1e12)
     d = d.astype(np.int64)
@@ -216,12 +215,12 @@ def text12(values, json=False):
     d -= hi * 10 ** 8
     mid = d // 10 ** 4
     lo = d - mid * 10 ** 4
-    tz = _TZ.take(lo)
+    tz = tzs.take(lo)
     zero = np.flatnonzero(tz == 4)
-    tz[zero] += _TZ.take(mid[zero]) + (mid[zero] == 0) * _TZ.take(hi[zero])
+    tz[zero] += tzs.take(mid[zero]) + (mid[zero] == 0) * tzs.take(hi[zero])
     w = case.take((x < 0) * 286 + np.clip(e, 276, 297) * 13 + (12 - 276 * 13 - tz), axis=1)
-    d0 = _QUAD.take(hi) | (_QUAD.take(mid) << np.uint64(32))
-    d1 = _QUAD.take(lo)
+    d0 = quad.take(hi) | (quad.take(mid) << np.uint64(32))
+    d1 = quad.take(lo)
     out = np.empty((x.size, 4), np.uint64)
     out[:, 0] = w[0]
     out[:, 1] = (d0 & w[1]) | ((d0 << np.uint64(8)) & w[3]) | w[5]

@@ -55,11 +55,8 @@ that balances the two noise eigenvalues.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 from .channels import CanonicalForm, Kind, _canonical_form, is_cp, kind_from_label
-from .phase_space import fock1_output_p
 
 TOL_CLASS = 1e-6  # default verdict slack: a margin >= -TOL_CLASS holds
 REGION_LABELS = ("unphysical", "cp_only", "eb_not_ncb", "ncb")
@@ -105,12 +102,15 @@ def margins(kind, kappa, a, b):
     has the bits of the same margin evaluated at that point alone.
     """
     cp, eb, k4 = _kappa_bounds(kind, kappa)
-    minimum = _fmin if type(a) is float and type(b) is float else np.minimum
+    if type(a) is float and type(b) is float:
+        minimum = _fmin
+    else:
+        from numpy import minimum
     ab = a * b
     ncb = minimum(a - 1.0, b - 1.0)
     if k4 is not None:
         ncb = minimum(ncb, (a - 1.0) * (b - 1.0) - k4)
-    if isinstance(ncb, np.ndarray):
+    if getattr(ncb, "ndim", 0):  # an array
         return {"cp": ab - cp, "eb": ab - eb, "ncb": ncb}
     return {"cp": float(ab - cp), "eb": float(ab - eb), "ncb": float(ncb)}
 
@@ -197,10 +197,17 @@ def ncb_necessity_fock1(form, tol=TOL_CLASS):
     Only meaningful for unit-gain kind-I forms, where the closed-form
     output P exists; its value at the origin is nonnegative iff
     1/a + 1/b <= 1, which coincides with the full breaking condition.
+    The value is fock1_output_p(a, b, 0, 0) on floats, with its bits and
+    refusals; where a^2 or b^2 underflows to 0 its term 0 / 0 is NaN.
     """
     if form.kind is not Kind.I or abs(form.kappa - 1.0) > 1e-9:
         raise ValueError("single-photon necessity test needs kind I with unit gain")
-    return fock1_output_p(form.a, form.b, 0.0, 0.0) >= -tol
+    a, b = form.a, form.b
+    if a <= 0 or b <= 0:
+        raise ValueError("noise parameters must be positive")
+    if 0.0 in (a ** 2, b ** 2):
+        return False
+    return 2.0 / math.sqrt(a * b) * (1.0 - 1.0 / a - 1.0 / b) >= -tol
 
 
 def eb_oracle_tmsv(ch):
@@ -297,9 +304,9 @@ class RegionSweep:
 
     kind: Kind
     kappa: float
-    a: np.ndarray
-    b: np.ndarray
-    code: np.ndarray
+    a: "np.ndarray"
+    b: "np.ndarray"
+    code: "np.ndarray"
     margins: dict
 
 
@@ -309,6 +316,7 @@ def region_sweep(kind, kappa, a_min, a_max, b_min, b_max, n, tol=TOL_CLASS):
     A product beyond the double range gives an inf margin, the intended
     value, without an overflow warning.
     """
+    import numpy as np
     if n < 2:
         raise ValueError("sweep needs at least a 2x2 grid")
     kind = kind_from_label(kind)
@@ -333,6 +341,7 @@ def boundary_curves(kind, kappa, a):
     ab = bound; "ncb" is b = 1 + kappa^4/(a - 1) for kinds I and II
     (a > 1) and the corner line b = 1, a >= 1, for kind III.
     """
+    import numpy as np
     cp, eb, k4 = _kappa_bounds(kind, kappa)
     a = np.asarray(a, dtype=float)
     curves = {}

@@ -18,6 +18,9 @@ a, b); the witnesses (S, R) are built and re-verified by
 ``canonical_reduce``, or else on first access: S X R = X_c, R^T Y R = Y_c,
 det S = 1, R^T R = 1, all in closed form on Python floats (rank one too).
 
+``Channel`` keeps X and Y as Python floats, all that the verdicts read, and
+builds their arrays on first access; only array functions import numpy.
+
 Gaussian unitaries are 2x2 symplectic S; S^T sigma S = det(S) sigma, so
 ``symplectic_check`` tests det S = 1 to TOL_ALG; ``rotation`` builds the
 rotations.  ``Channel`` accepts Y down to a -TOL_PSD max(1, max|Y_ij|) eigenvalue.
@@ -29,10 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 
-import numpy as np
-
 from . import _kernels
-from .phase_space import TOL_FFT, CharGrid, exp_quadratic
 
 TOL_PSD = 1e-9  # positive-semidefinite slack, relative to max(1, matrix norm)
 TOL_ALG = 1e-12  # slack on |det S - 1|, relative to the larger product of det S
@@ -40,7 +40,11 @@ TOL_RANK = 1e-10  # singular values below TOL_RANK * ||X|| count as zero
 _ZERO_FLOOR = 1e-150  # magnitudes below this count as an exactly zero X
 _ASYM_TOL = 1e-12  # largest tolerated |Y12 - Y21|, relative to max(1, max|Y|)
 
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+def __getattr__(name):  # PEP 562: SIGMA3 = diag(1, -1), a new array on each access
+    if name != "SIGMA3":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _array2((1.0, 0.0, 0.0, -1.0))
 
 
 class Kind(Enum):
@@ -64,44 +68,53 @@ def kind_from_label(label):
         raise ValueError(f"unknown canonical kind {label!r}") from None
 
 
-def _as_mat2(M, name):
+def _as_mat2(M, name, finite=True):
+    """A 2x2 M (with .tolist(), or nested sequences) as a row-major tuple of floats."""
     try:
-        M = np.array(M, dtype=float)
-    except TypeError as exc:  # e.g. a JSON object where a matrix belongs
-        raise ValueError(f"{name} must be a 2x2 real matrix") from exc
-    if M.shape != (2, 2):
-        raise ValueError(f"{name} must be a 2x2 real matrix")
-    entries = tuple(M.ravel().tolist())
-    if not all(map(math.isfinite, entries)):
+        (m11, m12), (m21, m22) = M.tolist() if hasattr(M, "tolist") else M
+        entries = float(+m11), float(+m12), float(+m21), float(+m22)  # +"1" is refused
+    except (TypeError, ValueError):  # a wrong shape, or an entry that is not a number
+        raise ValueError(f"{name} must be a 2x2 real matrix") from None
+    except OverflowError:  # an integer past the double range
+        raise ValueError(f"{name} must be finite") from None
+    if finite and not all(map(math.isfinite, entries)):
         raise ValueError(f"{name} must be finite")
-    return M, entries
+    return entries
 
 
-@dataclass(frozen=True, eq=False)
+def _array2(entries, writeable=True):
+    """A row-major 4-tuple as a 2x2 float64 array."""
+    import numpy as np
+    M = np.array(entries).reshape(2, 2)
+    M.flags.writeable = writeable
+    return M
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Channel:
     """Immutable (X, Y) pair with Y validated symmetric PSD.
 
     Complete positivity is deliberately not enforced here so that
-    unphysical pairs can still be classified and reported as such.
+    unphysical pairs can still be classified and reported as such.  _x and
+    _y keep the entries as row-major float tuples (Y symmetrised); X and Y
+    are read-only float64 arrays of them, built on first access.
     """
 
-    X: np.ndarray
-    Y: np.ndarray
+    _x: tuple
+    _y: tuple
+    X = cached_property(lambda self: _array2(self._x, writeable=False))
+    Y = cached_property(lambda self: _array2(self._y, writeable=False))
 
-    def __post_init__(self):
-        X, x = _as_mat2(self.X, "X")
-        y11, y12, y21, y22 = _as_mat2(self.Y, "Y")[1]
+    def __init__(self, X, Y):
+        x = _as_mat2(X, "X")
+        y11, y12, y21, y22 = _as_mat2(Y, "Y")
         yscale = max(1.0, abs(y11), abs(y12), abs(y21), abs(y22))
         if abs(y12 - y21) > _ASYM_TOL * yscale:
             raise ValueError("Y must be symmetric")
         y12 += 0.5 * (y21 - y12)  # the midpoint, without overflow; y12 itself if symmetric
         if _kernels.eig2(y11, y12, y22, 0.0)[1] < -TOL_PSD * yscale:
             raise ValueError("Y must be positive semidefinite")
-        Y = np.array([[y11, y12], [y12, y22]])
-        X.flags.writeable = False
-        Y.flags.writeable = False
-        # frozen, so past __setattr__; _x and _y keep the entries as row-major float tuples
-        vars(self).update(X=X, Y=Y, _x=x, _y=(y11, y12, y12, y22))
+        vars(self).update(_x=x, _y=(y11, y12, y12, y22))  # frozen, so past __setattr__
 
     @property
     def det_x(self):
@@ -129,16 +142,13 @@ def canonical_channel(kind, a, b, kappa=None):
     (their canonical X is diag(1, 0) or 0 by definition).
     """
     kind = kind_from_label(kind)
-    Y = np.diag([float(a), float(b)])
     if kind in (Kind.I, Kind.II):
         if kappa is None or not kappa > 0:
             raise ValueError("kinds I and II need a positive kappa")
-        X = kappa * (np.eye(2) if kind is Kind.I else SIGMA3)
-    elif kind is Kind.III_RANK1:
-        X = np.diag([1.0, 0.0])
+        X = [[kappa, 0.0], [0.0, kappa if kind is Kind.I else -kappa]]
     else:
-        X = np.zeros((2, 2))
-    return Channel(X=X, Y=Y)
+        X = [[1.0 if kind is Kind.III_RANK1 else 0.0, 0.0], [0.0, 0.0]]
+    return Channel(X=X, Y=[[float(a), 0.0], [0.0, float(b)]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,14 +169,14 @@ class CanonicalForm:
     b: float
     channel: Channel = field(repr=False)
 
-    x_canonical = property(lambda self: self._witnesses[0])
-    y_canonical = property(lambda self: self._witnesses[1])
-    S = property(lambda self: self._witnesses[2])
-    R = property(lambda self: self._witnesses[3])
+    x_canonical = property(lambda self: _array2(self._witnesses[0]))
+    y_canonical = property(lambda self: _array2(self._witnesses[1]))
+    S = property(lambda self: _array2(self._witnesses[2]))
+    R = property(lambda self: _array2(self._witnesses[3]))
 
     @cached_property
     def _witnesses(self):
-        """(x_canonical, y_canonical, S, R) as 2x2 arrays, verified; see canonical_reduce."""
+        """(x_canonical, y_canonical, S, R) as verified row-major tuples; see canonical_reduce."""
         X, Y, kappa = self.channel._x, self.channel._y, self.kappa
         (x11, x12, x21, x22), (y11, y12, _, y22) = X, Y
         if self.kind is Kind.III_RANK1:  # the angles of the closed-form SVD
@@ -187,7 +197,7 @@ class CanonicalForm:
                 else:  # S = R (X sigma3 / kappa)^-1
                     x_can, S = (kappa, 0.0, 0.0, -kappa), _mul(R, (-p22, p12, -p21, p11))
         _verify_witnesses(X, Y, S, R, x_can, y_can)
-        return tuple(np.array((x_can, y_can, S, R)).reshape(4, 2, 2))
+        return x_can, y_can, S, R
 
 
 def _det(x11, x12, x21, x22):
@@ -300,8 +310,7 @@ def act_variance(ch, V):
     """Output covariance X^T V X + Y; refuses to act through a non-CP pair."""
     if not is_cp(ch):
         raise ValueError("channel is not completely positive")
-    V = _as_mat2(V, "V")[0]
-    return ch.X.T @ V @ ch.X + ch.Y
+    return ch.X.T @ _array2(_as_mat2(V, "V")) @ ch.X + ch.Y
 
 
 def act_chargrid(ch, grid):
@@ -315,15 +324,17 @@ def act_chargrid(ch, grid):
     this grid.  The output dtype follows the input's, promoted to at least
     float64: a real grid stays real, a complex one stays complex.
     """
+    import numpy as np
+    from .phase_space import TOL_FFT, CharGrid, exp_quadratic
     if not is_cp(ch):
         raise ValueError("channel is not completely positive")
     if grid.s != 0.0:
         raise ValueError("channel action needs a Weyl-ordered grid (s = 0)")
-    X, Y = ch.X, ch.Y
+    (x11, x12, x21, x22), (y11, y12, _, y22) = ch._x, ch._y
     ax, L, d, n = grid.axis, grid.extent, grid.spacing, grid.side
-    m1 = (X[0, 0] * ax)[:, None] + X[0, 1] * ax
-    m2 = (X[1, 0] * ax)[:, None] + X[1, 1] * ax
-    env = exp_quadratic(Y[0, 0], Y[0, 1], Y[1, 1], ax)
+    m1 = (x11 * ax)[:, None] + x12 * ax
+    m2 = (x21 * ax)[:, None] + x22 * ax
+    env = exp_quadratic(y11, y12, y22, ax)
     # rounding is monotone, so m1 and m2 are monotone along each axis: corners bound them
     if all(np.abs(m[::n - 1, ::n - 1]).max() <= L for m in (m1, m2)):
         inside = None  # every mapped point is inside: no compress and scatter
@@ -349,7 +360,7 @@ def act_chargrid(ch, grid):
 
 def rotation(theta):
     """Phase-space rotation by theta, an element of SO(2) < Sp(2, R)."""
-    return np.array(_rot(theta)).reshape(2, 2)
+    return _array2(_rot(theta))
 
 
 def symplectic_check(S):
@@ -358,14 +369,14 @@ def symplectic_check(S):
     The slack outgrows the determinant's rounding (a few eps times its
     larger product) at any squeeze; an overflowing product fails.
     """
-    (s11, s12), (s21, s22) = np.asarray(S, dtype=float).tolist()
+    s11, s12, s21, s22 = _as_mat2(S, "S", finite=False)
     p, q = s11 * s22, s12 * s21
     return abs(p - q - 1.0) <= TOL_ALG * max(1.0, abs(p), abs(q)) < math.inf
 
 
 def compose_pre_unitary(ch, S):
     """The channel preceded by the Gaussian unitary of symplectic S: (S X, Y)."""
-    S = _as_mat2(S, "S")[0]
+    S = _array2(_as_mat2(S, "S"))
     if not symplectic_check(S):
         raise ValueError("S is not symplectic")
     return Channel(X=S @ ch.X, Y=ch.Y)
@@ -373,7 +384,7 @@ def compose_pre_unitary(ch, S):
 
 def compose_post_unitary(ch, S):
     """The channel followed by the Gaussian unitary of S: (X S, S^T Y S)."""
-    S = _as_mat2(S, "S")[0]
+    S = _array2(_as_mat2(S, "S"))
     if not symplectic_check(S):
         raise ValueError("S is not symplectic")
     return Channel(X=ch.X @ S, Y=S.T @ ch.Y @ S)

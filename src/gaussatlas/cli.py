@@ -20,8 +20,10 @@ The grid writers (sweep records and curves, pfunc; CSV and JSON) print
 every float through ``_kernels.text12``, whose bytes are exactly
 Python's.  ``_grid_text`` lays out each block of up to TEXT_BLOCK points
 in one zero-padded uint8 array and drops the padding with one
-``bytes.translate``.  Every JSON document goes through ``_json_chunks``:
-json.dumps lays it out, and the float arrays are spliced into their slots.
+``bytes.translate``; ``_emit`` writes those bytes as they are.  Every
+JSON document is laid out by json.dumps; ``_json_chunks`` splices the
+float arrays into their slots.  ``classify``, ``check`` and ``orbit``
+run on Python floats without numpy, which the other commands import.
 """
 
 import argparse
@@ -31,8 +33,6 @@ import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .breaking import (
     REGION_LABELS,
@@ -48,14 +48,6 @@ from .breaking import (
 )
 from .channels import Channel, Kind, act_chargrid, is_cp, kind_from_label
 from ._kernels import TEXT_WIDTH, text12
-from .phase_space import (
-    GridSpec,
-    char_fock1,
-    convert_order,
-    fock1_output_p,
-    quasi_from_char,
-)
-from .verify import SUITES, run_suite
 
 
 class _CliError(Exception):
@@ -66,6 +58,7 @@ class _CliError(Exception):
 
 REGION_CSV_HEADER = "kind,kappa,a,b,class,cp_margin,eb_margin,ncb_margin"
 TEXT_BLOCK = 4096  # points per block of grid text
+SUITE_NAMES = ("all", "fft", "fock", "oracles", "table1")  # sorted(verify.SUITES)
 
 
 def _fmt(v):
@@ -74,12 +67,13 @@ def _fmt(v):
 
 def _table(strings):
     """The strings as a uint8 table, one zero-padded row each."""
+    import numpy as np
     table = np.array([s.encode() for s in strings], dtype=bytes)
     return table.view(np.uint8).reshape(len(strings), -1)
 
 
 def _grid_text(shape, fields, json=False, drop=0):
-    """Yield the text of a rows x cols grid in row-major order, in blocks of whole rows.
+    """Yield the bytes of a rows x cols grid's text in row-major order, in blocks of whole rows.
 
     A point's text is its fields in turn.  A field is a str, the same at
     every point; a numeric array of the grid's shape, printed by text12
@@ -91,6 +85,7 @@ def _grid_text(shape, fields, json=False, drop=0):
     zero-padded uint8 array, and one translate drops the padding.  The
     last drop bytes of the text are left out.
     """
+    import numpy as np
     rows, cols = shape
     step = max(1, TEXT_BLOCK // cols)
     for lo in range(0, rows, step):
@@ -111,18 +106,18 @@ def _grid_text(shape, fields, json=False, drop=0):
             block[..., at:at + f.shape[-1]] = f
             at += f.shape[-1]
         text = block.tobytes().translate(None, b"\0")
-        yield (text[:len(text) - drop] if lo + step >= rows else text).decode()
+        yield text[:len(text) - drop] if lo + step >= rows else text
 
 
 def _column(values, template, json=False):
     """A uint8 table of template % text, for the text12 text of each value of a 1-D array."""
-    texts = "".join(_grid_text((1, len(values)), [values[None], "\n"], json)).split("\n")
-    return _table([template % t for t in texts[:-1]])
+    texts = b"".join(_grid_text((1, len(values)), [values[None], "\n"], json)).split(b"\n")
+    return _table([template % t.decode() for t in texts[:-1]])
 
 
 def _json_array(values, indent):
     """Chunks of a 1-D or 2-D float array as json.dumps(indent=2) nests it under indent."""
-    inner, grid = indent + "  ", np.atleast_2d(values)
+    inner, grid = indent + "  ", values.reshape(-1, values.shape[-1])
     lead, tail = [inner] * grid.shape[1], [",\n"] * grid.shape[1]
     if values.ndim == 2:  # each row an array of its own
         lead = [inner + "[\n" + inner + "  "] + [inner + "  "] * (len(lead) - 1)
@@ -133,13 +128,19 @@ def _json_array(values, indent):
     yield "\n" + indent + "]"
 
 
+def _json_text(payload):
+    """json.dumps(_jsonable(payload), indent=2) and a newline."""
+    return json.dumps(_jsonable(payload), indent=2) + "\n"
+
+
 def _json_chunks(payload):
-    """Chunks of json.dumps(_jsonable(payload), indent=2) and a newline, arrays as lists.
+    """Chunks of _json_text(payload), each float array as a list.
 
     json.dumps lays out the document; each float array in payload goes
     through _json_array into its slot, and each iterator of chunks is
     spliced in as is.
     """
+    import numpy as np
     bulk = []
 
     def mark(obj):
@@ -150,23 +151,26 @@ def _json_chunks(payload):
             return "\0"
         return obj
 
-    pieces = json.dumps(_jsonable(mark(payload)), indent=2).split('"\\u0000"')
+    pieces = _json_text(mark(payload)).split('"\\u0000"')
     for piece, part in zip(pieces, bulk):
         yield piece
         if isinstance(part, np.ndarray):
             line = piece[piece.rfind("\n") + 1:]
             part = _json_array(part, line[:len(line) - len(line.lstrip(" "))])
         yield from part
-    yield pieces[-1] + "\n"
+    yield pieces[-1]
 
 
 def _emit(chunks, path=None):
-    """Write text chunks to path, or to standard output without one."""
-    if path is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+    """Write chunks, str or bytes, as bytes to path or to standard output's buffer, its
+    text layer flushed first; a standard output without one (an io.StringIO) gets text."""
+    if path is not None:
+        with open(path, "wb") as fh:
+            return fh.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
+    if not hasattr(sys.stdout, "buffer"):
+        return sys.stdout.writelines(c if isinstance(c, str) else c.decode() for c in chunks)
+    sys.stdout.flush()
+    sys.stdout.buffer.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
 
 
 def _jsonable(obj):
@@ -200,9 +204,10 @@ def _report(ch, tol):
 
 
 def _form_payload(form):
-    """The canonical form with its witnesses, which this builds and verifies."""
-    return {"kind": form.kind.value, **{name: getattr(form, name) for name in (
-        "kappa", "a", "b", "x_canonical", "y_canonical", "S", "R")}}
+    """The canonical form with its witnesses, which this builds and verifies, as nested lists."""
+    return {"kind": form.kind.value, "kappa": form.kappa, "a": form.a, "b": form.b,
+            **{name: [m[:2], m[2:]] for name, m in zip(
+                ("x_canonical", "y_canonical", "S", "R"), form._witnesses)}}
 
 
 def _cmd_classify(args):
@@ -217,7 +222,7 @@ def _cmd_classify(args):
         "margins": rep.margins,
         "shifted_noise": list(rep.shifted_noise),
     }
-    _emit(_json_chunks(payload))
+    _emit([_json_text(payload)])
     return 0
 
 
@@ -250,7 +255,7 @@ def _cmd_check(args):
         agree = not rep.cp
     payload["oracles"] = oracles
     payload["agree"] = agree
-    _emit(_json_chunks(payload))
+    _emit([_json_text(payload)])
     return 0 if agree else 1
 
 
@@ -281,6 +286,7 @@ def _records_json(sweep):
 
 def _curves_csv(a, curves):
     """Chunks of the boundary-curves CSV, all three curves on the one a axis."""
+    import numpy as np
     yield "curve,a,b\n"
     yield from _grid_text((len(curves), len(a)), [
         _table([f"{name}," for name in curves])[:, None], _column(a, "%s,")[None],
@@ -288,6 +294,7 @@ def _curves_csv(a, curves):
 
 
 def _cmd_sweep(args):
+    import numpy as np
     bounds = (args.kappa, args.amin, args.amax, args.bmin, args.bmax)
     if not all(math.isfinite(v) for v in bounds):
         raise _CliError(2, "--kappa and the a and b ranges must be finite")
@@ -346,7 +353,7 @@ def _cmd_orbit(args):
         print("no squeeze parameter makes this channel nonclassicality-breaking",
               file=sys.stderr)
         return 1
-    rs = np.linspace(args.rmin, args.rmax, args.grid)
+    rs = _linspace(args.rmin, args.rmax, args.grid)
     try:
         points = [squeeze_orbit(form, r, tol=args.tol) for r in rs]
     except OverflowError:
@@ -358,7 +365,7 @@ def _cmd_orbit(args):
             "trace": [{"r": p.r, "a_r": p.a_r, "b_r": p.b_r, "ncb": p.ncb}
                       for p in points],
         }
-        chunks = _json_chunks(payload)
+        chunks = [_json_text(payload)]
     else:
         chunks = [] if args.out else [f"# r0 = {_fmt(r0)}\n"]
         chunks.append("r,a_r,b_r,ncb\n")
@@ -371,7 +378,18 @@ def _cmd_orbit(args):
     return 0
 
 
+def _linspace(start, stop, num):
+    """np.linspace(start, stop, num) on floats, bit for bit: point i is i * step + start,
+    or i / div * delta + start where the step underflows to 0, and the last is stop."""
+    div, delta = max(num - 1, 1), stop - start
+    step = delta / div
+    points = [(i * step if step else i / div * delta) + start for i in range(num)]
+    return points[:-1] + [stop] if num > 1 else points
+
+
 def _pfunc_closed(args):
+    import numpy as np
+    from .phase_space import fock1_output_p
     axis = np.linspace(-args.extent, args.extent, args.grid)
     try:
         with np.errstate(all="ignore"):  # a non-finite sample is refused below
@@ -384,6 +402,8 @@ def _pfunc_closed(args):
 
 
 def _pfunc_fft(args):
+    import numpy as np
+    from .phase_space import GridSpec, char_fock1, convert_order, quasi_from_char
     try:
         spec = GridSpec(side=args.grid, extent=args.extent)
     except ValueError as exc:
@@ -426,6 +446,7 @@ def _cmd_pfunc(args):
 
 
 def _cmd_verify(args):
+    from .verify import run_suite
     results = run_suite(args.suite)
     for res in results:
         print(f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}")
@@ -501,7 +522,7 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", nargs="?", default="all",
-                          choices=sorted(SUITES))
+                          choices=SUITE_NAMES)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

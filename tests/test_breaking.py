@@ -27,6 +27,7 @@ from gaussatlas.breaking import (
 )
 from gaussatlas.channels import (
     SIGMA3,
+    CanonicalForm,
     Channel,
     Kind,
     canonical_channel,
@@ -436,6 +437,39 @@ class TestFock1Necessity:
             ncb_necessity_fock1(_form(Kind.I, 3.0, 3.0, kappa=0.6))
         with pytest.raises(ValueError):
             ncb_necessity_fock1(_form(Kind.II, 3.0, 3.0, kappa=1.0))
+
+    @staticmethod
+    def _outcome(test, *args):
+        """test(*args), or the type of the exception it raised."""
+        try:
+            return test(*args)
+        except (ValueError, OverflowError) as exc:
+            return type(exc)
+
+    def test_equals_the_p_function_at_the_origin(self):
+        # the float test against the numpy closed form it replaces, exceptions included
+        from gaussatlas.phase_space import fock1_output_p
+
+        def closed_form(a, b, tol):
+            with np.errstate(all="ignore"):  # an underflowing a^2 gives 0 / 0 there
+                return fock1_output_p(a, b, 0.0, 0.0) >= -tol
+
+        ch = Channel(X=np.eye(2), Y=np.eye(2))
+        rng = np.random.default_rng(17)
+        edge = [0.0, -0.0, -1.0, 5e-324, 1e-200, 1.5e-162, 1e-154, 0.5, 1.0, 2.0, 1e154,
+                1.4e154, 1e200, 1.7e308, math.inf, math.nan]
+        pairs = list(itertools.product(edge, repeat=2))
+        pairs += [tuple(v) for v in np.exp(rng.uniform(-3.0, 3.0, (2000, 2))).tolist()]
+        a = np.exp(rng.uniform(-0.1, 3.0, 2000))  # about the boundary 1/a + 1/b = 1
+        b = a / (a - 1.0) * np.exp(rng.normal(0.0, 1e-7, 2000))
+        pairs += list(zip(a.tolist(), b.tolist()))
+        outcomes = set()
+        for (a, b), tol in itertools.product(pairs, (0.0, 1e-6, 1e-3)):
+            got = self._outcome(ncb_necessity_fock1, CanonicalForm(Kind.I, 1.0, a, b, ch), tol)
+            want = self._outcome(closed_form, a, b, tol)
+            assert got is want if isinstance(want, type) else got == want, (a, b, tol)
+            outcomes.add(want if isinstance(want, type) else bool(want))
+        assert outcomes == {True, False, ValueError, OverflowError}
 
 
 class TestEbOracle:

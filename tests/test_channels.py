@@ -116,6 +116,81 @@ class TestChannelContainer:
         np.testing.assert_array_equal(loaded.Y, direct.Y)
 
 
+def _validated_before(M):
+    """The numpy expression that validated a block before Channel kept floats, or None.
+
+    np.array(M, dtype=float) of shape (2, 2) with finite entries; whatever
+    it raised (a TypeError, numpy's ValueError on a ragged nesting, an
+    OverflowError on a huge integer) refused the block.
+    """
+    try:
+        A = np.array(M, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return A if A.shape == (2, 2) and np.isfinite(A).all() else None
+
+
+_stack = np.arange(24.0).reshape(3, 2, 4)[:, :, ::2]  # rows as audit passes them, strided
+_BLOCKS = [
+    [[1, 0], [0, 1]], ((1.5, -0.0), (0.0, 2.0)), [(3, 1), [1, 3]],
+    np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[2.0, 0.5], [0.5, 1.0]], np.float32),
+    np.array([[4, 1], [1, 3]]), np.array([[4, 1], [1, 3]], np.int8), _stack[1], _stack[2].T,
+    [[True, False], [False, True]], np.eye(2, dtype=bool), [[-0.0, -0.0], [-0.0, -0.0]],
+    [[5e-324, 0.0], [0.0, 1e-310]], [[1e308, 0.0], [0.0, 1e308]], [[1e308, -1e308], [0, 1]],
+    [[2 ** 60 + 1, 0], [0, 1]], [[10 ** 308, 0], [0, 1]], [[10 ** 400, 0], [0, 1]],
+    [[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -math.inf]],
+    np.eye(3), [[1, 0, 0], [0, 1, 0]], np.ones((2, 2, 1)), [[1, 2], [3]], [[1], [2, 3]],
+    [1, 2, 3, 4], [1, 2], 5.0, np.float64(2.0), np.array(2.0), [], [[], []], None,
+    {"a": 1, "b": 2}, [[{}, 0], [0, 1]], [[None, 0], [0, 1]], [[[1, 2], 0], [0, 1]],
+]
+
+
+class TestValidationParity:
+    # Channel validates on Python floats; it must accept what the numpy
+    # expression accepted, with the same bits, and refuse the rest
+    @pytest.mark.parametrize("block", _BLOCKS, ids=range(len(_BLOCKS)))
+    def test_x_block(self, block):
+        want = _validated_before(block)
+        if want is None:
+            with pytest.raises(ValueError, match="^X must be (a 2x2 real matrix|finite)$"):
+                Channel(X=block, Y=np.eye(2))
+            return
+        ch = Channel(X=block, Y=np.eye(2))
+        assert all(type(v) is float for v in ch._x)
+        assert np.array(ch._x).tobytes() == want.tobytes() == ch.X.tobytes()
+
+    @pytest.mark.parametrize("block", _BLOCKS, ids=range(len(_BLOCKS)))
+    def test_y_block(self, block):
+        want = _validated_before(block)
+        if want is not None:  # the symmetry and PSD tests, and the stored midpoint
+            (y11, y12), (y21, y22) = want.tolist()
+            scale = max(1.0, abs(y11), abs(y12), abs(y21), abs(y22))
+            mid = y12 + 0.5 * (y21 - y12)
+            want = np.array([[y11, mid], [mid, y22]])
+            if abs(y12 - y21) > 1e-12 * scale or np.linalg.eigvalsh(want)[0] < -1e-9 * scale:
+                want = None
+        if want is None:
+            with pytest.raises(ValueError, match="^Y must be"):
+                Channel(X=np.eye(2), Y=block)
+            return
+        ch = Channel(X=np.eye(2), Y=block)
+        assert all(type(v) is float for v in ch._y)
+        assert np.array(ch._y).tobytes() == want.tobytes() == ch.Y.tobytes()
+
+    def test_cli_refusals_exit_2(self, tmp_path, capsys):
+        from gaussatlas.cli import main
+
+        path = tmp_path / "channel.json"
+        for block in ("[[1, 0], [0]]", "[[1, 0, 0], [0, 1, 0]]", "5", "{}", '[[1, "0"], [0, 1]]',
+                      "[[null, 0], [0, 1]]", "[[1, 0], [0, 1e400]]",
+                      "[[1" + "0" * 400 + ", 0], [0, 1]]"):
+            path.write_text(f'{{"X": {block}, "Y": [[1, 0], [0, 1]]}}')
+            assert main(["classify", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid channel descriptor: X must be")
+            assert err.count("\n") == 1
+
+
 class TestKindsAndRank:
     def test_kind_labels(self):
         assert kind_from_label("I") is Kind.I

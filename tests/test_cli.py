@@ -459,6 +459,15 @@ class TestHugeNoise:
         assert err.startswith("error: channel out of range") and err.count("\n") == 1
 
 
+class TestHugeInteger:
+    @pytest.mark.parametrize("command", ["classify", "check", "orbit"])
+    def test_integer_past_the_double_range_is_usage_error(self, tmp_path, command, capsys):
+        # a JSON integer of 401 digits, which no double holds
+        text = '{"X": [[1, 0], [0, 1]], "Y": [[1' + "0" * 400 + ', 0], [0, 1]]}'
+        assert main([command, _write(tmp_path, text)]) == 2
+        assert capsys.readouterr().err == "error: invalid channel descriptor: Y must be finite\n"
+
+
 class TestOrbitReduction:
     def test_one_reduction_per_call(self, tmp_path, monkeypatch, capsys):
         import gaussatlas.channels
@@ -608,3 +617,134 @@ class TestOrbitValidation:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "r,a_r,b_r,ncb"
         assert len(lines) == 3 and lines[2].startswith("0.5,")
+
+
+class TestStartsWithoutNumpy:
+    # a fresh interpreter runs the scalar commands and their usage errors in
+    # process, and reports whether numpy was loaded after each
+    SCRIPT = """
+import json, sys
+import gaussatlas, gaussatlas.cli
+runs, report = json.loads(sys.argv[1]), sys.argv[2]
+loaded, codes = ["numpy" in sys.modules], []
+
+def run(argv):
+    try:
+        code = gaussatlas.cli.main(argv)
+    except SystemExit as exc:  # argparse refuses its arguments
+        code = exc.code
+    sys.stdout.flush()
+    return code
+
+for argv in runs["scalar"]:
+    codes.append(run(argv))
+    loaded.append("numpy" in sys.modules)
+grid_codes = [run(argv) for argv in runs["grid"]]
+with open(report, "w") as fh:
+    json.dump({"loaded": loaded, "codes": codes, "grid_codes": grid_codes}, fh)
+"""
+
+    def test_scalar_commands_import_no_numpy(self, tmp_path):
+        channel = _write(tmp_path, UNIT_GAIN_CHANNEL)  # kind I at unit gain: the photon test runs
+        bad = _write(tmp_path, '{"X": [[1, 0]], "Y": [[1, 0], [0, 1]]}', "bad.json")
+        huge = _write(tmp_path, '{"X": [[1e200, 0], [0, 1e200]], "Y": [[1, 0], [0, 1]]}',
+                      "huge.json")
+        out = tmp_path / "trace"
+        scalar = [
+            (["classify", channel], 0), (["check", channel], 0),
+            (["orbit", channel], 0), (["orbit", channel, "--format", "json"], 0),
+            (["orbit", channel, "--out", f"{out}.csv"], 0),
+            (["orbit", channel, "--format", "json", "--out", f"{out}.json"], 0),
+            (["classify", bad], 2), (["check", str(tmp_path / "missing.json")], 2),
+            (["check", huge], 2), (["classify", channel, "--tol", "nan"], 2),
+            (["orbit", channel, "--grid", "0"], 2), (["orbit", channel, "--rmax", "400"], 2),
+            (["orbit", channel, "--grid", "many"], 2), (["classify"], 2),
+        ]
+        grid = [["sweep", "--grid", "5"], ["pfunc", "--variant", "fft", "--grid", "9",
+                                           "--a", "2", "--b", "3"]]
+        report = tmp_path / "report.json"
+        runs = json.dumps({"scalar": [argv for argv, _ in scalar], "grid": grid})
+        src = str(Path(gaussatlas.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, runs, str(report)],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        result = json.loads(report.read_text())
+        assert result["codes"] == [code for _, code in scalar]
+        assert not any(result["loaded"]), result["loaded"]
+        assert result["grid_codes"] == [0, 0]
+        assert (tmp_path / "trace.csv").read_text().startswith("r,a_r,b_r,ncb\n")
+        assert json.loads((tmp_path / "trace.json").read_text())["r0"] == 0.0
+
+
+def _random_channel(rng):
+    """A channel of a random kind behind a random pre-squeeze and rotations."""
+    kind = rng.integers(0, 4)
+    gain = 1.0 if kind == 0 and rng.random() < 0.25 else float(np.exp(rng.uniform(-2.3, 2.3)))
+    x_can = np.diag([gain, (gain, -gain, 0.0, 0.0)[kind]]) if kind < 3 else np.zeros((2, 2))
+    pre = (gaussatlas.rotation(rng.uniform(-np.pi, np.pi))
+           @ np.diag(np.exp(np.array([1.0, -1.0]) * rng.uniform(-1.0, 1.0)))
+           @ gaussatlas.rotation(rng.uniform(-np.pi, np.pi)))
+    post = gaussatlas.rotation(rng.uniform(-np.pi, np.pi))
+    Y = post.T @ np.diag(np.exp(rng.uniform(-3.0, 3.0, 2))) @ post
+    return gaussatlas.Channel(X=pre @ x_can @ post, Y=0.5 * (Y + Y.T))
+
+
+class TestFloatRoutes:
+    def test_classify_bytes_equal_the_array_route(self, tmp_path, capsys):
+        # classify prints its witnesses as nested lists through json.dumps;
+        # the same payload with 2x2 arrays spliced in by _json_chunks prints the same bytes
+        from gaussatlas import cli
+
+        rng = np.random.default_rng(18)
+        for i in range(3000):
+            ch = _random_channel(rng)
+            rep = gaussatlas.report(ch)
+            form = gaussatlas.canonical_reduce(ch)
+            payload = {"form": {"kind": form.kind.value, "kappa": form.kappa, "a": form.a,
+                                "b": form.b, **{name: getattr(form, name) for name in (
+                                    "x_canonical", "y_canonical", "S", "R")}},
+                       "cp": rep.cp, "eb": rep.eb, "ncb": rep.ncb, "class": rep.region,
+                       "margins": rep.margins, "shifted_noise": list(rep.shifted_noise)}
+            want = b"".join(c if isinstance(c, bytes) else c.encode()
+                            for c in cli._json_chunks(payload)).decode()
+            if i % 10:
+                payload["form"] = cli._form_payload(rep.form)
+                assert cli._json_text(payload) == want
+            else:  # every tenth through the command itself
+                path = _write(tmp_path, json.dumps({"X": ch.X.tolist(), "Y": ch.Y.tolist()}))
+                assert main(["classify", path]) == 0
+                assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("num", [1, 2, 3, 101, 10 ** 4])
+    @pytest.mark.parametrize("start, stop", [
+        (-1.0, 1.0), (0.0, 0.0), (2.5, 2.5), (-0.0, -0.0), (-0.0, 1.0), (0.0, -1.0),
+        (-3.0, -7.0), (-7.0, -3.25), (1e-300, 1.0), (0.0, 5e-324), (1e-320, 3e-320),
+        (-1e308, 1e308)])
+    def test_orbit_grid_is_numpys_linspace(self, start, stop, num):
+        from gaussatlas.cli import _linspace
+
+        with np.errstate(all="ignore"):  # the last range overflows, as the CLI then reports
+            want = np.linspace(start, stop, num)
+        got = _linspace(start, stop, num)
+        assert all(type(r) is float for r in got)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    def test_suite_names_are_the_verify_suites(self):
+        from gaussatlas import cli, verify
+
+        assert list(cli.SUITE_NAMES) == sorted(verify.SUITES)
+
+    def test_stdout_without_a_buffer_gets_text(self, monkeypatch):
+        # an io.StringIO, as under contextlib.redirect_stdout, has no byte layer
+        import io
+
+        from gaussatlas import cli
+
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli._emit(["head\n", b"1,2\n"])
+        assert out.getvalue() == "head\n1,2\n"
+        assert main(["sweep", "--grid", "2"]) == 0
+        assert out.getvalue().count("\n") == 1 + 2 + 4 + 1 + 1 + 3 * 512
