@@ -97,13 +97,15 @@ class Channel:
     Complete positivity is deliberately not enforced here so that
     unphysical pairs can still be classified and reported as such.  _x and
     _y keep the entries as row-major float tuples (Y symmetrised); X and Y
-    are read-only float64 arrays of them, built on first access.
+    are read-only float64 arrays of them, built on first access, and _cp
+    is the is_cp verdict, computed on first access.
     """
 
     _x: tuple
     _y: tuple
     X = cached_property(lambda self: _array2(self._x, writeable=False))
     Y = cached_property(lambda self: _array2(self._y, writeable=False))
+    _cp = cached_property(lambda self: _kernels.herm2_psd(*_cp_entries(self)))
 
     def __init__(self, X, Y):
         x = _as_mat2(X, "X")
@@ -301,9 +303,10 @@ def is_cp(ch):
     The slack is that of eb_oracle_tmsv (see _kernels.herm2_psd): a few
     roundings, so noise cannot hide a defect.  False when det X is beyond
     the double range: the defect is then -inf, which an infinite slack
-    would pass.
+    would pass.  A channel is immutable, so the verdict is computed once
+    and kept on it.
     """
-    return _kernels.herm2_psd(*_cp_entries(ch))
+    return ch._cp
 
 
 def act_variance(ch, V):
@@ -323,6 +326,12 @@ def act_chargrid(ch, grid):
     then taken as 0); otherwise the action is refused as unresolvable on
     this grid.  The output dtype follows the input's, promoted to at least
     float64: a real grid stays real, a complex one stays complex.
+
+    A diagonal X (x12 = x21 = 0: every canonical form, and pfunc's unit
+    gain) maps node (i, j) to (x11 xi_i, x22 xi_j), so rows and columns leave
+    the support whole and interp_cubic2d separates, with the general path's
+    bits: its + x12 xi_j = +-0 only flips the sign of a zero, which
+    subtracting the axis origin removes.
     """
     import numpy as np
     from .phase_space import TOL_FFT, CharGrid, exp_quadratic
@@ -332,19 +341,27 @@ def act_chargrid(ch, grid):
         raise ValueError("channel action needs a Weyl-ordered grid (s = 0)")
     (x11, x12, x21, x22), (y11, y12, _, y22) = ch._x, ch._y
     ax, L, d, n = grid.axis, grid.extent, grid.spacing, grid.side
-    m1 = (x11 * ax)[:, None] + x12 * ax
-    m2 = (x21 * ax)[:, None] + x22 * ax
     env = exp_quadratic(y11, y12, y22, ax)
-    # rounding is monotone, so m1 and m2 are monotone along each axis: corners bound them
-    if all(np.abs(m[::n - 1, ::n - 1]).max() <= L for m in (m1, m2)):
-        inside = None  # every mapped point is inside: no compress and scatter
-        fx, fy = m1.ravel(), m2.ravel()
+    if x12 == 0.0 and x21 == 0.0:  # node (i, j) maps to (x11 ax_i, x22 ax_j)
+        m1, m2 = x11 * ax, x22 * ax
+        rows, cols = np.abs(m1) <= L, np.abs(m2) <= L
+        escaped = np.any(env[~rows] > TOL_FFT) or np.any(env[:, ~cols] > TOL_FFT)
+        inside = None if rows.all() and cols.all() else np.ix_(rows, cols)
+        fx, fy = m1[rows, None], m2[cols]  # a column and a row: the stencil separates
     else:
-        inside = (np.abs(m1) <= L) & (np.abs(m2) <= L)
-        if np.any(~inside & (env > TOL_FFT)):
-            raise ValueError("mapped points leave the grid where the noise envelope "
-                             "has not decayed; enlarge the grid extent")
-        fx, fy = m1[inside], m2[inside]
+        m1 = (x11 * ax)[:, None] + x12 * ax
+        m2 = (x21 * ax)[:, None] + x22 * ax
+        # rounding is monotone, so m1 and m2 are monotone along each axis: corners bound them
+        if all(np.abs(m[::n - 1, ::n - 1]).max() <= L for m in (m1, m2)):
+            inside, escaped = None, False  # every mapped point is inside: no compress and scatter
+            fx, fy = m1.ravel(), m2.ravel()
+        else:
+            inside = (np.abs(m1) <= L) & (np.abs(m2) <= L)
+            escaped = np.any(~inside & (env > TOL_FFT))
+            fx, fy = m1[inside], m2[inside]
+    if escaped:
+        raise ValueError("mapped points leave the grid where the noise envelope "
+                         "has not decayed; enlarge the grid extent")
     for f in (fx, fy):
         f -= ax[0]
         f /= d

@@ -27,6 +27,7 @@ run on Python floats without numpy, which the other commands import.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -455,6 +456,7 @@ def _cmd_verify(args):
     return 0 if passed == len(results) else 1
 
 
+@functools.cache  # parse_args leaves the parser as it was and returns a new Namespace
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="gaussatlas",

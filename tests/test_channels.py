@@ -439,6 +439,23 @@ class TestCompletePositivity:
         assert is_cp(Channel(X=np.sqrt(2.0) * np.eye(2), Y=np.eye(2)))
         assert not is_cp(Channel(X=np.sqrt(2.0) * np.eye(2), Y=0.9 * np.eye(2)))
 
+    def test_verdict_is_computed_once_per_channel(self, monkeypatch):
+        # a channel is immutable, so is_cp and the oracles, which refuse a
+        # non-CP channel, all read one verdict computed on first use
+        from gaussatlas import _kernels
+        from gaussatlas.breaking import eb_oracle_tmsv, ncb_oracle_gaussian
+        seen = []
+        real = _kernels.herm2_psd
+        monkeypatch.setattr(_kernels, "herm2_psd", lambda *args: seen.append(args) or real(*args))
+        ch = Channel(X=SIGMA3, Y=np.zeros((2, 2)))
+        for _ in range(3):
+            assert is_cp(ch) is False
+        for oracle in (ncb_oracle_gaussian, eb_oracle_tmsv):
+            with pytest.raises(ValueError, match="completely positive"):
+                oracle(ch)
+        assert seen == [(0.0, 0.0, 0.0, 2.0)]
+        assert is_cp(Channel(X=np.eye(2), Y=np.eye(2))) and len(seen) == 2
+
     def test_overflowing_det_is_not_cp(self):
         for scale in (1e155, 1e160):
             assert is_cp(Channel(X=scale * np.eye(2), Y=np.eye(2))) is False

@@ -394,6 +394,25 @@ def test_no_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [[], ["verify", "everything"], ["pfunc", "--a", "2"],
+                                  ["sweep", "--grid", "ten"], ["classify"]])
+def test_parser_is_built_once_and_stays_as_built(argv, tmp_path, capsys):
+    # the parser is built once per process; a usage error, a successful
+    # call between two of them and the Namespace of each call leave it
+    # giving the same exit code and message every time
+    from gaussatlas import cli
+    assert cli._build_parser() is cli._build_parser()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+        assert main(["classify", _write(tmp_path, NCB_CHANNEL), "--tol", "0"]) == 0
+        capsys.readouterr()
+    assert errors[0] == errors[1] and errors[0].startswith("usage: gaussatlas")
+
+
 class TestSweepValidation:
     BASE = ["sweep", "--grid", "3"]
 

@@ -3,9 +3,10 @@
 One closed form, eig2, gives both eigenvalues of every 2x2 Hermitian
 problem; the tests here pin it against LAPACK, on lopsided diagonals and
 on huge entries.  Grid interpolation is pinned against closed-form
-cubics and an unblocked longhand reference.  The float text kernel,
-text12, is checked value by value against Python's own ``"%.12g" % v``
-and ``repr(float("%.12g" % v))``.
+cubics and an unblocked longhand reference, and its separable path, on
+a grid of (row, column) pairs, against the pointwise one bit for bit.
+The float text kernel, text12, is checked value by value against
+Python's own ``"%.12g" % v`` and ``repr(float("%.12g" % v))``.
 """
 
 import math
@@ -189,7 +190,8 @@ def test_interp_cubic2d_partial_last_block_matches_pointwise():
 
 
 def _act_chargrid_two_pass(ch, grid):
-    """act_chargrid written out longhand, interpolating .real and .imag apart."""
+    """act_chargrid written out longhand over meshgrid pairs, interpolating
+    .real and .imag apart; a real grid gives a real result."""
     X, Y = ch.X, ch.Y
     ax, L = grid.axis, grid.extent
     x1, x2 = np.meshgrid(ax, ax, indexing="ij")
@@ -200,29 +202,77 @@ def _act_chargrid_two_pass(ch, grid):
     inside = (np.abs(m1) <= L) & (np.abs(m2) <= L)
     fx = (m1[inside] - ax[0]) / grid.spacing
     fy = (m2[inside] - ax[0]) / grid.spacing
-    re = _interp_longhand(np.ascontiguousarray(grid.values.real), fx, fy)
-    im = _interp_longhand(np.ascontiguousarray(grid.values.imag), fx, fy)
-    mapped = np.zeros(grid.values.shape, dtype=complex)
-    mapped[inside] = re + 1j * im
+    inner = _interp_longhand(np.ascontiguousarray(grid.values.real), fx, fy)
+    if np.iscomplexobj(grid.values):
+        inner = inner + 1j * _interp_longhand(np.ascontiguousarray(grid.values.imag), fx, fy)
+    mapped = np.zeros(grid.values.shape, dtype=inner.dtype)
+    mapped[inside] = inner
     return mapped * env
 
 
-@pytest.mark.parametrize("side", [65, 257])
-def test_act_chargrid_matches_two_pass_reference(side):
-    spec = GridSpec(side=side, extent=8.0)
+def _same_bits(got, ref):
+    return got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+_ACTIONS = {
     # a rotating contraction, so mapped points fall between nodes and some
     # leave the support where the envelope has decayed
-    X = 0.9 * rotation(0.4) @ np.diag([1.0, 0.6])
-    Y = np.array([[2.5, 0.3], [0.3, 1.8]])
+    "rotating-65": (65, 8.0, 0.9 * rotation(0.4) @ np.diag([1.0, 0.6]),
+                    [[2.5, 0.3], [0.3, 1.8]]),
+    "rotating-257": (257, 8.0, 0.9 * rotation(0.4) @ np.diag([1.0, 0.6]),
+                     [[2.5, 0.3], [0.3, 1.8]]),
+    # diagonal X: the separable path.  pfunc's unit gain on its grids first
+    "unit-129": (129, 10.0, np.eye(2), np.diag([2.3, 3.1])),
+    "unit-257": (257, 10.0, np.eye(2), np.diag([1.6, 3.7])),
+    "diag(0.9,-0.6)": (65, 8.0, np.diag([0.9, -0.6]), [[2.5, 0.3], [0.3, 1.8]]),
+    "diag(1,0)": (65, 8.0, np.diag([1.0, 0.0]), np.diag([1.5, 1.0])),
+    "zero": (65, 8.0, np.zeros((2, 2)), [[1.2, -0.2], [-0.2, 1.1]]),
+    # rows and columns leave the support, all where the envelope has decayed
+    "diag-escaping": (65, 8.0, np.diag([1.3, -1.2]), np.diag([3.0, 2.5])),
+}
+
+
+@pytest.mark.parametrize("complex_grid", [False, True])
+@pytest.mark.parametrize("action", sorted(_ACTIONS))
+def test_act_chargrid_matches_two_pass_reference(action, complex_grid):
+    side, extent, X, Y = _ACTIONS[action]
+    spec = GridSpec(side=side, extent=extent)
     ch = Channel(X=X, Y=Y)
-    # a displaced single photon, so the grid has a sizeable imaginary part
     grid = char_fock1(0.0, spec)
-    x1, x2 = np.meshgrid(grid.axis, grid.axis, indexing="ij")
-    grid = CharGrid(s=0.0, extent=spec.extent, axis=grid.axis,
-                    values=grid.values * np.exp(1j * (0.7 * x1 - 0.4 * x2)))
-    assert np.abs(grid.values.imag).max() > 0.1
+    if complex_grid:  # a displaced single photon, so the grid has a sizeable imaginary part
+        x1, x2 = np.meshgrid(grid.axis, grid.axis, indexing="ij")
+        grid = CharGrid(s=0.0, extent=spec.extent, axis=grid.axis,
+                        values=grid.values * np.exp(1j * (0.7 * x1 - 0.4 * x2)))
+        assert np.abs(grid.values.imag).max() > 0.1
+    if action == "diag-escaping":
+        escaped = np.abs(np.diag(X)[:, None] * grid.axis) > extent
+        assert escaped[0].sum() > 2 and escaped[1].sum() > 2
     got = act_chargrid(ch, grid)
-    assert np.array_equal(got.values, _act_chargrid_two_pass(ch, grid))
+    assert _same_bits(got.values, _act_chargrid_two_pass(ch, grid))
+
+
+@pytest.mark.parametrize("complex_grid", [False, True])
+def test_interp_cubic2d_separable_matches_pointwise(complex_grid):
+    # an (m, 1) column against a (k,) row is the grid of their pairs, with the
+    # bits of the pointwise call on the broadcast indices; the indices include
+    # both lattice edges, where the clamped stencils sit at t = -1 and t = 2
+    n1, n2 = 23, 17
+    rng = np.random.default_rng(19)
+    values = rng.normal(size=(n1, n2))
+    if complex_grid:
+        values = values + 1j * rng.normal(size=(n1, n2))
+    fx = np.concatenate([[0.0, n1 - 1.0, 1.0, 0.5], rng.uniform(0.0, n1 - 1.0, 400)])
+    fy = np.concatenate([[n2 - 1.0, 0.0, n2 - 1.5], rng.uniform(0.0, n2 - 1.0, 201)])
+    for f, n in ((fx, n1), (fy, n2)):
+        base, _ = _kernels._stencil(f[:2], n)
+        assert (f[:2] - (base + 1)).tolist() in ([-1.0, 2.0], [2.0, -1.0])
+    got = _kernels.interp_cubic2d(values, fx[:, None], fy)
+    px, py = (np.ascontiguousarray(a).ravel() for a in np.broadcast_arrays(fx[:, None], fy))
+    assert px.size > _kernels.INTERP_BLOCK  # several blocks of output rows
+    ref = _kernels.interp_cubic2d(values, px, py)
+    assert _same_bits(got, ref.reshape(fx.size, fy.size))
+    assert np.array_equal(got.real, _interp_longhand(values.real, px, py).reshape(got.shape))
+    assert _kernels.interp_cubic2d(values, fx[:0, None], fy).shape == (0, fy.size)
 
 
 _REAL_MAKERS = {
@@ -281,6 +331,24 @@ def test_act_chargrid_refuses_escape_confined_to_edge_rows():
     assert rows.tolist() == [0, spec.side - 1]
     with pytest.raises(ValueError, match="grid extent"):
         act_chargrid(Channel(X=X, Y=np.zeros((2, 2))), grid)
+
+
+@pytest.mark.parametrize("gains, noise, edges_only", [
+    # only the first and last row (column) leave the support, at nearly full
+    # envelope weight under little noise (the channel stays CP)
+    ((1.01, 1.0), 0.02, True),
+    ((1.0, 1.01), 0.02, True),
+    # an expansion under the least CP noise, refused where the envelope is
+    # still about exp(-2.5)
+    ((1.2, 1.0), 0.2, False),
+])
+def test_act_chargrid_refuses_diagonal_escape(gains, noise, edges_only):
+    spec = GridSpec(side=65, extent=6.0)
+    grid = char_vacuum(0.0, spec)
+    escaped = np.abs(max(gains) * grid.axis) > spec.extent
+    assert (np.flatnonzero(escaped).tolist() == [0, spec.side - 1]) == edges_only
+    with pytest.raises(ValueError, match="grid extent"):
+        act_chargrid(Channel(X=np.diag(gains), Y=noise * np.eye(2)), grid)
 
 
 def test_interp_cubic2d_edge_clamp_stays_exact():
