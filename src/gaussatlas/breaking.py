@@ -50,16 +50,19 @@ with the same bytes as printing every field of every point with
 Every entanglement-breaking channel becomes nonclassicality-breaking
 after one post-squeeze: ``find_r0`` returns the squeeze r0 = ln(a/b)/4
 that balances the two noise eigenvalues.
+
+The result records are plain classes with ``__slots__``, read-only by
+convention; the CP verdict they rest on is decided when a Channel is built.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import _kernels
-from .channels import CanonicalForm, Kind, _canonical_form, is_cp, kind_from_label
+from .channels import Kind, _canonical_form, is_cp, kind_from_label
 
 TOL_CLASS = 1e-6  # default verdict slack: a margin >= -TOL_CLASS holds
 REGION_LABELS = ("unphysical", "cp_only", "eb_not_ncb", "ncb")
+_KIND_I, _KIND_II = Kind.I, Kind.II  # for identity tests: Kind.I is a slow lookup on 3.11
 
 
 # -- closed-form margins --------------------------------------------------- #
@@ -72,12 +75,13 @@ def _kappa_bounds(kind, kappa):
     is None for kind III, whose NCB condition has no product term.
     Raises OverflowError when a bound does not fit in a double.
     """
-    kind = kind_from_label(kind)
+    if kind.__class__ is not Kind:
+        kind = kind_from_label(kind)
     kappa = float(kappa)
-    if kind in (Kind.I, Kind.II):
+    if kind is _KIND_I or kind is _KIND_II:
         try:
             eb = (1.0 + kappa ** 2) ** 2
-            cp = (1.0 - kappa ** 2) ** 2 if kind is Kind.I else eb
+            cp = (1.0 - kappa ** 2) ** 2 if kind is _KIND_I else eb
             return cp, eb, kappa ** 4
         except OverflowError:
             raise OverflowError(f"the bounds of gain {kappa!r} overflow a double") from None
@@ -118,7 +122,6 @@ def margins(kind, kappa, a, b):
 # -- reports --------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, eq=False)
 class BreakingReport:
     """All three verdicts for one channel, with margins and shifted noise.
 
@@ -128,12 +131,11 @@ class BreakingReport:
     gain.  The verdicts always satisfy ncb <= eb <= cp as booleans.
     """
 
-    form: CanonicalForm
-    cp: bool
-    eb: bool
-    ncb: bool
-    shifted_noise: tuple
-    margins: dict
+    __slots__ = ("form", "cp", "eb", "ncb", "shifted_noise", "margins")
+
+    def __init__(self, form, cp, eb, ncb, shifted_noise, margins):
+        self.form, self.cp, self.eb, self.ncb = form, cp, eb, ncb
+        self.shifted_noise, self.margins = shifted_noise, margins
 
     @property
     def region(self):
@@ -242,7 +244,6 @@ def eb_oracle_tmsv(ch):
 # -- squeeze orbits --------------------------------------------------------- #
 
 
-@dataclass(frozen=True, eq=False)
 class OrbitPoint:
     """One point of the post-squeeze orbit: noise (a_r, b_r) and its verdict.
 
@@ -250,10 +251,10 @@ class OrbitPoint:
     verdicts never change with r; only the NCB verdict can.
     """
 
-    r: float
-    a_r: float
-    b_r: float
-    ncb: bool
+    __slots__ = ("r", "a_r", "b_r", "ncb")
+
+    def __init__(self, r, a_r, b_r, ncb):
+        self.r, self.a_r, self.b_r, self.ncb = r, a_r, b_r, ncb
 
 
 def squeeze_orbit(form, r, tol=TOL_CLASS):
@@ -293,7 +294,6 @@ def find_r0(form, tol=TOL_CLASS):
 # -- region classification -------------------------------------------------- #
 
 
-@dataclass(frozen=True, eq=False)
 class RegionSweep:
     """An n-by-n region sweep at one (kind, kappa).
 
@@ -302,12 +302,11 @@ class RegionSweep:
     column j at b[j].  code indexes REGION_LABELS.
     """
 
-    kind: Kind
-    kappa: float
-    a: "np.ndarray"
-    b: "np.ndarray"
-    code: "np.ndarray"
-    margins: dict
+    __slots__ = ("kind", "kappa", "a", "b", "code", "margins")
+
+    def __init__(self, kind, kappa, a, b, code, margins):
+        self.kind, self.kappa, self.a, self.b = kind, kappa, a, b
+        self.code, self.margins = code, margins
 
 
 def region_sweep(kind, kappa, a_min, a_max, b_min, b_max, n, tol=TOL_CLASS):

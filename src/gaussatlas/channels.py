@@ -18,8 +18,9 @@ a, b); the witnesses (S, R) are built and re-verified by
 ``canonical_reduce``, or else on first access: S X R = X_c, R^T Y R = Y_c,
 det S = 1, R^T R = 1, all in closed form on Python floats (rank one too).
 
-``Channel`` keeps X and Y as Python floats, all that the verdicts read, and
-builds their arrays on first access; only array functions import numpy.
+``Channel`` keeps X and Y as Python floats, all that the verdicts read,
+decides its CP verdict at construction and builds its arrays on first
+access; only array functions import numpy.
 
 Gaussian unitaries are 2x2 symplectic S; S^T sigma S = det(S) sigma, so
 ``symplectic_check`` tests det S = 1 to TOL_ALG; ``rotation`` builds the
@@ -28,7 +29,6 @@ rotations.  ``Channel`` accepts Y down to a -TOL_PSD max(1, max|Y_ij|) eigenvalu
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
 
@@ -56,14 +56,16 @@ class Kind(Enum):
     III_ZERO = "III_zero"
 
 
+_KIND_LABELS = {"I": Kind.I, "II": Kind.II, "III": Kind.III_RANK1,
+                "III_rank1": Kind.III_RANK1, "III_zero": Kind.III_ZERO}
+
+
 def kind_from_label(label):
     """Parse a kind label; the bare 'III' resolves to the rank-1 sub-kind."""
     if isinstance(label, Kind):
         return label
-    table = {"I": Kind.I, "II": Kind.II, "III": Kind.III_RANK1,
-             "III_rank1": Kind.III_RANK1, "III_zero": Kind.III_ZERO}
     try:
-        return table[label]
+        return _KIND_LABELS[label]
     except KeyError:
         raise ValueError(f"unknown canonical kind {label!r}") from None
 
@@ -90,7 +92,6 @@ def _array2(entries, writeable=True):
     return M
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Channel:
     """Immutable (X, Y) pair with Y validated symmetric PSD.
 
@@ -98,17 +99,15 @@ class Channel:
     unphysical pairs can still be classified and reported as such.  _x and
     _y keep the entries as row-major float tuples (Y symmetrised); X and Y
     are read-only float64 arrays of them, built on first access, and _cp
-    is the is_cp verdict, computed on first access.
+    is the is_cp verdict, decided at construction.  Assigning or deleting
+    an attribute raises AttributeError; equality is identity.
     """
 
-    _x: tuple
-    _y: tuple
     X = cached_property(lambda self: _array2(self._x, writeable=False))
     Y = cached_property(lambda self: _array2(self._y, writeable=False))
-    _cp = cached_property(lambda self: _kernels.herm2_psd(*_cp_entries(self)))
 
     def __init__(self, X, Y):
-        x = _as_mat2(X, "X")
+        x11, x12, x21, x22 = x = _as_mat2(X, "X")
         y11, y12, y21, y22 = _as_mat2(Y, "Y")
         yscale = max(1.0, abs(y11), abs(y12), abs(y21), abs(y22))
         if abs(y12 - y21) > _ASYM_TOL * yscale:
@@ -116,7 +115,13 @@ class Channel:
         y12 += 0.5 * (y21 - y12)  # the midpoint, without overflow; y12 itself if symmetric
         if _kernels.eig2(y11, y12, y22, 0.0)[1] < -TOL_PSD * yscale:
             raise ValueError("Y must be positive semidefinite")
-        vars(self).update(_x=x, _y=(y11, y12, y12, y22))  # frozen, so past __setattr__
+        cp = _kernels.herm2_psd(y11, y12, y22, 1.0 - (x11 * x22 - x12 * x21))  # as cp_defect
+        vars(self).update(_x=x, _y=(y11, y12, y12, y22), _cp=cp)  # past __setattr__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a Channel is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def det_x(self):
@@ -153,7 +158,6 @@ def canonical_channel(kind, a, b, kappa=None):
     return Channel(X=X, Y=[[float(a), 0.0], [0.0, float(b)]])
 
 
-@dataclass(frozen=True, eq=False)
 class CanonicalForm:
     """Canonical data (kind, kappa, a, b) of a channel; the verdicts read only these.
 
@@ -162,14 +166,14 @@ class CanonicalForm:
     channel and verified by canonical_reduce, or else on first access,
     raising RuntimeError if they fail.  For Kind.III_RANK1 the
     post-rotation is pinned by X, so y_canonical stays a full symmetric
-    matrix; for the other kinds it is diag(a, b).
+    matrix; for the other kinds it is diag(a, b).  The fields are slots,
+    read-only by convention; the __dict__ holds only the witnesses.
     """
 
-    kind: Kind
-    kappa: float
-    a: float
-    b: float
-    channel: Channel = field(repr=False)
+    __slots__ = ("kind", "kappa", "a", "b", "channel", "__dict__")
+
+    def __init__(self, kind, kappa, a, b, channel):
+        self.kind, self.kappa, self.a, self.b, self.channel = kind, kappa, a, b, channel
 
     x_canonical = property(lambda self: _array2(self._witnesses[0]))
     y_canonical = property(lambda self: _array2(self._witnesses[1]))
@@ -281,12 +285,6 @@ def canonical_reduce(ch):
     return form
 
 
-def _cp_entries(ch):
-    """(y11, y12, y22, 1 - det X) as Python floats, the entries of the CP matrix."""
-    y11, y12, _, y22 = ch._y
-    return y11, y12, y22, 1.0 - ch.det_x
-
-
 def cp_defect(ch):
     """Smallest eigenvalue of the Hermitian matrix Y + i sigma - i X sigma X^T.
 
@@ -294,7 +292,8 @@ def cp_defect(ch):
     For 2x2 X, X sigma X^T = det(X) sigma, so the matrix is
     Y + i (1 - det X) sigma and its smallest eigenvalue is eig2's.
     """
-    return _kernels.eig2(*_cp_entries(ch))[1]
+    y11, y12, _, y22 = ch._y
+    return _kernels.eig2(y11, y12, y22, 1.0 - ch.det_x)[1]
 
 
 def is_cp(ch):
@@ -303,8 +302,8 @@ def is_cp(ch):
     The slack is that of eb_oracle_tmsv (see _kernels.herm2_psd): a few
     roundings, so noise cannot hide a defect.  False when det X is beyond
     the double range: the defect is then -inf, which an infinite slack
-    would pass.  A channel is immutable, so the verdict is computed once
-    and kept on it.
+    would pass.  A channel is immutable, so its constructor decides the
+    verdict once and keeps it on the channel.
     """
     return ch._cp
 

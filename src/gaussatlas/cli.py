@@ -83,21 +83,24 @@ def _grid_text(shape, fields, json=False, drop=0):
     uint8 text table that broadcasts against (rows, cols, width), such as
     (rows, 1, width) for one text per grid row.  Each block of at most
     TEXT_BLOCK points (one grid row if a row is longer) is laid out in one
-    zero-padded uint8 array, and one translate drops the padding.  The
-    last drop bytes of the text are left out.
+    zero-padded uint8 array, and one translate drops the padding.  A
+    numeric array given in more than one field is printed once per block.
+    The last drop bytes of the text are left out.
     """
     import numpy as np
     rows, cols = shape
     step = max(1, TEXT_BLOCK // cols)
     for lo in range(0, rows, step):
-        parts = []
+        parts, texts = [], {}  # the block's text12 output, by id of the numeric field
         for f in fields:
             if isinstance(f, str):
                 f = np.frombuffer(f.encode(), np.uint8)
             elif isinstance(f, tuple):
                 f = f[0].take(f[1][lo:lo + step], axis=0)
             elif f.dtype != np.uint8:
-                f = text12(f[lo:lo + step], json).reshape(-1, cols, TEXT_WIDTH)
+                if id(f) not in texts:
+                    texts[id(f)] = text12(f[lo:lo + step], json).reshape(-1, cols, TEXT_WIDTH)
+                f = texts[id(f)]
             elif len(f) > 1:
                 f = f[lo:lo + step]
             parts.append(f)
@@ -265,6 +268,7 @@ def _records_csv(sweep):
     a_rows = _column(sweep.a, f"{sweep.kind.value},{_fmt(sweep.kappa)},%s,")[:, None]
     label = (_table([f"{label}," for label in REGION_LABELS]), sweep.code)
     cp, eb, ncb = sweep.margins.values()
+    eb = eb if sweep.kind is Kind.I else cp  # II, III: one bound, bit-equal grids, printed once
     yield REGION_CSV_HEADER + "\n"
     yield from _grid_text(sweep.code.shape, [a_rows, _column(sweep.b, "%s,")[None], label,
                                              cp, ",", eb, ",", ncb, "\n"])
@@ -276,6 +280,7 @@ def _records_json(sweep):
            f'      "kappa": {json.dumps(_jsonable(sweep.kappa))},\n      "a": %s,\n      "b": '
     label = (_table([f'{label}",\n      "cp_margin": ' for label in REGION_LABELS]), sweep.code)
     cp, eb, ncb = sweep.margins.values()
+    eb = eb if sweep.kind is Kind.I else cp  # as in _records_csv
     yield "[\n"
     yield from _grid_text(sweep.code.shape, [
         _column(sweep.a, head, json=True)[:, None],

@@ -15,13 +15,20 @@ columns; the library builds its grids from per-axis vectors that
 broadcast.
 Bulk float text has one route, ``_kernels.text12``: a ``.12g`` format
 spec appears only in its Python fallback and in the CLI's scalar helper.
+
+The five records (``Channel`` and the result records) build by position
+and by keyword, compare by identity, and a ``Channel`` refuses assignment
+and decides its CP verdict once, at construction.
 """
 
 import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import gaussatlas
+from gaussatlas import _kernels
 
 PACKAGE = Path(gaussatlas.__file__).parent
 
@@ -247,3 +254,43 @@ def test_bulk_float_text_goes_through_the_kernel():
 def test_text_spec_allowlist_holds_only_functions_that_use_it():
     uses = {use for path in PACKAGE.glob("*.py") for use in _text_spec_uses(path)}
     assert set(ALLOWED_TEXT_SPEC) <= uses
+
+
+_UNIT = [[1.0, 0.0], [0.0, 1.0]]
+
+# each record with its constructor's arguments by name, in order
+RECORDS = {
+    "Channel": {"X": _UNIT, "Y": [[2.0, 0.5], [0.5, 3.0]]},
+    "CanonicalForm": {"kind": gaussatlas.Kind.I, "kappa": 1.0, "a": 3.0, "b": 2.0,
+                      "channel": gaussatlas.Channel(_UNIT, _UNIT)},
+    "BreakingReport": {"form": "form", "cp": True, "eb": True, "ncb": False,
+                       "shifted_noise": (3.0, 2.0), "margins": {"cp": 5.0}},
+    "OrbitPoint": {"r": 0.5, "a_r": 1.5, "b_r": 4.0, "ncb": True},
+    "RegionSweep": {"kind": gaussatlas.Kind.II, "kappa": 2.0, "a": "a", "b": "b",
+                    "code": "code", "margins": {}},
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_build_by_position_and_keyword_and_compare_by_identity(name, monkeypatch):
+    cls, args = getattr(gaussatlas, name), RECORDS[name]
+    seen = []
+    real = _kernels.herm2_psd
+    monkeypatch.setattr(_kernels, "herm2_psd", lambda *a: seen.append(a) or real(*a))
+    by_position, by_keyword = cls(*args.values()), cls(**args)
+    for record in (by_position, by_keyword):
+        for field, value in args.items():
+            got = getattr(record, field)
+            assert got.tolist() == value if name == "Channel" else got is value, field
+    assert by_position == by_position and by_position != by_keyword
+    assert len({by_position, by_keyword}) == 2
+    if name == "Channel":
+        for _ in range(3):
+            assert gaussatlas.is_cp(by_position) and gaussatlas.is_cp(by_keyword)
+        assert len(seen) == 2  # one CP test per channel, at construction
+        for field in ("_x", "X", "_cp", "new"):
+            with pytest.raises(AttributeError):
+                setattr(by_position, field, None)
+            with pytest.raises(AttributeError):
+                delattr(by_position, field)
+        assert by_position._x == (1.0, 0.0, 0.0, 1.0)

@@ -634,6 +634,14 @@ class TestRegions:
                 assert REGION_LABELS[sweep.code[i, j]] == \
                     REGION_LABELS[(*passed, False).index(False)]
 
+    @pytest.mark.parametrize("kappa", [0.7, 3.0])
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_cp_and_eb_grids_are_bit_equal_for_kinds_ii_and_iii(self, kind, kappa):
+        # both are ab minus one float bound, so the sweep writers print the cp
+        # grid in the eb column; for kind I the two bounds differ
+        grids = region_sweep(kind, kappa, 0.05, 40.0, 0.05, 30.0, 64).margins
+        assert (grids["cp"].tobytes() == grids["eb"].tobytes()) is (kind is not Kind.I)
+
     def test_sweep_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             region_sweep(Kind.I, 0.6, 1.0, 2.0, 3.0, 4.0, 1)

@@ -441,7 +441,7 @@ class TestCompletePositivity:
 
     def test_verdict_is_computed_once_per_channel(self, monkeypatch):
         # a channel is immutable, so is_cp and the oracles, which refuse a
-        # non-CP channel, all read one verdict computed on first use
+        # non-CP channel, all read one verdict computed at construction
         from gaussatlas import _kernels
         from gaussatlas.breaking import eb_oracle_tmsv, ncb_oracle_gaussian
         seen = []

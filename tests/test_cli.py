@@ -640,12 +640,17 @@ class TestOrbitValidation:
 
 class TestStartsWithoutNumpy:
     # a fresh interpreter runs the scalar commands and their usage errors in
-    # process, and reports whether numpy was loaded after each
+    # process, and reports which of numpy, dataclasses and inspect were
+    # loaded after the import and after each command
     SCRIPT = """
 import json, sys
 import gaussatlas, gaussatlas.cli
 runs, report = json.loads(sys.argv[1]), sys.argv[2]
-loaded, codes = ["numpy" in sys.modules], []
+
+def heavy():
+    return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+
+loaded, codes = [heavy()], []
 
 def run(argv):
     try:
@@ -657,7 +662,7 @@ def run(argv):
 
 for argv in runs["scalar"]:
     codes.append(run(argv))
-    loaded.append("numpy" in sys.modules)
+    loaded.append(heavy())
 grid_codes = [run(argv) for argv in runs["grid"]]
 with open(report, "w") as fh:
     json.dump({"loaded": loaded, "codes": codes, "grid_codes": grid_codes}, fh)
