@@ -279,7 +279,10 @@ def find_r0(form, tol=TOL_CLASS):
     its orbit point passes the breaking test, else None; for an
     entanglement-breaking form the bound ab >= (1 + kappa^2)^2
     guarantees success.  None when a or b is 0, which no squeeze lifts
-    to 1.  Raises ValueError when the EB margin is below -tol.
+    to 1.  Raises ValueError when the EB margin is below -tol.  r0 squeezes
+    in Y's eigenframe, where (a, b) live: the rotation taking Y to diag(a, b)
+    is form.R for kinds I, II and III_zero, but not for III_rank1, whose
+    form.R is fixed by the SVD of X.
     """
     if not form.a * form.b - _kappa_bounds(form.kind, form.kappa)[1] >= -tol:
         raise ValueError("orbit search needs an entanglement-breaking form")

@@ -41,12 +41,6 @@ _ZERO_FLOOR = 1e-150  # magnitudes below this count as an exactly zero X
 _ASYM_TOL = 1e-12  # largest tolerated |Y12 - Y21|, relative to max(1, max|Y|)
 
 
-def __getattr__(name):  # PEP 562: SIGMA3 = diag(1, -1), a new array on each access
-    if name != "SIGMA3":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _array2((1.0, 0.0, 0.0, -1.0))
-
-
 class Kind(Enum):
     """Canonical channel kind, fixed by the sign and rank of det X."""
 
@@ -122,6 +116,9 @@ class Channel:
         raise AttributeError(f"cannot set or delete {name!r}: a Channel is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and deepcopy rebuild it, so its arrays stay read-only
+        return Channel, ((self._x[:2], self._x[2:]), (self._y[:2], self._y[2:]))
 
     @property
     def det_x(self):
@@ -326,11 +323,12 @@ def act_chargrid(ch, grid):
     this grid.  The output dtype follows the input's, promoted to at least
     float64: a real grid stays real, a complex one stays complex.
 
-    A diagonal X (x12 = x21 = 0: every canonical form, and pfunc's unit
-    gain) maps node (i, j) to (x11 xi_i, x22 xi_j), so rows and columns leave
-    the support whole and interp_cubic2d separates, with the general path's
-    bits: its + x12 xi_j = +-0 only flips the sign of a zero, which
-    subtracting the axis origin removes.
+    Every node is interpolated, its image clipped to one node past the
+    edge, and the escaped nodes of the result are zeroed.  A diagonal X
+    (x12 = x21 = 0: every canonical form, and pfunc's unit gain) maps node
+    (i, j) to (x11 xi_i, x22 xi_j), a column against a row, so interp_cubic2d
+    separates, with the general path's bits: its + x12 xi_j = +-0 only
+    flips the sign of a zero, which subtracting the axis origin removes.
     """
     import numpy as np
     from .phase_space import TOL_FFT, CharGrid, exp_quadratic
@@ -341,35 +339,24 @@ def act_chargrid(ch, grid):
     (x11, x12, x21, x22), (y11, y12, _, y22) = ch._x, ch._y
     ax, L, d, n = grid.axis, grid.extent, grid.spacing, grid.side
     env = exp_quadratic(y11, y12, y22, ax)
-    if x12 == 0.0 and x21 == 0.0:  # node (i, j) maps to (x11 ax_i, x22 ax_j)
-        m1, m2 = x11 * ax, x22 * ax
-        rows, cols = np.abs(m1) <= L, np.abs(m2) <= L
-        escaped = np.any(env[~rows] > TOL_FFT) or np.any(env[:, ~cols] > TOL_FFT)
-        inside = None if rows.all() and cols.all() else np.ix_(rows, cols)
-        fx, fy = m1[rows, None], m2[cols]  # a column and a row: the stencil separates
-    else:
-        m1 = (x11 * ax)[:, None] + x12 * ax
-        m2 = (x21 * ax)[:, None] + x22 * ax
-        # rounding is monotone, so m1 and m2 are monotone along each axis: corners bound them
-        if all(np.abs(m[::n - 1, ::n - 1]).max() <= L for m in (m1, m2)):
-            inside, escaped = None, False  # every mapped point is inside: no compress and scatter
-            fx, fy = m1.ravel(), m2.ravel()
-        else:
-            inside = (np.abs(m1) <= L) & (np.abs(m2) <= L)
-            escaped = np.any(~inside & (env > TOL_FFT))
-            fx, fy = m1[inside], m2[inside]
-    if escaped:
-        raise ValueError("mapped points leave the grid where the noise envelope "
-                         "has not decayed; enlarge the grid extent")
+    if x12 == 0.0 and x21 == 0.0:  # node (i, j) maps to (x11 ax_i, x22 ax_j): a column, a row
+        fx, fy = (x11 * ax)[:, None], x22 * ax
+    else:  # the images of the nodes in row-major order
+        fx = ((x11 * ax)[:, None] + x12 * ax).ravel()
+        fy = ((x21 * ax)[:, None] + x22 * ax).ravel()
+    escaped = None  # rounding is monotone, so the ends (corners) in f[::n - 1] bound f
+    if not all(np.abs(f[::n - 1]).max() <= L for f in (fx, fy)):
+        escaped = ~((np.abs(fx) <= L) & (np.abs(fy) <= L)).reshape(env.shape)  # NaN escapes
+        if np.any(env[escaped] > TOL_FFT):
+            raise ValueError("mapped points leave the grid where the noise envelope "
+                             "has not decayed; enlarge the grid extent")
     for f in (fx, fy):
         f -= ax[0]
         f /= d
-    inner = _kernels.interp_cubic2d(grid.values, fx, fy)
-    if inside is None:
-        mapped = inner.reshape(env.shape)
-    else:
-        mapped = np.zeros(env.shape, dtype=inner.dtype)
-        mapped[inside] = inner
+        f.clip(-1.0, n, out=f)  # inside ones keep their bits; far ones fit _stencil's int64
+    mapped = _kernels.interp_cubic2d(grid.values, fx, fy).reshape(env.shape)
+    if escaped is not None:
+        mapped[escaped] = 0.0
     mapped *= env
     return CharGrid(s=0.0, extent=grid.extent, axis=ax, values=mapped)
 

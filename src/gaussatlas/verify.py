@@ -191,58 +191,50 @@ def criterion_4():
         f"max err {worst_fft:.3e} (printed variant deviates by {printed_err:.3e})")
 
 
-def criterion_5():
-    """Squeezed-probe breaking oracle agrees with the closed form on a
-    20x20x6 noise grid away from the boundary, within 10 s."""
+def _canonical_grid_check(passes, verdict, oracle, skip):
+    """An oracle against report(ch)'s verdict on the canonical channels of each
+    (kind, noise grid) pass at every kappa of _KAPPAS_GRID, less those within
+    _BOUNDARY_SKIP of the CP boundary or skip of the verdict's; returns
+    (checked, mismatches, false-true verdicts, seconds)."""
     t0 = time.perf_counter()
-    vals = np.linspace(0.3, 6.0, 20)
-    mismatches = 0
-    checked = 0
-    # the second-kind pass, same predicate with flipped-sign X, is thinned
-    for kind, grid in ((Kind.I, vals), (Kind.II, vals[::2])):
+    checked = mismatches = false_true = 0
+    for kind, grid in passes:
         for kappa in _KAPPAS_GRID:
             for a in grid:
                 for b in grid:
                     slack = margins(kind, kappa, a, b)
-                    if slack["cp"] < _BOUNDARY_SKIP or abs(slack["ncb"]) < _BOUNDARY_SKIP:
+                    if slack["cp"] < _BOUNDARY_SKIP or abs(slack[verdict]) < skip:
                         continue
                     ch = canonical_channel(kind, a, b, kappa)
-                    if ncb_oracle_gaussian(ch) != report(ch).ncb:
+                    said = oracle(ch)
+                    if said != getattr(report(ch), verdict):
                         mismatches += 1
+                        false_true += said
                     checked += 1
-    elapsed = time.perf_counter() - t0
-    ok = mismatches == 0 and elapsed < 10.0
+    return checked, mismatches, false_true, time.perf_counter() - t0
+
+
+def criterion_5():
+    """Squeezed-probe breaking oracle agrees with the closed form on a
+    20x20x6 noise grid away from the boundary, within 10 s."""
+    vals = np.linspace(0.3, 6.0, 20)
+    # the second-kind pass, same predicate with flipped-sign X, is thinned
+    checked, mismatches, _, elapsed = _canonical_grid_check(
+        ((Kind.I, vals), (Kind.II, vals[::2])), "ncb", ncb_oracle_gaussian, _BOUNDARY_SKIP)
     return CheckResult(
         "ncb-oracle-grid",
-        ok,
+        mismatches == 0 and elapsed < 10.0,
         f"{checked} channels, {mismatches} oracle mismatches, {elapsed:.1f} s")
 
 
 def criterion_6():
     """Probe-state separability oracle agrees with the closed EB margin on
     the noise grid, with no false entanglement-breaking verdicts."""
-    vals = np.linspace(0.3, 6.0, 20)
-    mismatches = 0
-    false_eb = 0
-    checked = 0
-    for kappa in _KAPPAS_GRID:
-        for a in vals:
-            for b in vals:
-                slack = margins(Kind.I, kappa, a, b)
-                if slack["cp"] < _BOUNDARY_SKIP or abs(slack["eb"]) < 1e-6:
-                    continue
-                ch = canonical_channel(Kind.I, a, b, kappa)
-                oracle = eb_oracle_tmsv(ch)
-                closed = report(ch).eb
-                if oracle != closed:
-                    mismatches += 1
-                    if oracle and not closed:
-                        false_eb += 1
-                checked += 1
-    ok = mismatches == 0
+    checked, mismatches, false_eb, _ = _canonical_grid_check(
+        ((Kind.I, np.linspace(0.3, 6.0, 20)),), "eb", eb_oracle_tmsv, 1e-6)
     return CheckResult(
         "eb-oracle-grid",
-        ok,
+        mismatches == 0,
         f"{checked} channels, {mismatches} mismatches, {false_eb} false-EB verdicts")
 
 

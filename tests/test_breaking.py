@@ -26,7 +26,6 @@ from gaussatlas.breaking import (
     squeeze_orbit,
 )
 from gaussatlas.channels import (
-    SIGMA3,
     CanonicalForm,
     Channel,
     Kind,
@@ -40,6 +39,7 @@ from gaussatlas.channels import (
 from gaussatlas.cli import REGION_CSV_HEADER, main
 
 ATOL = 1e-12
+SIGMA3 = np.diag([1.0, -1.0])
 
 
 def _squeeze(r):

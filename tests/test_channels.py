@@ -1,7 +1,9 @@
 """Channel container, canonical reduction, and the two action paths."""
 
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 
 from gaussatlas.breaking import report
 from gaussatlas.channels import (
-    SIGMA3,
     CanonicalForm,
     Channel,
     Kind,
@@ -29,6 +30,7 @@ from gaussatlas.channels import (
 from gaussatlas.phase_space import GridSpec, char_fock1, char_gaussian, char_vacuum, convert_order
 
 ATOL = 1e-12
+SIGMA3 = np.diag([1.0, -1.0])
 WITNESS_TOL = 1e-10
 
 
@@ -82,6 +84,22 @@ class TestChannelContainer:
             assert type(entries) is tuple and all(type(v) is float for v in entries)
             assert np.array(entries).tobytes() == M.tobytes()
             assert not M.flags.writeable
+
+    @pytest.mark.parametrize("again", [lambda ch: pickle.loads(pickle.dumps(ch)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("X, Y", [([[1, -0.0], [0.5, 3]], [[2.0, 0.3 + 1e-14], [0.3, 2.5]]),
+                                      (0.8 * SIGMA3, np.eye(2))])  # CP, and not CP
+    def test_copies_are_rebuilt_with_read_only_arrays(self, again, X, Y):
+        ch = Channel(X=X, Y=Y)
+        ch.X, ch.Y  # build the arrays before copying
+        copied = again(ch)
+        for M in (copied.X, copied.Y):
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0, 0] = 5.0
+        for a, b in ((copied._x, ch._x), (copied._y, ch._y)):
+            assert np.array(a).tobytes() == np.array(b).tobytes()
+        assert copied._cp is is_cp(ch) is is_cp(copied)
 
     @pytest.mark.parametrize("diag", [(5e-324, 0.0), (0.0, 5e-324)])
     def test_accepts_least_subnormal_noise(self, diag):

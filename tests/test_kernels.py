@@ -10,6 +10,7 @@ Python's own ``"%.12g" % v`` and ``repr(float("%.12g" % v))``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,20 @@ def test_act_chargrid_refuses_diagonal_escape(gains, noise, edges_only):
     assert (np.flatnonzero(escaped).tolist() == [0, spec.side - 1]) == edges_only
     with pytest.raises(ValueError, match="grid extent"):
         act_chargrid(Channel(X=np.diag(gains), Y=noise * np.eye(2)), grid)
+
+
+@pytest.mark.parametrize("X", [np.diag([1e18, 0.0]), np.array([[1e18, 1e18], [0.0, 0.0]])],
+                         ids=["diagonal", "general"])
+def test_act_chargrid_zeroes_far_escaped_nodes_without_warning(X):
+    # every node but those with x1 = 0 maps ~1e19 grid steps off the support, past
+    # the int64 range of the stencil index, where the noise envelope is exactly 0
+    grid = char_vacuum(0.0, GridSpec(side=65, extent=8.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = act_chargrid(Channel(X=X, Y=1e6 * np.eye(2)), grid).values
+    expected = np.zeros((65, 65))
+    expected[32, 32] = 1.0
+    assert np.array_equal(got, expected)
 
 
 def test_interp_cubic2d_edge_clamp_stays_exact():
