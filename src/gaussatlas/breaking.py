@@ -101,9 +101,10 @@ def margins(kind, kappa, a, b):
     must hold, so the ncb margin is their minimum; for kind III it is
     the distance of the smaller noise eigenvalue from 1.  a and b are
     scalars, giving Python floats, or arrays that broadcast, such as an
-    (n, 1) column of a against an (n,) row of b, giving one grid each.
-    The bounds are Python floats, so every element of an array margin
-    has the bits of the same margin evaluated at that point alone.
+    (n, 1) column of a against an (n,) row of b, giving one grid each;
+    where the cp and eb bounds are the same float (kinds II and III) the eb
+    grid is the cp grid object itself.  The bounds are Python floats, so every
+    element of an array margin has the bits of the same margin at that point.
     """
     cp, eb, k4 = _kappa_bounds(kind, kappa)
     if type(a) is float and type(b) is float:
@@ -115,7 +116,8 @@ def margins(kind, kappa, a, b):
     if k4 is not None:
         ncb = minimum(ncb, (a - 1.0) * (b - 1.0) - k4)
     if getattr(ncb, "ndim", 0):  # an array
-        return {"cp": ab - cp, "eb": ab - eb, "ncb": ncb}
+        grid = ab - cp
+        return {"cp": grid, "eb": grid if eb == cp else ab - eb, "ncb": ncb}
     return {"cp": float(ab - cp), "eb": float(ab - eb), "ncb": float(ncb)}
 
 

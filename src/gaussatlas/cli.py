@@ -11,7 +11,8 @@ verify [SUITE]           run a named verification suite
 
 Exit codes: 0 success, 1 domain verdict failure (non-EB orbit input,
 oracle disagreement, failed verification) or standard output closed
-before the output was written (a broken pipe), 2 usage or parse error.
+before the output was written (a broken pipe), 2 usage or parse error
+or an output path that cannot be written.
 All floats are printed with 12 significant digits so identical inputs
 produce byte-identical output: a CSV field is ``"%.12g" % v`` and a JSON
 number ``repr(float("%.12g" % v))``, or null if v is not finite.
@@ -132,33 +133,23 @@ def _json_array(values, indent):
     yield "\n" + indent + "]"
 
 
-def _json_text(payload):
-    """json.dumps(_jsonable(payload), indent=2) and a newline."""
-    return json.dumps(_jsonable(payload), indent=2) + "\n"
+def _json_text(payload, bulk=None):
+    """json.dumps(_jsonable(payload, bulk), indent=2) and a newline."""
+    return json.dumps(_jsonable(payload, bulk), indent=2) + "\n"
 
 
 def _json_chunks(payload):
     """Chunks of _json_text(payload), each float array as a list.
 
-    json.dumps lays out the document; each float array in payload goes
-    through _json_array into its slot, and each iterator of chunks is
-    spliced in as is.
+    json.dumps lays out the document with _jsonable's sentinel in the slot
+    of each array and iterator; each float array goes through _json_array
+    into its slot, and each iterator of chunks is spliced in as is.
     """
-    import numpy as np
     bulk = []
-
-    def mark(obj):
-        if isinstance(obj, dict):
-            return {k: mark(v) for k, v in obj.items()}
-        if isinstance(obj, np.ndarray) or hasattr(obj, "__next__"):
-            bulk.append(obj)
-            return "\0"
-        return obj
-
-    pieces = _json_text(mark(payload)).split('"\\u0000"')
+    pieces = _json_text(payload, bulk).split('"\\u0000"')
     for piece, part in zip(pieces, bulk):
         yield piece
-        if isinstance(part, np.ndarray):
+        if getattr(part, "ndim", 0):
             line = piece[piece.rfind("\n") + 1:]
             part = _json_array(part, line[:len(line) - len(line.lstrip(" "))])
         yield from part
@@ -169,40 +160,44 @@ def _emit(chunks, path=None):
     """Write chunks, str or bytes, as bytes to path or to standard output's buffer, its
     text layer flushed first; a standard output without one (an io.StringIO) gets text."""
     if path is not None:
-        with open(path, "wb") as fh:
-            return fh.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
+        try:
+            with open(path, "wb") as fh:
+                return fh.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
+        except OSError as exc:
+            raise _CliError(2, f"cannot write {path}: {exc}") from exc
     if not hasattr(sys.stdout, "buffer"):
         return sys.stdout.writelines(c if isinstance(c, str) else c.decode() for c in chunks)
     sys.stdout.flush()
     sys.stdout.buffer.writelines(c.encode() if isinstance(c, str) else c for c in chunks)
 
 
-def _jsonable(obj):
-    """Round floats to 12 significant digits; map non-finite values to null."""
+def _jsonable(obj, bulk=None):
+    """Round floats to 12 significant digits; map non-finite values to null.  With a bulk
+    list, an array (ndim >= 1) or an iterator goes into it and leaves the "\\0" sentinel."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, bulk) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, bulk) for v in obj]
     if isinstance(obj, float):
         return float(_fmt(obj)) if math.isfinite(obj) else None
+    if bulk is not None and (getattr(obj, "ndim", 0) or hasattr(obj, "__next__")):
+        bulk.append(obj)
+        return "\0"
     return obj
 
 
-def _load_channel(path):
+def _load_report(path, tol):
+    """(ch, report(ch)) for the channel file at path; each way to fail is a usage error."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _CliError(2, f"cannot read {path}: {exc}") from exc
     try:
-        return Channel.from_json(text)
+        ch = Channel.from_json(text)
     except ValueError as exc:
         raise _CliError(2, f"invalid channel descriptor: {exc}") from exc
-
-
-def _report(ch, tol):
-    """report(ch), with a gain too large for the closed forms as a usage error."""
     try:
-        return report(ch, tol=tol)
+        return ch, report(ch, tol=tol)
     except (OverflowError, ValueError) as exc:
         raise _CliError(2, f"channel out of range: {exc}") from None
 
@@ -215,8 +210,7 @@ def _form_payload(form):
 
 
 def _cmd_classify(args):
-    ch = _load_channel(args.channel)
-    rep = _report(ch, args.tol)
+    _, rep = _load_report(args.channel, args.tol)
     payload = {
         "form": _form_payload(rep.form),
         "cp": rep.cp,
@@ -231,20 +225,11 @@ def _cmd_classify(args):
 
 
 def _cmd_check(args):
-    ch = _load_channel(args.channel)
-    rep = _report(ch, args.tol)
-    payload = {
-        "closed_form": {"cp": rep.cp, "eb": rep.eb, "ncb": rep.ncb,
-                        "margins": rep.margins},
-    }
-    oracles = {}
-    agree = True
+    ch, rep = _load_report(args.channel, args.tol)
     if is_cp(ch):
-        ncb_o = ncb_oracle_gaussian(ch, tol=args.tol)
-        eb_o = eb_oracle_tmsv(ch)
-        oracles["ncb_gaussian"] = ncb_o
-        oracles["eb_tmsv"] = eb_o
-        agree = (ncb_o == rep.ncb) and (eb_o == rep.eb)
+        oracles = {"ncb_gaussian": ncb_oracle_gaussian(ch, tol=args.tol),
+                   "eb_tmsv": eb_oracle_tmsv(ch)}
+        agree = oracles["ncb_gaussian"] == rep.ncb and oracles["eb_tmsv"] == rep.eb
         if rep.form.kind is Kind.I and abs(rep.form.kappa - 1.0) <= 1e-9:
             try:
                 fock_o = ncb_necessity_fock1(rep.form, tol=args.tol)
@@ -255,11 +240,10 @@ def _cmd_check(args):
             oracles["ncb_fock1"] = fock_o
             agree = agree and fock_o == rep.ncb
     else:
-        oracles["note"] = "oracles skipped: channel is not completely positive"
+        oracles = {"note": "oracles skipped: channel is not completely positive"}
         agree = not rep.cp
-    payload["oracles"] = oracles
-    payload["agree"] = agree
-    _emit([_json_text(payload)])
+    closed_form = {"cp": rep.cp, "eb": rep.eb, "ncb": rep.ncb, "margins": rep.margins}
+    _emit([_json_text({"closed_form": closed_form, "oracles": oracles, "agree": agree})])
     return 0 if agree else 1
 
 
@@ -267,8 +251,7 @@ def _records_csv(sweep):
     """Chunks of the sweep records CSV."""
     a_rows = _column(sweep.a, f"{sweep.kind.value},{_fmt(sweep.kappa)},%s,")[:, None]
     label = (_table([f"{label}," for label in REGION_LABELS]), sweep.code)
-    cp, eb, ncb = sweep.margins.values()
-    eb = eb if sweep.kind is Kind.I else cp  # II, III: one bound, bit-equal grids, printed once
+    cp, eb, ncb = sweep.margins.values()  # eb is cp for kinds II and III: printed once
     yield REGION_CSV_HEADER + "\n"
     yield from _grid_text(sweep.code.shape, [a_rows, _column(sweep.b, "%s,")[None], label,
                                              cp, ",", eb, ",", ncb, "\n"])
@@ -280,7 +263,6 @@ def _records_json(sweep):
            f'      "kappa": {json.dumps(_jsonable(sweep.kappa))},\n      "a": %s,\n      "b": '
     label = (_table([f'{label}",\n      "cp_margin": ' for label in REGION_LABELS]), sweep.code)
     cp, eb, ncb = sweep.margins.values()
-    eb = eb if sweep.kind is Kind.I else cp  # as in _records_csv
     yield "[\n"
     yield from _grid_text(sweep.code.shape, [
         _column(sweep.a, head, json=True)[:, None],
@@ -347,8 +329,7 @@ def _cmd_orbit(args):
         raise _CliError(2, "--rmin and --rmax must be finite")
     if args.grid < 1:
         raise _CliError(2, "grid resolution must be at least 1")
-    ch = _load_channel(args.channel)
-    rep = _report(ch, args.tol)
+    _, rep = _load_report(args.channel, args.tol)
     form = rep.form
     if not rep.eb:
         print(f"channel is not entanglement-breaking "

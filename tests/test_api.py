@@ -15,6 +15,8 @@ columns; the library builds its grids from per-axis vectors that
 broadcast.
 Bulk float text has one route, ``_kernels.text12``: a ``.12g`` format
 spec appears only in its Python fallback and in the CLI's scalar helper.
+Output files have one route, ``cli._emit``: no other function opens or
+writes a file, so an unwritable ``--out`` path is refused in one place.
 
 The five records (``Channel`` and the result records) build by position
 and by keyword, compare by identity, and a ``Channel`` refuses assignment
@@ -53,6 +55,14 @@ ALLOWED_TEXT_SPEC = {
     "_kernels.py:_python_text": "text12's fallback: the rows the kernel leaves to Python",
     "cli.py:_fmt": "one float at a time, in messages, record heads and _jsonable",
 }
+
+# functions allowed to open or write a file, each for a reason
+ALLOWED_FILE_OUTPUT = {
+    "cli.py:_emit": "the one writer of output files; an unwritable path is a usage error",
+    "cli.py:main": "os.open(os.devnull) takes standard output over after a broken pipe",
+}
+
+FILE_OUTPUT = ("open", "write_text", "write_bytes")  # names that open or write a file
 
 # modules allowed to build np.meshgrid pairs, each for a reason
 ALLOWED_MESHGRID = {
@@ -254,6 +264,48 @@ def test_bulk_float_text_goes_through_the_kernel():
 def test_text_spec_allowlist_holds_only_functions_that_use_it():
     uses = {use for path in PACKAGE.glob("*.py") for use in _text_spec_uses(path)}
     assert set(ALLOWED_TEXT_SPEC) <= uses
+
+
+def _file_output_uses(path):
+    """file:function of each route to open or write a file in path.
+
+    A route is the name open, an attribute open (io.open, Path.open,
+    os.open), write_text or write_bytes, or an import of one of them;
+    code outside any function reads <module>.
+    """
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id in FILE_OUTPUT
+                or isinstance(node, ast.Attribute) and node.attr in FILE_OUTPUT
+                or isinstance(node, ast.ImportFrom)
+                and any(a.name in FILE_OUTPUT for a in node.names)):
+            yield f"{path.name}:{where}"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    return list(visit(ast.parse(path.read_text(), filename=str(path)), "<module>"))
+
+
+def test_file_output_check_sees_every_route(tmp_path):
+    routes = ['open(p, "wb")', 'io.open(p, "w")', 'Path(p).open("w")', "Path(p).write_text(s)",
+              "p.write_bytes(s)", "builtins.open(p)", "writer = Path.write_text",
+              "from io import open as io_open", "from pathlib import Path, write_bytes"]
+    for i, line in enumerate(routes):
+        path = tmp_path / f"m{i}.py"
+        path.write_text(f'import io\nfrom pathlib import Path\n\n\ndef f(p, s):\n'
+                        f'    """Opens p."""\n    {line}\n\n\n{line}\n')
+        assert _file_output_uses(path) == [f"{path.name}:f", f"{path.name}:<module>"], line
+
+
+def test_output_files_have_one_writer():
+    uses = {use for path in sorted(PACKAGE.glob("*.py")) for use in _file_output_uses(path)}
+    assert not sorted(uses - set(ALLOWED_FILE_OUTPUT)), f"files opened outside _emit: {uses}"
+
+
+def test_file_output_allowlist_holds_only_functions_that_use_it():
+    uses = {use for path in PACKAGE.glob("*.py") for use in _file_output_uses(path)}
+    assert set(ALLOWED_FILE_OUTPUT) <= uses
 
 
 _UNIT = [[1.0, 0.0], [0.0, 1.0]]

@@ -642,6 +642,18 @@ class TestRegions:
         grids = region_sweep(kind, kappa, 0.05, 40.0, 0.05, 30.0, 64).margins
         assert (grids["cp"].tobytes() == grids["eb"].tobytes()) is (kind is not Kind.I)
 
+    @pytest.mark.parametrize("kappa", [0.7, 3.0])
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_eb_grid_is_the_cp_grid_where_the_bounds_are_equal(self, kind, kappa):
+        # one bound for kinds II and III: one grid, which the sweep writers print once
+        a, b = np.linspace(0.05, 40.0, 16), np.linspace(0.05, 30.0, 16)
+        for grids in (margins(kind, kappa, a[:, None], b),
+                      region_sweep(kind, kappa, 0.05, 40.0, 0.05, 30.0, 16).margins):
+            assert (grids["eb"] is grids["cp"]) is (kind is not Kind.I)
+        # kind I at zero gain: both bounds are 1.0
+        grids = margins(Kind.I, 0.0, a[:, None], b)
+        assert grids["eb"] is grids["cp"]
+
     def test_sweep_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             region_sweep(Kind.I, 0.6, 1.0, 2.0, 3.0, 4.0, 1)

@@ -258,6 +258,20 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
     assert "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid", "3"], ["sweep", "--grid", "3", "--format", "json"],
+    ["orbit", "CHANNEL", "--grid", "3"], ["pfunc", "--a", "2", "--b", "3", "--grid", "5"]])
+def test_unwritable_out_path_is_a_usage_error(argv, bad, tmp_path, capsys):
+    # a path in a missing directory, or a directory, cannot take the output
+    out = tmp_path / "no" / "out.csv" if bad == "missing" else tmp_path
+    argv = [_write(tmp_path, EB_CHANNEL) if a == "CHANNEL" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 class TestOrbit:
     def test_trace_with_r0_header(self, tmp_path, capsys):
         code = main(["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "11"])
@@ -740,6 +754,23 @@ class TestFloatRoutes:
                 path = _write(tmp_path, json.dumps({"X": ch.X.tolist(), "Y": ch.Y.tolist()}))
                 assert main(["classify", path]) == 0
                 assert capsys.readouterr().out == want
+
+    def test_json_chunks_splice_arrays_and_iterators_into_one_layout(self):
+        # one walk of the payload: a 0-d numpy scalar stays a number, each 1-D or
+        # 2-D array prints as a list (of lists), and an iterator's chunks fill its slot
+        from gaussatlas import cli
+
+        rng = np.random.default_rng(22)
+        row, grid = np.append(rng.normal(size=5), [np.inf, np.nan]), rng.normal(size=(3, 4))
+        payload = {"scalar": np.float64(0.1) + np.float64(0.2), "tail": [1.5, "x"],
+                   "nested": {"row": row, "deeper": {"grid": grid, "n": 3}},
+                   "chunks": iter(['"spl', b'iced"']), "last": None}
+        got = b"".join(c if isinstance(c, bytes) else c.encode()
+                       for c in cli._json_chunks(payload)).decode()
+        payload["nested"] = {"row": row.tolist(), "deeper": {"grid": grid.tolist(), "n": 3}}
+        payload["chunks"] = "spliced"
+        assert got == cli._json_text(payload)
+        assert json.loads(got)["scalar"] == 0.3 and json.loads(got)["nested"]["row"][5] is None
 
     @pytest.mark.parametrize("num", [1, 2, 3, 101, 10 ** 4])
     @pytest.mark.parametrize("start, stop", [
