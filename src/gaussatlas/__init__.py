@@ -85,7 +85,6 @@ __all__ = [
     "char_vacuum",
     "convert_order",
     "fock1_output_p",
-    "fock1_output_p_grid_units",
     "quasi_from_char",
     "CanonicalForm",
     "Channel",

@@ -358,7 +358,7 @@ def act_chargrid(ch, grid):
     if escaped is not None:
         mapped[escaped] = 0.0
     mapped *= env
-    return CharGrid(s=0.0, extent=grid.extent, axis=ax, values=mapped)
+    return CharGrid(s=0.0, axis=ax, values=mapped)
 
 
 def rotation(theta):

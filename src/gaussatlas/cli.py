@@ -314,7 +314,11 @@ def _cmd_sweep(args):
         out = Path(args.out)
         curves_path = out.with_name(out.stem + "_curves" + out.suffix)
         _emit(records, out)
-        _emit(curve_rows, curves_path)
+        try:
+            _emit(curve_rows, curves_path)
+        except _CliError:
+            out.unlink()  # a refused run leaves no output behind
+            raise
         print(f"wrote {count} records to {out} and curves to {curves_path}")
         counts = np.bincount(sweep.code.ravel(), minlength=len(REGION_LABELS))
         for label, c in zip(REGION_LABELS, counts.tolist()):

@@ -20,6 +20,7 @@ not decay on any finite grid.
 The states built here are parity-even, so their grids are real (float64)
 and stay real up to the transform; complex grids are accepted too.  Grids
 are outer sums and products of per-axis vectors, rounded as over meshgrids.
+A grid is (s, axis, values); its extent is its axis's last node.
 """
 
 import math
@@ -47,17 +48,14 @@ class GridSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class CharGrid:
-    """Samples of an s-ordered characteristic function.
+class _Grid:
+    """Samples at order s on the square grid of an axis.
 
-    values[i, j] is chi_s at (axis[i], axis[j]); the axis spans
-    [-extent, extent] with an odd number of points so 0 is a node.
-    values may be real or complex; the library's constructors return real
-    float64 grids, as every state they build is parity-even.
+    values[i, j] is taken at (axis[i], axis[j]); the axis has an odd number of
+    points, so 0 is a node, and spans [-extent, extent], extent its last node.
     """
 
     s: float
-    extent: float
     axis: np.ndarray
     values: np.ndarray
 
@@ -69,24 +67,21 @@ class CharGrid:
     def spacing(self):
         return self.axis[1] - self.axis[0]
 
-
-@dataclass(frozen=True, eq=False)
-class QuasiGrid:
-    """Samples of a real s-ordered quasiprobability on its reciprocal grid."""
-
-    s: float
-    extent: float
-    axis: np.ndarray
-    values: np.ndarray
-
     @property
-    def side(self):
-        return self.values.shape[0]
+    def extent(self):
+        return float(self.axis[-1])
+
+
+class CharGrid(_Grid):
+    """Samples of an s-ordered characteristic function, real or complex."""
+
+
+class QuasiGrid(_Grid):
+    """Samples of a real s-ordered quasiprobability on its reciprocal grid."""
 
     @property
     def cell(self):
-        d = self.axis[1] - self.axis[0]
-        return d * d
+        return self.spacing * self.spacing
 
 
 def _axis(spec):
@@ -113,7 +108,7 @@ def char_vacuum(s, spec=GridSpec()):
     xi = _axis(spec)
     values = _radius2(xi)
     values *= 0.5 * (s - 1.0)
-    return CharGrid(s=float(s), extent=spec.extent, axis=xi, values=np.exp(values, out=values))
+    return CharGrid(s=float(s), axis=xi, values=np.exp(values, out=values))
 
 
 def char_fock1(s, spec=GridSpec()):
@@ -123,14 +118,14 @@ def char_fock1(s, spec=GridSpec()):
     env = 0.5 * (s - 1.0) * r2
     values = np.subtract(1.0, r2, out=r2)
     values *= np.exp(env, out=env)
-    return CharGrid(s=float(s), extent=spec.extent, axis=xi, values=values)
+    return CharGrid(s=float(s), axis=xi, values=values)
 
 
 def char_gaussian(V, s, spec=GridSpec()):
     """Characteristic function of a Gaussian state, exp(-xi^T (V - s*1) xi / 2)."""
     V = np.asarray(V, dtype=float)
     xi = _axis(spec)
-    return CharGrid(s=float(s), extent=spec.extent, axis=xi,
+    return CharGrid(s=float(s), axis=xi,
                     values=exp_quadratic(V[0, 0] - s, V[0, 1], V[1, 1] - s, xi))
 
 
@@ -159,8 +154,7 @@ def convert_order(grid, s_target):
         warnings.warn("upward order conversion amplified the grid boundary above "
                       "TOL_FFT; downstream transforms will be ill-conditioned",
                       RuntimeWarning, stacklevel=2)
-    return CharGrid(s=float(s_target), extent=grid.extent, axis=grid.axis,
-                    values=values)
+    return CharGrid(s=float(s_target), axis=grid.axis, values=values)
 
 
 def quasi_from_char(grid):
@@ -193,7 +187,7 @@ def quasi_from_char(grid):
                          "input grid is not Hermitian")
     m = np.arange(n) - (n - 1) // 2
     alpha = 2.0 * np.pi * m / (np.sqrt(2.0) * n * d)
-    return QuasiGrid(s=grid.s, extent=float(alpha[-1]), axis=alpha, values=W.real)
+    return QuasiGrid(s=grid.s, axis=alpha, values=W.real)
 
 
 def fock1_output_p(a, b, alpha1, alpha2, variant="rederived"):
@@ -225,14 +219,3 @@ def fock1_output_p(a, b, alpha1, alpha2, variant="rederived"):
         raise ValueError("variant must be 'rederived' or 'printed'")
     out = env * poly
     return out if out.ndim else float(out)
-
-
-def fock1_output_p_grid_units(a, b, alpha1, alpha2, variant="rederived"):
-    """fock1_output_p mapped onto the grid convention of quasi_from_char.
-
-    Grid quasiprobabilities are normalized to unit grid integral, which
-    rescales the closed form as W(alpha) = phi(alpha / sqrt2) / (2 pi).
-    """
-    s = np.sqrt(2.0)
-    return fock1_output_p(a, b, np.asarray(alpha1) / s, np.asarray(alpha2) / s,
-                          variant=variant) / (2.0 * np.pi)

@@ -44,7 +44,7 @@ from .phase_space import (
     char_gaussian,
     char_vacuum,
     convert_order,
-    fock1_output_p_grid_units,
+    fock1_output_p,
     quasi_from_char,
 )
 
@@ -178,10 +178,10 @@ def criterion_4():
         ch = canonical_channel(Kind.I, a, b, 1.0)
         out = act_chargrid(ch, char_fock1(0.0, spec))
         q = quasi_from_char(convert_order(out, 1.0))
-        a1, a2 = np.meshgrid(q.axis, q.axis, indexing="ij")
-        closed = fock1_output_p_grid_units(a, b, a1, a2)
+        a1, a2 = np.meshgrid(q.axis / np.sqrt(2.0), q.axis / np.sqrt(2.0), indexing="ij")
+        closed = fock1_output_p(a, b, a1, a2) / (2.0 * np.pi)  # W(alpha) = phi(alpha/sqrt2)/2pi
         worst_fft = max(worst_fft, float(np.abs(q.values - closed).max()))
-        alt = fock1_output_p_grid_units(a, b, a1, a2, variant="printed")
+        alt = fock1_output_p(a, b, a1, a2, variant="printed") / (2.0 * np.pi)
         printed_err = max(printed_err, float(np.abs(q.values - alt).max()))
     ok = mismatches == 0 and worst_fft <= 1e-6
     return CheckResult(

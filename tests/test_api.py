@@ -18,9 +18,10 @@ spec appears only in its Python fallback and in the CLI's scalar helper.
 Output files have one route, ``cli._emit``: no other function opens or
 writes a file, so an unwritable ``--out`` path is refused in one place.
 
-The five records (``Channel`` and the result records) build by position
-and by keyword, compare by identity, and a ``Channel`` refuses assignment
-and decides its CP verdict once, at construction.
+The seven records (``Channel``, the result records and the two
+phase-space grids) build by position and by keyword and compare by
+identity; a ``Channel`` and a grid refuse assignment, and a ``Channel``
+decides its CP verdict once, at construction.
 """
 
 import ast
@@ -320,6 +321,8 @@ RECORDS = {
     "OrbitPoint": {"r": 0.5, "a_r": 1.5, "b_r": 4.0, "ncb": True},
     "RegionSweep": {"kind": gaussatlas.Kind.II, "kappa": 2.0, "a": "a", "b": "b",
                     "code": "code", "margins": {}},
+    "CharGrid": {"s": 0.0, "axis": "axis", "values": "values"},
+    "QuasiGrid": {"s": 1.0, "axis": "axis", "values": "values"},
 }
 
 
@@ -336,6 +339,10 @@ def test_records_build_by_position_and_keyword_and_compare_by_identity(name, mon
             assert got.tolist() == value if name == "Channel" else got is value, field
     assert by_position == by_position and by_position != by_keyword
     assert len({by_position, by_keyword}) == 2
+    if name.endswith("Grid"):
+        for field in args:  # a FrozenInstanceError is an AttributeError
+            with pytest.raises(AttributeError):
+                setattr(by_position, field, None)
     if name == "Channel":
         for _ in range(3):
             assert gaussatlas.is_cp(by_position) and gaussatlas.is_cp(by_keyword)

@@ -272,6 +272,14 @@ def test_unwritable_out_path_is_a_usage_error(argv, bad, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+def test_unwritable_curves_path_leaves_no_records_file(tmp_path, capsys):
+    # the records file is written first; a refused curves file takes it back
+    (tmp_path / "s_curves.csv").mkdir()
+    assert main(["sweep", "--grid", "5", "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert not (tmp_path / "s.csv").exists()
+
+
 class TestOrbit:
     def test_trace_with_r0_header(self, tmp_path, capsys):
         code = main(["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "11"])

@@ -242,7 +242,7 @@ def test_act_chargrid_matches_two_pass_reference(action, complex_grid):
     grid = char_fock1(0.0, spec)
     if complex_grid:  # a displaced single photon, so the grid has a sizeable imaginary part
         x1, x2 = np.meshgrid(grid.axis, grid.axis, indexing="ij")
-        grid = CharGrid(s=0.0, extent=spec.extent, axis=grid.axis,
+        grid = CharGrid(s=0.0, axis=grid.axis,
                         values=grid.values * np.exp(1j * (0.7 * x1 - 0.4 * x2)))
         assert np.abs(grid.values.imag).max() > 0.1
     if action == "diag-escaping":
@@ -292,8 +292,7 @@ def test_real_pipeline_matches_complex_reference(maker):
     assert grid.values.dtype == np.float64
     X = 0.9 * rotation(0.4) @ np.diag([1.0, 0.6])
     ch = Channel(X=X, Y=np.array([[2.5, 0.3], [0.3, 1.8]]))
-    as_complex = CharGrid(s=grid.s, extent=grid.extent, axis=grid.axis,
-                          values=grid.values.astype(complex))
+    as_complex = CharGrid(s=grid.s, axis=grid.axis, values=grid.values.astype(complex))
     acted = act_chargrid(ch, grid)
     acted_ref = act_chargrid(ch, as_complex)
     assert acted.values.dtype == np.float64
@@ -364,6 +363,17 @@ def test_act_chargrid_zeroes_far_escaped_nodes_without_warning(X):
     expected = np.zeros((65, 65))
     expected[32, 32] = 1.0
     assert np.array_equal(got, expected)
+
+
+def test_hand_built_grid_reads_its_extent_off_its_axis():
+    # a grid carries no extent of its own to contradict its axis: a stored
+    # 4.0 beside a +-8 axis once refused this contraction, whose images all
+    # lie inside +-7.2
+    g = char_vacuum(0.0, GridSpec(side=65, extent=8.0))
+    grid = CharGrid(s=0.0, axis=g.axis, values=g.values)
+    assert grid.extent == 8.0
+    ch = Channel(X=0.9 * np.eye(2), Y=np.eye(2))
+    assert _same_bits(act_chargrid(ch, grid).values, act_chargrid(ch, g).values)
 
 
 def test_interp_cubic2d_edge_clamp_stays_exact():

@@ -23,7 +23,6 @@ from gaussatlas.phase_space import (
     char_vacuum,
     convert_order,
     fock1_output_p,
-    fock1_output_p_grid_units,
     quasi_from_char,
 )
 
@@ -210,7 +209,7 @@ class TestTransform:
         g = char_vacuum(0.0)
         values = g.values.copy()
         values[0, 0] = value
-        grid = CharGrid(s=0.0, extent=g.extent, axis=g.axis, values=values)
+        grid = CharGrid(s=0.0, axis=g.axis, values=values)
         with pytest.raises(ValueError, match="not finite") as exc:
             quasi_from_char(grid)
         assert "reduce the grid extent" in str(exc.value)
@@ -220,7 +219,7 @@ class TestTransform:
         g = char_vacuum(0.0)
         x1, x2 = np.meshgrid(g.axis, g.axis, indexing="ij")
         bad = g.values + 0.05j * np.exp(-(x1 ** 2 + x2 ** 2))
-        grid = CharGrid(s=0.0, extent=g.extent, axis=g.axis, values=bad)
+        grid = CharGrid(s=0.0, axis=g.axis, values=bad)
         with pytest.raises(ValueError, match="residue"):
             quasi_from_char(grid)
 
@@ -288,7 +287,7 @@ class TestBitsAgainstMeshgridLonghand:
         g = char_gaussian([[2.2, 0.3], [0.3, 1.6]], 0.0, self.SPEC)
         x1, x2 = _meshgrid_longhand(g.axis)
         values = g.values * np.exp(1j * (0.7 * x1 - 0.4 * x2)) if complex_grid else g.values
-        grid = CharGrid(s=0.0, extent=g.extent, axis=g.axis, values=values)
+        grid = CharGrid(s=0.0, axis=g.axis, values=values)
         ref = values * np.exp(0.5 * s_target * (x1 * x1 + x2 * x2))
         assert _same_bits(convert_order(grid, s_target).values, ref)
 
@@ -301,6 +300,24 @@ class TestBitsAgainstMeshgridLonghand:
         ch = Channel(X=X, Y=Y)
         grid = char_fock1(0.0, self.SPEC)
         assert _same_bits(act_chargrid(ch, grid).values, _act_chargrid_longhand(ch, grid))
+
+    def test_every_grid_keeps_its_geometry(self):
+        # a characteristic grid keeps the spec's extent (or its input's) and the
+        # spacing of its axis; the transform's reciprocal axis ends at alpha[-1]
+        xi = np.linspace(-7.0, 7.0, 129)
+        ch = Channel(X=0.6 * rotation(0.4), Y=np.diag([3.0, 1.5]))
+        chars = [char_vacuum(0.0, self.SPEC), char_fock1(0.0, self.SPEC),
+                 char_gaussian([[2.2, 0.3], [0.3, 1.6]], 0.0, self.SPEC)]
+        chars += [convert_order(chars[2], -0.8), act_chargrid(ch, chars[1])]
+        for g in chars:
+            assert (g.extent, g.side, g.spacing) == (7.0, 129, xi[1] - xi[0])
+            assert g.extent == g.axis[-1]
+        d = xi[1] - xi[0]
+        alpha = 2.0 * np.pi * (np.arange(129) - 64) / (np.sqrt(2.0) * 129 * d)
+        q = quasi_from_char(chars[0])
+        assert _same_bits(q.axis, alpha) and q.extent == q.axis[-1] == float(alpha[-1])
+        d = alpha[1] - alpha[0]
+        assert (q.side, q.cell) == (129, d * d)
 
 
 class TestFock1OutputP:
@@ -338,11 +355,3 @@ class TestFock1OutputP:
             fock1_output_p(2.0, -1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             fock1_output_p(2.0, 2.0, 0.0, 0.0, variant="other")
-
-    def test_grid_units_rescaling(self):
-        a, b = 2.5, 1.8
-        alpha = np.array([0.0, 0.6, -1.1])
-        got = fock1_output_p_grid_units(a, b, alpha, alpha)
-        ref = fock1_output_p(a, b, alpha / np.sqrt(2.0), alpha / np.sqrt(2.0))
-        np.testing.assert_allclose(got, ref / (2.0 * np.pi), atol=1e-14)
-
