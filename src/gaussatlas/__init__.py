@@ -33,7 +33,6 @@ from .channels import (
     canonical_reduce,
     compose_post_unitary,
     compose_pre_unitary,
-    cp_defect,
     is_cp,
     kind_from_label,
     rotation,
@@ -95,7 +94,6 @@ __all__ = [
     "canonical_reduce",
     "compose_post_unitary",
     "compose_pre_unitary",
-    "cp_defect",
     "is_cp",
     "kind_from_label",
     "BreakingReport",

@@ -329,7 +329,7 @@ def region_sweep(kind, kappa, a_min, a_max, b_min, b_max, n, tol=TOL_CLASS):
     with np.errstate(over="ignore"):
         grids = margins(kind, kappa, a[:, None], b)
     # the first failing condition names the region, as in BreakingReport.region
-    code = np.select([m < -tol for m in grids.values()], [0, 1, 2], 3).astype(np.int8)
+    code = np.select([~(m >= -tol) for m in grids.values()], [0, 1, 2], 3).astype(np.int8)
     return RegionSweep(kind, float(kappa), a, b, code, grids)
 
 

@@ -18,9 +18,9 @@ a, b); the witnesses (S, R) are built and re-verified by
 ``canonical_reduce``, or else on first access: S X R = X_c, R^T Y R = Y_c,
 det S = 1, R^T R = 1, all in closed form on Python floats (rank one too).
 
-``Channel`` keeps X and Y as Python floats, all that the verdicts read,
-decides its CP verdict at construction and builds its arrays on first
-access; only array functions import numpy.
+``Channel`` keeps X and Y as Python floats, with the noise eigenvalues,
+det X and CP verdict its constructor measures, all that the verdicts read;
+it builds its arrays on first access, and only array functions import numpy.
 
 Gaussian unitaries are 2x2 symplectic S; S^T sigma S = det(S) sigma, so
 ``symplectic_check`` tests det S = 1 to TOL_ALG; ``rotation`` builds the
@@ -91,10 +91,11 @@ class Channel:
 
     Complete positivity is deliberately not enforced here so that
     unphysical pairs can still be classified and reported as such.  _x and
-    _y keep the entries as row-major float tuples (Y symmetrised); X and Y
-    are read-only float64 arrays of them, built on first access, and _cp
-    is the is_cp verdict, decided at construction.  Assigning or deleting
-    an attribute raises AttributeError; equality is identity.
+    _y keep the entries as row-major float tuples (Y symmetrised), and X
+    and Y are read-only float64 arrays of them, built on first access.
+    _noise (Y's eigenvalues a >= b), det_x and _cp (the is_cp verdict) are
+    measured once, by the constructor's checks.  Assigning or deleting an
+    attribute raises AttributeError; equality is identity.
     """
 
     X = cached_property(lambda self: _array2(self._x, writeable=False))
@@ -107,10 +108,11 @@ class Channel:
         if abs(y12 - y21) > _ASYM_TOL * yscale:
             raise ValueError("Y must be symmetric")
         y12 += 0.5 * (y21 - y12)  # the midpoint, without overflow; y12 itself if symmetric
-        if _kernels.eig2(y11, y12, y22, 0.0)[1] < -TOL_PSD * yscale:
+        det_x, noise = x11 * x22 - x12 * x21, _kernels.eig2(y11, y12, y22, 0.0)
+        if noise[1] < -TOL_PSD * yscale:
             raise ValueError("Y must be positive semidefinite")
-        cp = _kernels.herm2_psd(y11, y12, y22, 1.0 - (x11 * x22 - x12 * x21))  # as cp_defect
-        vars(self).update(_x=x, _y=(y11, y12, y12, y22), _cp=cp)  # past __setattr__
+        vars(self).update(_x=x, _y=(y11, y12, y12, y22), _noise=noise, det_x=det_x,
+                          _cp=_kernels.herm2_psd(y11, y12, y22, 1.0 - det_x))  # past __setattr__
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot set or delete {name!r}: a Channel is immutable")
@@ -119,11 +121,6 @@ class Channel:
 
     def __reduce__(self):  # pickle and deepcopy rebuild it, so its arrays stay read-only
         return Channel, ((self._x[:2], self._x[2:]), (self._y[:2], self._y[2:]))
-
-    @property
-    def det_x(self):
-        x11, x12, x21, x22 = self._x
-        return x11 * x22 - x12 * x21
 
     @classmethod
     def from_json(cls, text):
@@ -242,9 +239,8 @@ def _verify_witnesses(X, Y, S, R, x_can, y_can):
 
 def _canonical_form(ch):
     """canonical_reduce's (kind, kappa, a, b) and refusals, its witnesses left unbuilt."""
-    X, (y11, y12, _, y22) = ch._x, ch._y
+    X, (a, b) = ch._x, ch._noise
     x11, x12, x21, x22 = X
-    a, b = _kernels.eig2(y11, y12, y22, 0.0)
     if not math.isfinite(a):
         raise ValueError("the noise eigenvalues overflow a double")
     # closed-form SVD: X = Q rot(alpha) + P refl(beta) = rot(phi) diag(Q + P, Q - P) rot(psi),
@@ -282,19 +278,8 @@ def canonical_reduce(ch):
     return form
 
 
-def cp_defect(ch):
-    """Smallest eigenvalue of the Hermitian matrix Y + i sigma - i X sigma X^T.
-
-    Nonnegative (within tolerance) iff the channel is completely positive.
-    For 2x2 X, X sigma X^T = det(X) sigma, so the matrix is
-    Y + i (1 - det X) sigma and its smallest eigenvalue is eig2's.
-    """
-    y11, y12, _, y22 = ch._y
-    return _kernels.eig2(y11, y12, y22, 1.0 - ch.det_x)[1]
-
-
 def is_cp(ch):
-    """Whether cp_defect is at least -16 eps max(1, max|Y|, |1 - det X|).
+    """Whether lam_min(Y + i (1 - det X) sigma) >= -16 eps max(1, max|Y|, |1 - det X|).
 
     The slack is that of eb_oracle_tmsv (see _kernels.herm2_psd): a few
     roundings, so noise cannot hide a defect.  False when det X is beyond

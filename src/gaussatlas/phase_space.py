@@ -125,8 +125,8 @@ def char_gaussian(V, s, spec=GridSpec()):
     """Characteristic function of a Gaussian state, exp(-xi^T (V - s*1) xi / 2)."""
     V = np.asarray(V, dtype=float)
     xi = _axis(spec)
-    return CharGrid(s=float(s), axis=xi,
-                    values=exp_quadratic(V[0, 0] - s, V[0, 1], V[1, 1] - s, xi))
+    v12 = V[0, 1] + 0.5 * (V[1, 0] - V[0, 1])  # the midpoint, as Channel's; V[0, 1] if symmetric
+    return CharGrid(s=float(s), axis=xi, values=exp_quadratic(V[0, 0] - s, v12, V[1, 1] - s, xi))
 
 
 def _boundary_max(values):

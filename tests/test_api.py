@@ -39,7 +39,6 @@ PACKAGE = Path(gaussatlas.__file__).parent
 ALLOWED_UNUSED = {
     "__version__": "package metadata",
     "backend": "recorded in the environment of every benchmark result",
-    "cp_defect": "documented primitive; tests use it as a reference",
 }
 
 # options no call inside the package sets, each for a reason
@@ -347,7 +346,7 @@ def test_records_build_by_position_and_keyword_and_compare_by_identity(name, mon
         for _ in range(3):
             assert gaussatlas.is_cp(by_position) and gaussatlas.is_cp(by_keyword)
         assert len(seen) == 2  # one CP test per channel, at construction
-        for field in ("_x", "X", "_cp", "new"):
+        for field in ("_x", "X", "_cp", "det_x", "_noise", "new"):
             with pytest.raises(AttributeError):
                 setattr(by_position, field, None)
             with pytest.raises(AttributeError):

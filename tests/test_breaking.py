@@ -634,6 +634,13 @@ class TestRegions:
                 assert REGION_LABELS[sweep.code[i, j]] == \
                     REGION_LABELS[(*passed, False).index(False)]
 
+    def test_sweep_calls_a_nan_margin_failing_as_report_does(self):
+        # a NaN margin fails report's m >= -tol, so the first condition names the region
+        sweep = region_sweep(Kind.I, math.nan, 0.5, 2.0, 0.5, 2.0, 3)
+        passed = [v >= -TOL_CLASS for v in margins(Kind.I, math.nan, 1.0, 1.0).values()]
+        assert (*passed, False).index(False) == 0
+        assert sweep.code.tolist() == [[0] * 3] * 3
+
     @pytest.mark.parametrize("kappa", [0.7, 3.0])
     @pytest.mark.parametrize("kind", list(Kind))
     def test_cp_and_eb_grids_are_bit_equal_for_kinds_ii_and_iii(self, kind, kappa):

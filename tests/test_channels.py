@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussatlas import _kernels
 from gaussatlas.breaking import report
 from gaussatlas.channels import (
     CanonicalForm,
@@ -21,7 +22,6 @@ from gaussatlas.channels import (
     canonical_reduce,
     compose_post_unitary,
     compose_pre_unitary,
-    cp_defect,
     is_cp,
     kind_from_label,
     rotation,
@@ -37,6 +37,12 @@ WITNESS_TOL = 1e-10
 def _squeeze(r):
     """The squeeze symplectic diag(e^-r, e^r)."""
     return np.diag([np.exp(-r), np.exp(r)])
+
+
+def _cp_defect(ch):
+    """The smallest eigenvalue of the CP matrix Y + i (1 - det X) sigma, by the closed form."""
+    y11, y12, _, y22 = ch._y
+    return _kernels.eig2(y11, y12, y22, 1.0 - ch.det_x)[1]
 
 
 def _rank(X):
@@ -100,6 +106,7 @@ class TestChannelContainer:
         for a, b in ((copied._x, ch._x), (copied._y, ch._y)):
             assert np.array(a).tobytes() == np.array(b).tobytes()
         assert copied._cp is is_cp(ch) is is_cp(copied)
+        assert (copied._noise, copied.det_x) == (ch._noise, ch.det_x)  # measured again, equal
 
     @pytest.mark.parametrize("diag", [(5e-324, 0.0), (0.0, 5e-324)])
     def test_accepts_least_subnormal_noise(self, diag):
@@ -435,16 +442,16 @@ class TestCompletePositivity:
                 ch = Channel(X=X, Y=Y)
                 ref = np.linalg.eigvalsh(ch.Y + 1j * (sigma - X @ sigma @ X.T))[0]
                 scale = max(1.0, np.abs(ch.Y).max(), abs(1.0 - np.linalg.det(X)))
-                assert abs(cp_defect(ch) - ref) <= 1e-13 * scale, (y_scale, k)
+                assert abs(_cp_defect(ch) - ref) <= 1e-13 * scale, (y_scale, k)
 
     def test_identity_channel_boundary(self):
         ch = Channel(X=np.eye(2), Y=np.zeros((2, 2)))
-        assert abs(cp_defect(ch)) < 1e-10
+        assert abs(_cp_defect(ch)) < 1e-10
         assert is_cp(ch)
 
     def test_phase_flip_is_not_cp(self):
         ch = Channel(X=SIGMA3, Y=np.zeros((2, 2)))
-        assert abs(cp_defect(ch) + 2.0) < 1e-10
+        assert abs(_cp_defect(ch) + 2.0) < 1e-10
         assert not is_cp(ch)
 
     def test_attenuator_noise_boundary(self):
@@ -460,7 +467,6 @@ class TestCompletePositivity:
     def test_verdict_is_computed_once_per_channel(self, monkeypatch):
         # a channel is immutable, so is_cp and the oracles, which refuse a
         # non-CP channel, all read one verdict computed at construction
-        from gaussatlas import _kernels
         from gaussatlas.breaking import eb_oracle_tmsv, ncb_oracle_gaussian
         seen = []
         real = _kernels.herm2_psd
@@ -474,6 +480,22 @@ class TestCompletePositivity:
         assert seen == [(0.0, 0.0, 0.0, 2.0)]
         assert is_cp(Channel(X=np.eye(2), Y=np.eye(2))) and len(seen) == 2
 
+    def test_noise_is_measured_once_per_channel(self, monkeypatch):
+        # the constructor's PSD check measures Y's eigenvalues, and the reduction
+        # reads them off the channel; det X = 0.62, so no CP or PPT test has beta = 0
+        from gaussatlas.breaking import eb_oracle_tmsv, ncb_oracle_gaussian
+        y = (2.5, 0.3, 0.3, 1.75)
+        seen = []
+        real = _kernels.eig2
+        monkeypatch.setattr(_kernels, "eig2", lambda *args: seen.append(args) or real(*args))
+        ch = Channel(X=[[0.8, 0.1], [-0.2, 0.75]], Y=[y[:2], y[2:]])
+        report(ch)
+        canonical_reduce(ch)
+        ncb_oracle_gaussian(ch)
+        eb_oracle_tmsv(ch)
+        is_cp(ch)
+        assert seen.count((y[0], y[1], y[3], 0.0)) == 1
+
     def test_overflowing_det_is_not_cp(self):
         for scale in (1e155, 1e160):
             assert is_cp(Channel(X=scale * np.eye(2), Y=np.eye(2))) is False
@@ -481,7 +503,7 @@ class TestCompletePositivity:
     @pytest.mark.parametrize("u", [6.0, -6.0])
     def test_lopsided_noise_below_the_bound_is_not_cp(self, u):
         # kind II, kappa = 2, a/b = e^{2u}, ab a relative 1e-4 below (1 + kappa^2)^2:
-        # cp_defect -1.2e-6 is far past rounding, though a slack of 1e-9 max|Y|
+        # _cp_defect -1.2e-6 is far past rounding, though a slack of 1e-9 max|Y|
         # (2e-6) would hide it
         root = math.sqrt(25.0 * (1.0 - 1e-4))
         ch = canonical_channel(Kind.II, root * math.exp(u), root * math.exp(-u), kappa=2.0)

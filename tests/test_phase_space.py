@@ -124,6 +124,17 @@ class TestCharFunctions:
         q = V[0, 0] * x1 * x1 + 2.0 * V[0, 1] * x1 * x2 + V[1, 1] * x2 * x2
         assert abs(g.values[_node(x1), _node(x2)] - np.exp(-0.5 * q)) < 1e-14
 
+    def test_gaussian_reads_the_symmetric_part_of_an_asymmetric_covariance(self):
+        # xi^T V xi sees only (V + V^T) / 2, so both off-diagonal entries count
+        V = np.array([[2.0, 0.6], [0.2, 1.5]])
+        spec = GridSpec(side=33, extent=4.0)
+        g = char_gaussian(V, 0.0, spec)
+        sym = char_gaussian(0.5 * (V + V.T), 0.0, spec)
+        x1, x2 = np.meshgrid(g.axis, g.axis, indexing="ij")
+        q = V[0, 0] * x1 * x1 + (V[0, 1] + V[1, 0]) * x1 * x2 + V[1, 1] * x2 * x2
+        assert np.abs(g.values - sym.values).max() <= 1e-15
+        assert np.abs(g.values - np.exp(-0.5 * q)).max() <= 1e-15
+
 
 class TestConvertOrder:
     def test_round_trip(self):
