@@ -283,11 +283,11 @@ def _curves_csv(a, curves):
 
 def _cmd_sweep(args):
     import numpy as np
-    bounds = (args.kappa, args.amin, args.amax, args.bmin, args.bmax)
-    if not all(math.isfinite(v) for v in bounds):
+    if not all(map(math.isfinite, (args.kappa, args.amin, args.amax, args.bmin, args.bmax))):
         raise _CliError(2, "--kappa and the a and b ranges must be finite")
-    if args.amin <= 0 or args.bmin <= 0 or args.amax <= args.amin \
-            or args.bmax <= args.bmin:
+    if args.kappa < 0:
+        raise _CliError(2, "--kappa must be nonnegative")
+    if not (0 < args.amin < args.amax and 0 < args.bmin < args.bmax):
         raise _CliError(2, "ranges must satisfy 0 < min < max")
     if args.grid < 2:
         raise _CliError(2, "grid resolution must be at least 2")
@@ -454,68 +454,54 @@ def _build_parser():
                     "noise-plane breaking regions.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def command(name, help, func, channel=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if channel:
+            p.add_argument("channel", help="channel JSON file")
+        return p
+
     def add_tol(p):
         p.add_argument("--tol", type=float, default=TOL_CLASS,
                        help="boundary slack for verdicts (default 1e-6)")
 
-    p_classify = sub.add_parser("classify", help="canonical form and verdicts")
-    p_classify.add_argument("channel", help="channel JSON file")
-    add_tol(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
+    def add_output(p, help):
+        p.add_argument("--out", help=help)
+        p.add_argument("--format", default="csv", choices=["csv", "json"])
 
-    p_check = sub.add_parser("check",
-                             help="cross-check closed forms against oracles")
-    p_check.add_argument("channel", help="channel JSON file")
-    add_tol(p_check)
-    p_check.set_defaults(func=_cmd_check)
+    add_tol(command("classify", "canonical form and verdicts", _cmd_classify, channel=True))
+    add_tol(command("check", "cross-check closed forms against oracles", _cmd_check, channel=True))
 
-    p_sweep = sub.add_parser("sweep", help="classify a noise-plane grid")
-    p_sweep.add_argument("--form", default="I", choices=["I", "II", "III"],
-                         help="canonical kind (default I)")
-    p_sweep.add_argument("--kappa", type=float, default=1.0,
-                         help="gain parameter (default 1.0)")
-    p_sweep.add_argument("--amin", type=float, default=0.05)
-    p_sweep.add_argument("--amax", type=float, default=6.0)
-    p_sweep.add_argument("--bmin", type=float, default=0.05)
-    p_sweep.add_argument("--bmax", type=float, default=6.0)
-    p_sweep.add_argument("--grid", type=int, default=200,
-                         help="grid resolution per axis (default 200)")
-    p_sweep.add_argument("--out", help="records CSV path; curves go to "
-                                       "<stem>_curves<suffix>")
-    p_sweep.add_argument("--format", default="csv", choices=["csv", "json"])
-    add_tol(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p = command("sweep", "classify a noise-plane grid", _cmd_sweep)
+    p.add_argument("--form", default="I", choices=["I", "II", "III"],
+                   help="canonical kind (default I)")
+    p.add_argument("--kappa", type=float, default=1.0, help="gain parameter (default 1.0)")
+    for bound, default in (("--amin", 0.05), ("--amax", 6.0), ("--bmin", 0.05), ("--bmax", 6.0)):
+        p.add_argument(bound, type=float, default=default)
+    p.add_argument("--grid", type=int, default=200, help="grid resolution per axis (default 200)")
+    add_output(p, "records CSV path; curves go to <stem>_curves<suffix>")
+    add_tol(p)
 
-    p_orbit = sub.add_parser("orbit", help="squeeze-orbit trace and r0")
-    p_orbit.add_argument("channel", help="channel JSON file")
-    p_orbit.add_argument("--rmin", type=float, default=-1.0)
-    p_orbit.add_argument("--rmax", type=float, default=1.0)
-    p_orbit.add_argument("--grid", type=int, default=101,
-                         help="number of trace points (default 101)")
-    p_orbit.add_argument("--out", help="trace output path")
-    p_orbit.add_argument("--format", default="csv", choices=["csv", "json"])
-    add_tol(p_orbit)
-    p_orbit.set_defaults(func=_cmd_orbit)
+    p = command("orbit", "squeeze-orbit trace and r0", _cmd_orbit, channel=True)
+    p.add_argument("--rmin", type=float, default=-1.0)
+    p.add_argument("--rmax", type=float, default=1.0)
+    p.add_argument("--grid", type=int, default=101, help="number of trace points (default 101)")
+    add_output(p, "trace output path")
+    add_tol(p)
 
-    p_pfunc = sub.add_parser("pfunc",
-                             help="single-photon output P-function samples")
-    p_pfunc.add_argument("--a", type=float, required=True)
-    p_pfunc.add_argument("--b", type=float, required=True)
-    p_pfunc.add_argument("--variant", default="rederived",
-                         choices=["rederived", "printed", "fft"])
-    p_pfunc.add_argument("--grid", type=int, default=257,
-                         help="samples per axis (default 257; fft needs odd)")
-    p_pfunc.add_argument("--extent", type=float, default=None,
-                         help="half-width: alpha units for closed forms "
-                              "(default 6), xi units for fft (default 10)")
-    p_pfunc.add_argument("--out", help="output path")
-    p_pfunc.add_argument("--format", default="csv", choices=["csv", "json"])
-    p_pfunc.set_defaults(func=_cmd_pfunc)
+    p = command("pfunc", "single-photon output P-function samples", _cmd_pfunc)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--variant", default="rederived", choices=["rederived", "printed", "fft"])
+    p.add_argument("--grid", type=int, default=257,
+                   help="samples per axis (default 257; fft needs odd)")
+    p.add_argument("--extent", type=float, default=None,
+                   help="half-width: alpha units for closed forms "
+                        "(default 6), xi units for fft (default 10)")
+    add_output(p, "output path")
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", nargs="?", default="all",
-                          choices=SUITE_NAMES)
-    p_verify.set_defaults(func=_cmd_verify)
+    p = command("verify", "run a verification suite", _cmd_verify)
+    p.add_argument("suite", nargs="?", default="all", choices=SUITE_NAMES)
 
     return parser
 

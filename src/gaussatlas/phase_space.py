@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import _as_mat2
+
 TOL_FFT = 1e-6  # transform accuracy floor; boundary-decay refusal threshold
 P_EPS = 1e-3  # P-function regularization, evaluate at s = 1 - P_EPS
 
@@ -53,11 +55,18 @@ class _Grid:
 
     values[i, j] is taken at (axis[i], axis[j]); the axis has an odd number of
     points, so 0 is a node, and spans [-extent, extent], extent its last node.
+    Any other shape of axis or values is refused with ValueError.
     """
 
     s: float
     axis: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.axis)
+        if len(shape) != 1 or shape[0] % 2 == 0 or np.shape(self.values) != shape * 2:
+            raise ValueError(f"grid axis {shape} and values {np.shape(self.values)} "
+                             "are not (n,) and (n, n) with n odd")
 
     @property
     def side(self):
@@ -122,11 +131,12 @@ def char_fock1(s, spec=GridSpec()):
 
 
 def char_gaussian(V, s, spec=GridSpec()):
-    """Characteristic function of a Gaussian state, exp(-xi^T (V - s*1) xi / 2)."""
-    V = np.asarray(V, dtype=float)
+    """Characteristic function of a Gaussian state, exp(-xi^T (V - s*1) xi / 2);
+    a V that is not a finite 2x2 real matrix is refused, as act_variance refuses it."""
+    v11, v12, v21, v22 = _as_mat2(V, "V")
     xi = _axis(spec)
-    v12 = V[0, 1] + 0.5 * (V[1, 0] - V[0, 1])  # the midpoint, as Channel's; V[0, 1] if symmetric
-    return CharGrid(s=float(s), axis=xi, values=exp_quadratic(V[0, 0] - s, v12, V[1, 1] - s, xi))
+    v12 += 0.5 * (v21 - v12)  # the midpoint, as Channel's; v12 itself if V is symmetric
+    return CharGrid(s=float(s), axis=xi, values=exp_quadratic(v11 - s, v12, v22 - s, xi))
 
 
 def _boundary_max(values):

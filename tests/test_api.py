@@ -22,12 +22,16 @@ The seven records (``Channel``, the result records and the two
 phase-space grids) build by position and by keyword and compare by
 identity; a ``Channel`` and a grid refuse assignment, and a ``Channel``
 decides its CP verdict once, at construction.
+
+README's ``python`` blocks run as written, in order, in one namespace.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaussatlas
@@ -320,8 +324,8 @@ RECORDS = {
     "OrbitPoint": {"r": 0.5, "a_r": 1.5, "b_r": 4.0, "ncb": True},
     "RegionSweep": {"kind": gaussatlas.Kind.II, "kappa": 2.0, "a": "a", "b": "b",
                     "code": "code", "margins": {}},
-    "CharGrid": {"s": 0.0, "axis": "axis", "values": "values"},
-    "QuasiGrid": {"s": 1.0, "axis": "axis", "values": "values"},
+    "CharGrid": {"s": 0.0, "axis": np.linspace(-4.0, 4.0, 9), "values": np.ones((9, 9))},
+    "QuasiGrid": {"s": 1.0, "axis": np.linspace(-2.0, 2.0, 9), "values": np.zeros((9, 9))},
 }
 
 
@@ -352,3 +356,16 @@ def test_records_build_by_position_and_keyword_and_compare_by_identity(name, mon
             with pytest.raises(AttributeError):
                 delattr(by_position, field)
         assert by_position._x == (1.0, 0.0, 0.0, 1.0)
+
+
+def test_readme_python_blocks_run_in_order():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 4
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    rep = namespace["rep"]
+    assert (rep.form.kind.value, rep.eb, rep.ncb, rep.region) == ("I", True, False, "eb_not_ncb")
+    assert namespace["sweep"].code.shape == (200, 200)
+    assert namespace["p"].values.min() > -1e-12  # 1/a + 1/b < 1: nonnegative up to rounding

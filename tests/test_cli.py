@@ -435,6 +435,106 @@ def test_parser_is_built_once_and_stays_as_built(argv, tmp_path, capsys):
     assert errors[0] == errors[1] and errors[0].startswith("usage: gaussatlas")
 
 
+_HELP = (["-h", "--help"], "==SUPPRESS==", None, None, False, "show this help message and exit")
+_TOL = (["--tol"], 1e-06, float, None, False, "boundary slack for verdicts (default 1e-6)")
+
+# every option of the parser, in order: strings (or a positional's dest), default,
+# type, choices, required and help; then each subcommand's help and function
+PARSER_OPTIONS = {
+    None: [_HELP, ("subcommand", None, None,
+                   ["classify", "check", "sweep", "orbit", "pfunc", "verify"], True, None)],
+    "classify": [_HELP, ("channel", None, None, None, True, "channel JSON file"), _TOL],
+    "check": [_HELP, ("channel", None, None, None, True, "channel JSON file"), _TOL],
+    "sweep": [
+        _HELP,
+        (["--form"], "I", None, ["I", "II", "III"], False, "canonical kind (default I)"),
+        (["--kappa"], 1.0, float, None, False, "gain parameter (default 1.0)"),
+        (["--amin"], 0.05, float, None, False, None),
+        (["--amax"], 6.0, float, None, False, None),
+        (["--bmin"], 0.05, float, None, False, None),
+        (["--bmax"], 6.0, float, None, False, None),
+        (["--grid"], 200, int, None, False, "grid resolution per axis (default 200)"),
+        (["--out"], None, None, None, False,
+         "records CSV path; curves go to <stem>_curves<suffix>"),
+        (["--format"], "csv", None, ["csv", "json"], False, None),
+        _TOL,
+    ],
+    "orbit": [
+        _HELP,
+        ("channel", None, None, None, True, "channel JSON file"),
+        (["--rmin"], -1.0, float, None, False, None),
+        (["--rmax"], 1.0, float, None, False, None),
+        (["--grid"], 101, int, None, False, "number of trace points (default 101)"),
+        (["--out"], None, None, None, False, "trace output path"),
+        (["--format"], "csv", None, ["csv", "json"], False, None),
+        _TOL,
+    ],
+    "pfunc": [
+        _HELP,
+        (["--a"], None, float, None, True, None),
+        (["--b"], None, float, None, True, None),
+        (["--variant"], "rederived", None, ["rederived", "printed", "fft"], False, None),
+        (["--grid"], 257, int, None, False, "samples per axis (default 257; fft needs odd)"),
+        (["--extent"], None, float, None, False,
+         "half-width: alpha units for closed forms (default 6), xi units for fft (default 10)"),
+        (["--out"], None, None, None, False, "output path"),
+        (["--format"], "csv", None, ["csv", "json"], False, None),
+    ],
+    "verify": [
+        _HELP,
+        ("suite", "all", None, ["all", "fft", "fock", "oracles", "table1"], False, None),
+    ],
+}
+SUBCOMMANDS = [
+    ("classify", "canonical form and verdicts", "_cmd_classify"),
+    ("check", "cross-check closed forms against oracles", "_cmd_check"),
+    ("sweep", "classify a noise-plane grid", "_cmd_sweep"),
+    ("orbit", "squeeze-orbit trace and r0", "_cmd_orbit"),
+    ("pfunc", "single-photon output P-function samples", "_cmd_pfunc"),
+    ("verify", "run a verification suite", "_cmd_verify"),
+]
+
+
+def test_parser_options_are_pinned():
+    # a guard on the parser's declarations: an option dropped, renamed, reordered
+    # or given another default, type, choice or help fails here
+    import argparse
+
+    from gaussatlas import cli
+
+    def rows(parser):
+        return [(a.option_strings or a.dest, a.default, a.type,
+                 None if a.choices is None else list(a.choices), a.required, a.help)
+                for a in parser._actions]
+
+    parser = cli._build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {None: rows(parser), **{name: rows(p) for name, p in sub.choices.items()}}
+    assert got == PARSER_OPTIONS
+    assert [(a.dest, a.help, sub.choices[a.dest].get_default("func").__name__)
+            for a in sub._choices_actions] == SUBCOMMANDS
+
+
+@pytest.mark.parametrize("block", [1, 5, 100])
+def test_writer_bytes_do_not_depend_on_the_block_size(block, monkeypatch, capsysbinary):
+    # a block is whole grid rows, or one row where a row is longer than a block
+    from gaussatlas import cli
+
+    runs = [["sweep", "--form", "II", "--grid", "9"], ["sweep", "--grid", "9", "--format", "json"],
+            ["pfunc", "--a", "3", "--b", "2", "--grid", "9"],
+            ["pfunc", "--a", "3", "--b", "2", "--variant", "fft", "--grid", "33",
+             "--format", "json"]]
+
+    def outputs():
+        for argv in runs:
+            assert main(argv) == 0
+            yield capsysbinary.readouterr().out
+
+    default = list(outputs())
+    monkeypatch.setattr(cli, "TEXT_BLOCK", block)
+    assert list(outputs()) == default
+
+
 class TestSweepValidation:
     BASE = ["sweep", "--grid", "3"]
 
@@ -452,6 +552,17 @@ class TestSweepValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflow" in err
+
+    @pytest.mark.parametrize("form", ["I", "II", "III"])
+    @pytest.mark.parametrize("kappa", ["-0.5", "-5e-324", "-1e300"])
+    def test_negative_kappa_is_usage_error(self, form, kappa, capsys):
+        # kappa = sqrt|det X| of a canonical form: no form has a negative gain
+        assert main(self.BASE + ["--form", form, f"--kappa={kappa}"]) == 2
+        assert capsys.readouterr() == ("", "error: --kappa must be nonnegative\n")
+
+    def test_zero_kappa_is_accepted(self, capsys):
+        assert main(self.BASE + ["--kappa", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("I,0,")
 
     def test_largest_kappa_with_finite_bounds_is_accepted(self, capsys):
         # kappa^4 and (1 + kappa^2)^2 are about 1e308, just below the double

@@ -39,7 +39,8 @@ SWEEPS = {
     # the product a*b overflows to inf at the top corner
     "overflow": ["--form", "I", "--kappa", "2.0", "--amin", "0.5", "--amax", "1e200",
                  "--bmin", "0.5", "--bmax", "1e200", "--grid", "3"],
-    # 17161 points: the writers' 8192-row blocks end inside a grid row
+    # 17161 points: the writers' blocks hold 31 whole rows of 131 (at most 4096
+    # points), so the last of the five blocks is short
     "blocks": ["--form", "II", "--kappa", "0.45", "--amin", "0.02", "--amax", "7.5",
                "--bmin", "0.03", "--bmax", "6.5", "--grid", "131"],
 }

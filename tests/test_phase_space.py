@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gaussatlas.channels import Channel, act_chargrid, rotation
+from gaussatlas.channels import Channel, act_chargrid, act_variance, rotation
 from gaussatlas.phase_space import (
     TOL_FFT,
     CharGrid,
     GridSpec,
+    QuasiGrid,
     char_fock1,
     char_gaussian,
     char_vacuum,
@@ -134,6 +135,53 @@ class TestCharFunctions:
         q = V[0, 0] * x1 * x1 + (V[0, 1] + V[1, 0]) * x1 * x2 + V[1, 1] * x2 * x2
         assert np.abs(g.values - sym.values).max() <= 1e-15
         assert np.abs(g.values - np.exp(-0.5 * q)).max() <= 1e-15
+
+    @pytest.mark.parametrize("V, message", [
+        (np.eye(3), "a 2x2 real matrix"),  # was read by its top-left block
+        ([[1.0, 0.5], [0.5]], "a 2x2 real matrix"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "finite"),  # was an all-NaN grid
+        ([[1.0, 0.0], [0.0, np.inf]], "finite"),
+    ])
+    def test_gaussian_refuses_the_covariances_act_variance_refuses(self, V, message):
+        with pytest.raises(ValueError, match=f"^V must be {message}$"):
+            act_variance(Channel(X=np.eye(2), Y=np.eye(2)), V)
+        with pytest.raises(ValueError, match=f"^V must be {message}$"):
+            char_gaussian(V, 0.0, SPEC_NODES)
+
+
+class TestGridShape:
+    @pytest.mark.parametrize("cls", [CharGrid, QuasiGrid])
+    def test_values_off_the_axis_are_refused(self, cls):
+        # a 65-node axis under 33x33 vacuum values was acted on and transformed
+        # as if the values spanned the whole axis
+        values = char_vacuum(0.0, GridSpec(side=33, extent=8.0)).values
+        with pytest.raises(ValueError, match=r"axis \(65,\) and values \(33, 33\)"):
+            cls(s=0.0, axis=np.linspace(-8.0, 8.0, 65), values=values)
+
+    @pytest.mark.parametrize("side", [64, 2])
+    def test_even_node_axis_is_refused(self, side):
+        # it has no node at 0; a 64-node grid was refused only at the transform,
+        # as "not Hermitian"
+        with pytest.raises(ValueError, match="with n odd"):
+            CharGrid(s=0.0, axis=np.linspace(-8.0, 8.0, side), values=np.ones((side, side)))
+
+    @pytest.mark.parametrize("axis, values", [
+        (np.ones((9, 1)), np.ones((9, 9))),
+        (np.float64(0.0), np.ones((1, 1))),
+        (np.linspace(-1.0, 1.0, 9), np.ones(81)),
+        (np.linspace(-1.0, 1.0, 9), np.ones((9, 9, 1))),
+    ])
+    def test_other_shapes_are_refused(self, axis, values):
+        with pytest.raises(ValueError, match="are not"):
+            QuasiGrid(s=1.0, axis=axis, values=values)
+
+    def test_every_library_grid_passes(self):
+        spec = GridSpec(side=33, extent=8.0)
+        g = char_vacuum(0.0, spec)
+        for grid in (g, char_fock1(0.0, spec), char_gaussian(np.eye(2), 0.0, spec),
+                     convert_order(g, 0.5), quasi_from_char(g),
+                     act_chargrid(Channel(X=0.9 * np.eye(2), Y=np.eye(2)), g)):
+            assert grid.values.shape == (len(grid.axis),) * 2 and len(grid.axis) % 2 == 1
 
 
 class TestConvertOrder:
