@@ -292,15 +292,16 @@ def _cmd_sweep(args):
     if args.grid < 2:
         raise _CliError(2, "grid resolution must be at least 2")
     kind = kind_from_label(args.form)
+    kappa = abs(args.kappa)  # -0.0 writes its gain as 0, as --kappa 0 does
     try:
-        sweep = region_sweep(kind, args.kappa, args.amin, args.amax,
+        sweep = region_sweep(kind, kappa, args.amin, args.amax,
                              args.bmin, args.bmax, args.grid, tol=args.tol)
     except OverflowError:
-        raise _CliError(2, f"--kappa {args.kappa!r} is too large: the bounds "
+        raise _CliError(2, f"--kappa {kappa!r} is too large: the bounds "
                            f"of kind {kind.value} overflow") from None
     count = sweep.code.size
     a_curve = np.linspace(args.amin, args.amax, 512)
-    curves = boundary_curves(kind, args.kappa, a_curve)
+    curves = boundary_curves(kind, kappa, a_curve)
     if args.format == "json":
         curve_arrays = {name: {"a": a_curve, "b": b} for name, b in curves.items()}
         _emit(_json_chunks({"records": _records_json(sweep), "curves": curve_arrays}),

@@ -24,6 +24,7 @@ A grid is (s, axis, values); its extent is its axis's last node.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -37,13 +38,13 @@ P_EPS = 1e-3  # P-function regularization, evaluate at s = 1 - P_EPS
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Sampling request: odd side length and half-width of the square domain."""
+    """Sampling request: odd integer side length and half-width of the square domain."""
 
     side: int = 257
     extent: float = 8.0
 
     def __post_init__(self):
-        if self.side < 8 or self.side % 2 == 0:
+        if not isinstance(self.side, numbers.Integral) or self.side < 8 or self.side % 2 == 0:
             raise ValueError("grid side must be an odd integer >= 9")
         if not (self.extent > 0 and math.isfinite(2.0 * self.extent * self.extent)):
             raise ValueError("grid extent must be positive, with a finite squared radius")
@@ -112,8 +113,15 @@ def exp_quadratic(m11, m12, m22, xi):
     return np.exp(q, out=q)
 
 
+def _check_order(s):
+    """Refuse a NaN or infinite order s before it reaches any arithmetic."""
+    if not math.isfinite(s):
+        raise ValueError(f"order s = {s} is not finite")
+
+
 def char_vacuum(s, spec=GridSpec()):
     """Vacuum characteristic function at order s: exp(((s - 1)/2) |xi|^2)."""
+    _check_order(s)
     xi = _axis(spec)
     values = _radius2(xi)
     values *= 0.5 * (s - 1.0)
@@ -122,6 +130,7 @@ def char_vacuum(s, spec=GridSpec()):
 
 def char_fock1(s, spec=GridSpec()):
     """Single-photon characteristic function, (1 - |xi|^2) times the vacuum one."""
+    _check_order(s)
     xi = _axis(spec)
     r2 = _radius2(xi)
     env = 0.5 * (s - 1.0) * r2
@@ -133,6 +142,7 @@ def char_fock1(s, spec=GridSpec()):
 def char_gaussian(V, s, spec=GridSpec()):
     """Characteristic function of a Gaussian state, exp(-xi^T (V - s*1) xi / 2);
     a V that is not a finite 2x2 real matrix is refused, as act_variance refuses it."""
+    _check_order(s)
     v11, v12, v21, v22 = _as_mat2(V, "V")
     xi = _axis(spec)
     v12 += 0.5 * (v21 - v12)  # the midpoint, as Channel's; v12 itself if V is symmetric
@@ -152,6 +162,7 @@ def convert_order(grid, s_target):
     Raising the order amplifies the grid boundary; conversions whose corner
     amplification exceeds 1/TOL_FFT are flagged as ill-conditioned.
     """
+    _check_order(s_target)
     ds = float(s_target) - grid.s
     if ds == 0.0:
         return grid

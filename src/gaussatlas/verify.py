@@ -5,8 +5,13 @@ inequality restatements, Fourier pipelines, probe-state separability,
 random round-trips) and compares against the implemented predicates.
 ``run_suite`` groups them into named suites for the CLI; the acceptance
 test suite runs all of them.
+
+Criteria 5, 6, 10 and 11 share one comparison with a 10 s bound,
+_oracle_check; 5 and 6 draw from _canonical_grid's noise grids, 10 and 11
+from _general_position, the seeded sampler of channels in general position.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -191,27 +196,40 @@ def criterion_4():
         f"max err {worst_fft:.3e} (printed variant deviates by {printed_err:.3e})")
 
 
-def _canonical_grid_check(passes, verdict, oracle, skip):
-    """An oracle against report(ch)'s verdict on the canonical channels of each
-    (kind, noise grid) pass at every kappa of _KAPPAS_GRID, less those within
-    _BOUNDARY_SKIP of the CP boundary or skip of the verdict's; returns
-    (checked, mismatches, false-true verdicts, seconds)."""
+def _oracle_check(name, channels, verdict, oracle, counts=None):
+    """oracle(ch) against rep's verdict over the (ch, rep) pairs that channels yields,
+    within 10 s from the first draw.  counts, if given, maps each kind to 0 in the
+    order the detail line lists them, and tallies the canonical kinds of the reports."""
     t0 = time.perf_counter()
     checked = mismatches = false_true = 0
+    for ch, rep in channels:
+        said = oracle(ch)
+        if said != getattr(rep, verdict):
+            mismatches += 1
+            false_true += said
+        checked += 1
+        if counts is not None:
+            counts[rep.form.kind] += 1
+    elapsed = time.perf_counter() - t0
+    mix = "" if counts is None else \
+        f" ({', '.join(f'{k} {kind.value}' for kind, k in counts.items())})"
+    false_eb = f"{false_true} false-EB verdicts, " if verdict == "eb" else ""
+    return CheckResult(name, mismatches == 0 and elapsed < 10.0,
+                       f"{checked} channels{mix}, {mismatches} oracle mismatches, "
+                       f"{false_eb}{elapsed:.1f} s")
+
+
+def _canonical_grid(passes, verdict, skip):
+    """(ch, report(ch)) for the canonical channels of each (kind, noise grid) pass at
+    every kappa of _KAPPAS_GRID, less those within _BOUNDARY_SKIP of the CP boundary
+    or skip of the verdict's."""
     for kind, grid in passes:
-        for kappa in _KAPPAS_GRID:
-            for a in grid:
-                for b in grid:
-                    slack = margins(kind, kappa, a, b)
-                    if slack["cp"] < _BOUNDARY_SKIP or abs(slack[verdict]) < skip:
-                        continue
-                    ch = canonical_channel(kind, a, b, kappa)
-                    said = oracle(ch)
-                    if said != getattr(report(ch), verdict):
-                        mismatches += 1
-                        false_true += said
-                    checked += 1
-    return checked, mismatches, false_true, time.perf_counter() - t0
+        for kappa, a, b in itertools.product(_KAPPAS_GRID, grid, grid):
+            slack = margins(kind, kappa, a, b)
+            if slack["cp"] < _BOUNDARY_SKIP or abs(slack[verdict]) < skip:
+                continue
+            ch = canonical_channel(kind, a, b, kappa)
+            yield ch, report(ch)
 
 
 def criterion_5():
@@ -219,23 +237,15 @@ def criterion_5():
     20x20x6 noise grid away from the boundary, within 10 s."""
     vals = np.linspace(0.3, 6.0, 20)
     # the second-kind pass, same predicate with flipped-sign X, is thinned
-    checked, mismatches, _, elapsed = _canonical_grid_check(
-        ((Kind.I, vals), (Kind.II, vals[::2])), "ncb", ncb_oracle_gaussian, _BOUNDARY_SKIP)
-    return CheckResult(
-        "ncb-oracle-grid",
-        mismatches == 0 and elapsed < 10.0,
-        f"{checked} channels, {mismatches} oracle mismatches, {elapsed:.1f} s")
+    return _oracle_check("ncb-oracle-grid", _canonical_grid(
+        ((Kind.I, vals), (Kind.II, vals[::2])), "ncb", _BOUNDARY_SKIP), "ncb", ncb_oracle_gaussian)
 
 
 def criterion_6():
     """Probe-state separability oracle agrees with the closed EB margin on
-    the noise grid, with no false entanglement-breaking verdicts."""
-    checked, mismatches, false_eb, _ = _canonical_grid_check(
-        ((Kind.I, np.linspace(0.3, 6.0, 20)),), "eb", eb_oracle_tmsv, 1e-6)
-    return CheckResult(
-        "eb-oracle-grid",
-        mismatches == 0,
-        f"{checked} channels, {mismatches} mismatches, {false_eb} false-EB verdicts")
+    the noise grid, with no false entanglement-breaking verdicts, within 10 s."""
+    return _oracle_check("eb-oracle-grid", _canonical_grid(
+        ((Kind.I, np.linspace(0.3, 6.0, 20)),), "eb", 1e-6), "eb", eb_oracle_tmsv)
 
 
 def _random_symplectic(rng, log_squeeze=1.0):
@@ -243,6 +253,12 @@ def _random_symplectic(rng, log_squeeze=1.0):
     return (rotation(rng.uniform(-np.pi, np.pi))
             @ np.diag([lam, 1.0 / lam])
             @ rotation(rng.uniform(-np.pi, np.pi)))
+
+
+def _behind_random_unitaries(rng, ch):
+    """ch behind a random symplectic pre-unitary and a random rotation post-unitary."""
+    return compose_post_unitary(compose_pre_unitary(ch, _random_symplectic(rng)),
+                                rotation(rng.uniform(-np.pi, np.pi)))
 
 
 def criterion_7():
@@ -258,9 +274,8 @@ def criterion_7():
         a = float(rng.uniform(0.2, 6.0))
         bound = (1.0 + kappa ** 2) ** 2 if kind in (Kind.I, Kind.II) else 1.0
         b = (bound + float(rng.uniform(0.0, 5.0))) / a
-        ch = canonical_channel(kind, a, b, kappa if kind in (Kind.I, Kind.II) else None)
-        ch = compose_post_unitary(compose_pre_unitary(ch, _random_symplectic(rng)),
-                                  rotation(rng.uniform(-np.pi, np.pi)))
+        ch = _behind_random_unitaries(
+            rng, canonical_channel(kind, a, b, kappa if kind in (Kind.I, Kind.II) else None))
         form = canonical_reduce(ch)
         r0 = find_r0(form)
         if r0 is None or not squeeze_orbit(form, r0).ncb:
@@ -351,8 +366,8 @@ def _log_uniform(rng, lo, hi):
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def _general_position_check(name, seed, noise, verdict, oracle):
-    """An oracle against report(ch)'s verdict on 2000 channels in general position, within 10 s.
+def _general_position(seed, noise, verdict):
+    """(ch, report(ch)) for 2000 channels in general position, drawn from seed.
 
     Each channel draws a kind, a gain log-uniform on [0.1, 10] for kinds
     I and II (kappa is None for kind III) and noise (a, b) = noise(rng,
@@ -364,16 +379,13 @@ def _general_position_check(name, seed, noise, verdict, oracle):
     within 1e-5 max(1, |ab|) of zero: there the closed form's margin and
     the oracle's value, which differ in scale, may round differently.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    counts = dict.fromkeys(_GENERAL_KINDS, 0)
-    mismatches = false_true = 0
-    while sum(counts.values()) < 2000:
+    drawn = 0
+    while drawn < 2000:
         kind = _GENERAL_KINDS[int(rng.integers(len(_GENERAL_KINDS)))]
         kappa = _log_uniform(rng, 0.1, 10.0) if kind in (Kind.I, Kind.II) else None
         ch = canonical_channel(kind, *noise(rng, kind, kappa), kappa)
-        ch = compose_post_unitary(compose_pre_unitary(ch, _random_symplectic(rng)),
-                                  rotation(rng.uniform(-np.pi, np.pi)))
+        ch = _behind_random_unitaries(rng, ch)
         if kind is Kind.III_RANK1:
             norm = _log_uniform(rng, 0.1, 10.0)
             ch = Channel(X=ch.X * (norm / np.linalg.norm(ch.X, 2)), Y=ch.Y)
@@ -383,17 +395,8 @@ def _general_position_check(name, seed, noise, verdict, oracle):
         if not rep.cp or \
                 abs(rep.margins[verdict]) < 1e-5 * max(1.0, abs(rep.form.a * rep.form.b)):
             continue
-        said = oracle(ch)
-        if said != getattr(rep, verdict):
-            mismatches += 1
-            false_true += said
-        counts[kind] += 1
-    elapsed = time.perf_counter() - t0
-    mix = ", ".join(f"{k} {kind.value}" for kind, k in counts.items())
-    false_eb = f"{false_true} false-EB verdicts, " if verdict == "eb" else ""
-    return CheckResult(name, mismatches == 0 and elapsed < 10.0,
-                       f"2000 channels ({mix}), {mismatches} oracle mismatches, "
-                       f"{false_eb}{elapsed:.1f} s")
+        drawn += 1
+        yield ch, rep
 
 
 def _ncb_noise(rng, kind, kappa):
@@ -418,13 +421,14 @@ def criterion_10():
     """The squeezed-probe breaking oracle agrees with the closed form on
     2000 channels in general position, within 10 s.
 
-    Gains, rank-one norms and unitaries are drawn as _general_position_check
+    Gains, rank-one norms and unitaries are drawn as _general_position
     describes.  The noise straddles the NCB boundary: (a - 1)(b - 1) within
     e^{+-3} of kappa^4 for kinds I and II, lambda_min(Y) within a relative
     1e-4 to 1 of 1 for kind III.
     """
-    return _general_position_check("ncb-oracle-general-position", 1010, _ncb_noise, "ncb",
-                                   ncb_oracle_gaussian)
+    return _oracle_check("ncb-oracle-general-position",
+                         _general_position(1010, _ncb_noise, "ncb"), "ncb",
+                         ncb_oracle_gaussian, dict.fromkeys(_GENERAL_KINDS, 0))
 
 
 def criterion_11():
@@ -437,41 +441,34 @@ def criterion_11():
     a slack that grows with the noise turns the channels just below it
     into false EB verdicts.
     """
-    return _general_position_check("eb-oracle-general-position", 1111, _eb_noise, "eb",
-                                   eb_oracle_tmsv)
+    return _oracle_check("eb-oracle-general-position",
+                         _general_position(1111, _eb_noise, "eb"), "eb",
+                         eb_oracle_tmsv, dict.fromkeys(_GENERAL_KINDS, 0))
 
 
 def convention_pins():
     """Fixed-point checks of the phase-space conventions: normalization,
     vacuum and single-photon peak values, and the regularized P limit."""
-    problems = []
+    def origin(q):
+        return q.values[q.side // 2, q.side // 2]
 
     q_w = quasi_from_char(char_vacuum(0.0))
-    peak = q_w.values[q_w.side // 2, q_w.side // 2]
-    if abs(peak - 1.0 / np.pi) > 1e-8:
-        problems.append(f"vacuum Wigner peak {peak:.10f} != 1/pi")
-    total = float(q_w.values.sum() * q_w.cell)
-    if abs(total - 1.0) > 1e-8:
-        problems.append(f"Wigner integral {total:.10f} != 1")
-
-    q_q = quasi_from_char(convert_order(char_vacuum(0.0), -1.0))
-    peak_q = q_q.values[q_q.side // 2, q_q.side // 2]
-    if abs(peak_q - 1.0 / (2.0 * np.pi)) > 1e-8:
-        problems.append(f"vacuum Q peak {peak_q:.10f} != 1/2pi")
-
-    q_f = quasi_from_char(char_fock1(0.0))
-    peak_f = q_f.values[q_f.side // 2, q_f.side // 2]
-    if abs(peak_f + 1.0 / np.pi) > 1e-8:
-        problems.append(f"single-photon Wigner origin {peak_f:.10f} != -1/pi")
-
-    spec = GridSpec(side=257, extent=256.0)
-    q_p = quasi_from_char(char_vacuum(1.0 - P_EPS, spec))
-    peak_p = q_p.values[q_p.side // 2, q_p.side // 2]
+    q_p = quasi_from_char(char_vacuum(1.0 - P_EPS, GridSpec(side=257, extent=256.0)))
     expected = 1.0 / (np.pi * P_EPS)
-    if abs(peak_p - expected) > 1e-4 * expected:
-        problems.append(f"regularized vacuum P peak {peak_p:.6f} != {expected:.6f}")
-    if q_p.values.min() < -1e-9:
-        problems.append(f"regularized vacuum P dips to {q_p.values.min():.3e}")
+    # (failure message, value, pinned value, tolerance); the P dip is one-sided
+    pins = (
+        ("vacuum Wigner peak {:.10f} != 1/pi", origin(q_w), 1.0 / np.pi, 1e-8),
+        ("Wigner integral {:.10f} != 1", float(q_w.values.sum() * q_w.cell), 1.0, 1e-8),
+        ("vacuum Q peak {:.10f} != 1/2pi", origin(quasi_from_char(
+            convert_order(char_vacuum(0.0), -1.0))), 1.0 / (2.0 * np.pi), 1e-8),
+        ("single-photon Wigner origin {:.10f} != -1/pi",
+         origin(quasi_from_char(char_fock1(0.0))), -1.0 / np.pi, 1e-8),
+        (f"regularized vacuum P peak {{:.6f}} != {expected:.6f}", origin(q_p), expected,
+         1e-4 * expected),
+        ("regularized vacuum P dips to {:.3e}", min(q_p.values.min(), 0.0), 0.0, 1e-9),
+    )
+    problems = [message.format(value) for message, value, pinned, tol in pins
+                if abs(value - pinned) > tol]
 
     ok = not problems
     return CheckResult("convention-pins", ok,

@@ -7,9 +7,22 @@ criterion so a red line names the failing guarantee directly; the
 terminal also gets an explicit ACCEPT line per criterion.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from gaussatlas.verify import CRITERIA, SUITES, convention_pins, run_suite
+from gaussatlas import verify
+from gaussatlas.channels import Kind
+from gaussatlas.verify import (
+    CRITERIA,
+    SUITES,
+    convention_pins,
+    criterion_5,
+    criterion_6,
+    criterion_10,
+    criterion_11,
+    run_suite,
+)
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
@@ -27,6 +40,36 @@ def test_convention_pins(capsys):
     with capsys.disabled():
         print(f"\nACCEPT pins {'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}")
     assert res.ok, f"{res.name}: {res.detail}"
+
+
+@pytest.mark.parametrize("criterion, sample", [
+    (criterion_5, "2500 channels"),
+    (criterion_6, "2144 channels"),
+    (criterion_10, "2000 channels (490 I, 346 II, 554 III_rank1, 610 III_zero)"),
+    (criterion_11, "2000 channels (750 I, 448 II, 400 III_rank1, 402 III_zero)"),
+], ids=["5", "6", "10", "11"])
+def test_oracle_criteria_samples_are_pinned(criterion, sample):
+    # the oracle criteria share their samplers with later criteria; a change
+    # to a sampler must not move the channels these four check
+    assert criterion().detail.startswith(sample + ", ")
+
+
+def test_oracle_check_counts_and_bounds_the_time_from_the_first_draw(monkeypatch):
+    reps = [SimpleNamespace(eb=eb, form=SimpleNamespace(kind=kind))
+            for eb, kind in ((True, Kind.I), (False, Kind.II), (True, Kind.I))]
+
+    def check(oracle, seconds):
+        clock = iter([0.0, seconds])
+        monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        return verify._oracle_check("stub", ((rep, rep) for rep in reps), "eb", oracle,
+                                    dict.fromkeys((Kind.I, Kind.II, Kind.III_ZERO), 0))
+
+    mix = "3 channels (2 I, 1 II, 0 III_zero)"
+    assert check(lambda ch: True, 9.9) == verify.CheckResult(
+        "stub", False, f"{mix}, 1 oracle mismatches, 1 false-EB verdicts, 9.9 s")
+    assert check(lambda ch: ch.eb, 10.0) == verify.CheckResult(
+        "stub", False, f"{mix}, 0 oracle mismatches, 0 false-EB verdicts, 10.0 s")
+    assert check(lambda ch: ch.eb, 9.9).ok
 
 
 def test_suite_registry_is_consistent(monkeypatch):

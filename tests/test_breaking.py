@@ -160,7 +160,10 @@ class TestMargins:
         # two Python floats skip numpy; np.float64 inputs, or _fmin swapped back
         # for np.minimum, take numpy's minimum.  The one exception is the sign of
         # cp and eb at a NaN times a NaN: IEEE 754 leaves it open, and Python's
-        # and numpy's scalar multiply differ there, a product this branch keeps
+        # and numpy's scalar multiply differ there, a product this branch keeps.
+        # Python's own differs with the call history: CPython 3.11's specialized
+        # float multiply, which takes over after a few calls, returns the other
+        # NaN operand than the generic one, so nan * -nan flips its sign
         pairs = list(itertools.product(_EDGE_FLOATS, repeat=2))
         got = [margins(kind, kappa, a, b) for a, b in pairs]
         with np.errstate(all="ignore"):
@@ -170,10 +173,11 @@ class TestMargins:
         for (a, b), g, s, m in zip(pairs, got, numpy_scalars, numpy_minimum):
             for name in g:
                 bits = np.float64(g[name]).tobytes()
-                assert bits == np.float64(m[name]).tobytes(), (a, b, name)
                 if name == "ncb" or not (math.isnan(a) and math.isnan(b)):
+                    assert bits == np.float64(m[name]).tobytes(), (a, b, name)
                     assert bits == np.float64(s[name]).tobytes(), (a, b, name)
                 else:
+                    assert math.isnan(g[name]) and math.isnan(m[name]), (a, b, name)
                     assert math.isnan(s[name]), (a, b, name)
 
     @pytest.mark.parametrize("kind", [Kind.I, Kind.II, Kind.III_RANK1, Kind.III_ZERO])

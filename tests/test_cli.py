@@ -564,6 +564,21 @@ class TestSweepValidation:
         assert main(self.BASE + ["--kappa", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("I,0,")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_negative_zero_kappa_writes_the_bytes_of_zero(self, fmt, to_file, tmp_path,
+                                                          capsysbinary):
+        # -0 passes the sign check; its gain used to print as -0 (CSV) and -0.0 (JSON)
+        def run(kappa):
+            out = tmp_path / kappa / f"r.{fmt}"
+            out.parent.mkdir()
+            argv = self.BASE + ["--form", "I", f"--kappa={kappa}", "--format", fmt]
+            assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+            text = capsysbinary.readouterr().out.replace(str(out.parent).encode(), b"D")
+            return text, sorted((f.name, f.read_bytes()) for f in out.parent.iterdir())
+
+        assert run("-0") == run("0")
+
     def test_largest_kappa_with_finite_bounds_is_accepted(self, capsys):
         # kappa^4 and (1 + kappa^2)^2 are about 1e308, just below the double
         # limit; the curves and margins that pass it are inf, without a warning

@@ -1,0 +1,49 @@
+"""Known defects, each recorded as a strict xfail until its fix lands.
+
+ROADMAP item 1 (verdicts in one unit, vacuum noise): today ``--tol`` and
+the verdict margins mix noise and noise^2 units, and ``is_cp`` and the EB
+oracle compare an eigenvalue with a slack that scales with max|Y|.  Each
+test below states the behaviour the fix must give; a strict xfail turns
+red the moment the defect is mended, so the marker is removed with it.
+"""
+
+import json
+
+import pytest
+
+from gaussatlas.breaking import report
+from gaussatlas.channels import Channel, Kind, canonical_channel, is_cp
+from gaussatlas.cli import main
+
+ITEM_1 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+
+
+@ITEM_1
+@pytest.mark.parametrize("X, Y", [
+    # classify says NCB and not EB
+    ([[0.01, 0], [0, 0.01]], [[1, 0], [0, 1]]),
+    # report says CP and is_cp does not
+    ([[0.5, 0], [0, 0.5]], [[0.7499999, 0], [0, 0.7499999]]),
+    # report says not CP, and the EB oracle says EB
+    ([[0.5, 0], [0, 0.5]], [[1e8, 0], [0, 5e-9]]),
+], ids=["small-gain-vacuum-noise", "just-below-cp", "lopsided-noise"])
+def test_check_agrees(X, Y, tmp_path, capsys):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"X": X, "Y": Y}))
+    code = main(["check", str(path)])
+    assert json.loads(capsys.readouterr().out)["agree"] is True
+    assert code == 0
+
+
+@ITEM_1
+@pytest.mark.parametrize("kappa", [1e-2, 3e-3, 1e-3])
+def test_ncb_implies_eb_near_unit_noise_at_small_gain(kappa):
+    rep = report(canonical_channel(Kind.I, 1.0, 1.0, kappa))
+    assert rep.eb or not rep.ncb
+
+
+@ITEM_1
+def test_whole_range_example_1_is_not_cp():
+    # sqrt(det Y) = 0 while |1 - det X| is huge: report already says not CP
+    ch = Channel(X=[[-1.8e50, 9.4e-159], [1.4e114, 2.0e-185]], Y=[[5.8e129, 0.0], [0.0, 0.0]])
+    assert is_cp(ch) is False

@@ -74,6 +74,17 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="extent"):
             GridSpec(side=9, extent=extent)
 
+    @pytest.mark.parametrize("side", [9.0, 257.0, 9.5, "9", None])
+    def test_rejects_a_side_that_is_not_an_integer(self, side):
+        # a float side used to pass the check and fail later in np.linspace
+        with pytest.raises(ValueError, match="odd integer"):
+            GridSpec(side=side)
+
+    @pytest.mark.parametrize("side", [np.int64(9), np.int32(33), np.uint16(65)])
+    def test_accepts_numpy_integer_sides(self, side):
+        g = char_vacuum(0.0, GridSpec(side=side, extent=4.0))
+        assert g.side == side and g.values.shape == (side, side)
+
     def test_axis_has_zero_node(self):
         g = char_vacuum(0.0, GridSpec(side=65, extent=4.0))
         assert g.axis[(g.side - 1) // 2] == 0.0
@@ -182,6 +193,24 @@ class TestGridShape:
                      convert_order(g, 0.5), quasi_from_char(g),
                      act_chargrid(Channel(X=0.9 * np.eye(2), Y=np.eye(2)), g)):
             assert grid.values.shape == (len(grid.axis),) * 2 and len(grid.axis) % 2 == 1
+
+
+ORDER_BUILDERS = {
+    "vacuum": lambda s: char_vacuum(s, GridSpec(side=9)),
+    "fock1": lambda s: char_fock1(s, GridSpec(side=9)),
+    "gaussian": lambda s: char_gaussian(np.eye(2), s, GridSpec(side=9)),
+    "convert_order": lambda s: convert_order(char_vacuum(0.0, GridSpec(side=9)), s),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", ORDER_BUILDERS.values(), ids=ORDER_BUILDERS.keys())
+def test_non_finite_order_is_refused_naming_it(build, s):
+    # NaN used to give an all-NaN grid, and +-inf numpy's invalid-value warning
+    with pytest.raises(ValueError, match=f"order s = {s} is not finite"):
+        build(s)
 
 
 class TestConvertOrder:
