@@ -196,40 +196,39 @@ def criterion_4():
         f"max err {worst_fft:.3e} (printed variant deviates by {printed_err:.3e})")
 
 
-def _oracle_check(name, channels, verdict, oracle, counts=None):
-    """oracle(ch) against rep's verdict over the (ch, rep) pairs that channels yields,
-    within 10 s from the first draw.  counts, if given, maps each kind to 0 in the
-    order the detail line lists them, and tallies the canonical kinds of the reports."""
+def _oracle_check(name, channels, verdict, oracle, mix=False):
+    """oracle(ch) against rep's verdict over the (kind, ch, rep) triples that channels
+    yields, within 10 s from the first draw; kind is the kind the channel was drawn
+    as, and with mix the detail line counts the channels of each kind."""
     t0 = time.perf_counter()
-    checked = mismatches = false_true = 0
-    for ch, rep in channels:
+    counts = dict.fromkeys(_GENERAL_KINDS, 0)
+    mismatches = false_true = 0
+    for kind, ch, rep in channels:
         said = oracle(ch)
         if said != getattr(rep, verdict):
             mismatches += 1
             false_true += said
-        checked += 1
-        if counts is not None:
-            counts[rep.form.kind] += 1
+        counts[kind] += 1
     elapsed = time.perf_counter() - t0
-    mix = "" if counts is None else \
-        f" ({', '.join(f'{k} {kind.value}' for kind, k in counts.items())})"
+    checked = sum(counts.values())
+    tally = f" ({', '.join(f'{k} {kind.value}' for kind, k in counts.items())})" if mix else ""
     false_eb = f"{false_true} false-EB verdicts, " if verdict == "eb" else ""
     return CheckResult(name, mismatches == 0 and elapsed < 10.0,
-                       f"{checked} channels{mix}, {mismatches} oracle mismatches, "
+                       f"{checked} channels{tally}, {mismatches} oracle mismatches, "
                        f"{false_eb}{elapsed:.1f} s")
 
 
 def _canonical_grid(passes, verdict, skip):
-    """(ch, report(ch)) for the canonical channels of each (kind, noise grid) pass at
-    every kappa of _KAPPAS_GRID, less those within _BOUNDARY_SKIP of the CP boundary
-    or skip of the verdict's."""
+    """(kind, ch, report(ch)) for the canonical channels of each (kind, noise grid)
+    pass at every kappa of _KAPPAS_GRID, less those within _BOUNDARY_SKIP of the CP
+    boundary or skip of the verdict's."""
     for kind, grid in passes:
         for kappa, a, b in itertools.product(_KAPPAS_GRID, grid, grid):
             slack = margins(kind, kappa, a, b)
             if slack["cp"] < _BOUNDARY_SKIP or abs(slack[verdict]) < skip:
                 continue
             ch = canonical_channel(kind, a, b, kappa)
-            yield ch, report(ch)
+            yield kind, ch, report(ch)
 
 
 def criterion_5():
@@ -367,7 +366,7 @@ def _log_uniform(rng, lo, hi):
 
 
 def _general_position(seed, noise, verdict):
-    """(ch, report(ch)) for 2000 channels in general position, drawn from seed.
+    """(kind, ch, report(ch)) for 2000 channels in general position, drawn from seed.
 
     Each channel draws a kind, a gain log-uniform on [0.1, 10] for kinds
     I and II (kappa is None for kind III) and noise (a, b) = noise(rng,
@@ -396,7 +395,7 @@ def _general_position(seed, noise, verdict):
                 abs(rep.margins[verdict]) < 1e-5 * max(1.0, abs(rep.form.a * rep.form.b)):
             continue
         drawn += 1
-        yield ch, rep
+        yield kind, ch, rep
 
 
 def _ncb_noise(rng, kind, kappa):
@@ -428,7 +427,7 @@ def criterion_10():
     """
     return _oracle_check("ncb-oracle-general-position",
                          _general_position(1010, _ncb_noise, "ncb"), "ncb",
-                         ncb_oracle_gaussian, dict.fromkeys(_GENERAL_KINDS, 0))
+                         ncb_oracle_gaussian, mix=True)
 
 
 def criterion_11():
@@ -443,7 +442,7 @@ def criterion_11():
     """
     return _oracle_check("eb-oracle-general-position",
                          _general_position(1111, _eb_noise, "eb"), "eb",
-                         eb_oracle_tmsv, dict.fromkeys(_GENERAL_KINDS, 0))
+                         eb_oracle_tmsv, mix=True)
 
 
 def convention_pins():
