@@ -1,7 +1,7 @@
 """Single-mode Gaussian channel atlas.
 
 Covariance-level and characteristic-function-level channel action,
-canonical-form reduction with verified witnesses, closed-form
+canonical-form reduction (witnesses verified on first access), closed-form
 nonclassicality-breaking / entanglement-breaking / complete-positivity
 predicates with independent numerical oracles, squeeze-orbit searches,
 and phase-space (characteristic function / quasiprobability) numerics.
@@ -84,6 +84,7 @@ __all__ = [
     "char_vacuum",
     "convert_order",
     "fock1_output_p",
+    "fock1_output_p_fft",
     "quasi_from_char",
     "CanonicalForm",
     "Channel",

@@ -58,7 +58,7 @@ convention; the CP verdict they rest on is decided when a Channel is built.
 import math
 
 from . import _kernels
-from .channels import Kind, _canonical_form, is_cp, kind_from_label
+from .channels import Kind, canonical_reduce, is_cp, kind_from_label
 
 TOL_CLASS = 1e-6  # default verdict slack: a margin >= -TOL_CLASS holds
 REGION_LABELS = ("unphysical", "cp_only", "eb_not_ncb", "ncb")
@@ -147,7 +147,7 @@ class BreakingReport:
 
 def report(ch, tol=TOL_CLASS):
     """Every closed-form predicate, from the channel's (kind, kappa, a, b) alone."""
-    form = _canonical_form(ch)
+    form = canonical_reduce(ch)
     slack = margins(form.kind, form.kappa, form.a, form.b)
     shift = form.kappa ** 2 - 1.0
     return BreakingReport(
@@ -286,7 +286,7 @@ def find_r0(form, tol=TOL_CLASS):
     is form.R for kinds I, II and III_zero, but not for III_rank1, whose
     form.R is fixed by the SVD of X.
     """
-    if not form.a * form.b - _kappa_bounds(form.kind, form.kappa)[1] >= -tol:
+    if not margins(form.kind, form.kappa, form.a, form.b)["eb"] >= -tol:
         raise ValueError("orbit search needs an entanglement-breaking form")
     if form.a == 0.0 or form.b == 0.0:
         return None

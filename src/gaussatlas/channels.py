@@ -13,9 +13,9 @@ post-unitary R, to one of four canonical kinds fixed by det X:
 * ``Kind.III_RANK1``  rank X = 1: X_c = diag(1, 0), Y_c = R^T Y R kept whole
 * ``Kind.III_ZERO``   X = 0: X_c = 0, Y_c = diag(a, b)
 
-with a >= b the eigenvalues of Y.  The verdicts read only (kind, kappa,
-a, b); the witnesses (S, R) are built and re-verified by
-``canonical_reduce``, or else on first access: S X R = X_c, R^T Y R = Y_c,
+with a >= b the eigenvalues of Y.  ``canonical_reduce`` is the one route
+to the form.  The verdicts read only (kind, kappa, a, b); the witnesses
+(S, R) are built and verified on first access: S X R = X_c, R^T Y R = Y_c,
 det S = 1, R^T R = 1, all in closed form on Python floats (rank one too).
 
 ``Channel`` keeps X and Y as Python floats, with the noise eigenvalues,
@@ -157,8 +157,8 @@ class CanonicalForm:
 
     (a, b) are the eigenvalues of Y in descending order.  The witnesses
     S, R, x_canonical = S X R and y_canonical = R^T Y R are built from
-    channel and verified by canonical_reduce, or else on first access,
-    raising RuntimeError if they fail.  For Kind.III_RANK1 the
+    channel and verified on first access, which raises RuntimeError if
+    they fail, and are kept.  For Kind.III_RANK1 the
     post-rotation is pinned by X, so y_canonical stays a full symmetric
     matrix; for the other kinds it is diag(a, b).  The fields are slots,
     read-only by convention; the __dict__ holds only the witnesses.
@@ -176,7 +176,7 @@ class CanonicalForm:
 
     @cached_property
     def _witnesses(self):
-        """(x_canonical, y_canonical, S, R) as verified row-major tuples; see canonical_reduce."""
+        """(x_canonical, y_canonical, S, R) as verified row-major tuples."""
         X, Y, kappa = self.channel._x, self.channel._y, self.kappa
         (x11, x12, x21, x22), (y11, y12, _, y22) = X, Y
         if self.kind is Kind.III_RANK1:  # the angles of the closed-form SVD
@@ -237,8 +237,15 @@ def _verify_witnesses(X, Y, S, R, x_can, y_can):
         raise RuntimeError("canonical reduction witnesses failed verification")
 
 
-def _canonical_form(ch):
-    """canonical_reduce's (kind, kappa, a, b) and refusals, its witnesses left unbuilt."""
+def canonical_reduce(ch):
+    """Reduce a channel to its CanonicalForm, whose witnesses are verified on first access.
+
+    Dispatch is purely linear-algebraic (sign of det X, numerical rank),
+    so non-CP pairs reduce fine; Y must be PSD, which the Channel
+    constructor guarantees.  Raises ValueError when det X, the square of
+    a rank-one gain or a noise eigenvalue overflows a double: no
+    canonical form can represent them.
+    """
     X, (a, b) = ch._x, ch._noise
     x11, x12, x21, x22 = X
     if not math.isfinite(a):
@@ -262,20 +269,6 @@ def _canonical_form(ch):
     if not math.isfinite(det):
         raise ValueError("det X overflows a double: the gain is out of range")
     return CanonicalForm(Kind.I if det > 0 else Kind.II, math.sqrt(abs(det)), a, b, ch)
-
-
-def canonical_reduce(ch):
-    """Reduce a channel to canonical form with verified witnesses.
-
-    Dispatch is purely linear-algebraic (sign of det X, numerical rank),
-    so non-CP pairs reduce fine; Y must be PSD, which the Channel
-    constructor guarantees.  Raises ValueError when det X, the square of
-    a rank-one gain or a noise eigenvalue overflows a double: no
-    canonical form can represent them.
-    """
-    form = _canonical_form(ch)
-    form._witnesses  # build and verify them now: a failure raises RuntimeError here
-    return form
 
 
 def is_cp(ch):

@@ -22,9 +22,10 @@ every float through ``_kernels.text12``, whose bytes are exactly
 Python's.  ``_grid_text`` lays out each block of up to TEXT_BLOCK points
 in one zero-padded uint8 array and drops the padding with one
 ``bytes.translate``; ``_emit`` writes those bytes as they are.  Every
-JSON document is laid out by json.dumps; ``_json_chunks`` splices the
-float arrays into their slots.  ``classify``, ``check`` and ``orbit``
-run on Python floats without numpy, which the other commands import.
+JSON document has one route, ``_json_chunks``: json.dumps lays it out and
+the float arrays are spliced into their slots.  ``_records`` writes the
+sweep records in both formats, its JSON keys the names of REGION_CSV_HEADER.
+``classify``, ``check`` and ``orbit`` run on Python floats without numpy.
 """
 
 import argparse
@@ -48,7 +49,7 @@ from .breaking import (
     report,
     squeeze_orbit,
 )
-from .channels import Channel, Kind, act_chargrid, is_cp, kind_from_label
+from .channels import Channel, Kind, is_cp, kind_from_label
 from ._kernels import TEXT_WIDTH, text12
 
 
@@ -133,20 +134,16 @@ def _json_array(values, indent):
     yield "\n" + indent + "]"
 
 
-def _json_text(payload, bulk=None):
-    """json.dumps(_jsonable(payload, bulk), indent=2) and a newline."""
-    return json.dumps(_jsonable(payload, bulk), indent=2) + "\n"
-
-
 def _json_chunks(payload):
-    """Chunks of _json_text(payload), each float array as a list.
+    """Chunks of json.dumps(_jsonable(payload), indent=2) + newline, each float array a list.
 
     json.dumps lays out the document with _jsonable's sentinel in the slot
     of each array and iterator; each float array goes through _json_array
-    into its slot, and each iterator of chunks is spliced in as is.
+    into its slot, and each iterator of chunks is spliced in as is.  A
+    payload without either is one chunk, and imports no numpy.
     """
     bulk = []
-    pieces = _json_text(payload, bulk).split('"\\u0000"')
+    pieces = (json.dumps(_jsonable(payload, bulk), indent=2) + "\n").split('"\\u0000"')
     for piece, part in zip(pieces, bulk):
         yield piece
         if getattr(part, "ndim", 0):
@@ -189,12 +186,12 @@ def _jsonable(obj, bulk=None):
 def _load_report(path, tol):
     """(ch, report(ch)) for the channel file at path; each way to fail is a usage error."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _CliError(2, f"cannot read {path}: {exc}") from exc
-    try:
-        ch = Channel.from_json(text)
-    except ValueError as exc:
+    try:  # text that is not UTF-8 raises a ValueError; JSON nested too deep a RecursionError
+        ch = Channel.from_json(data.decode())
+    except (RecursionError, ValueError) as exc:
         raise _CliError(2, f"invalid channel descriptor: {exc}") from exc
     try:
         return ch, report(ch, tol=tol)
@@ -220,7 +217,7 @@ def _cmd_classify(args):
         "margins": rep.margins,
         "shifted_noise": list(rep.shifted_noise),
     }
-    _emit([_json_text(payload)])
+    _emit(_json_chunks(payload))
     return 0
 
 
@@ -243,33 +240,31 @@ def _cmd_check(args):
         oracles = {"note": "oracles skipped: channel is not completely positive"}
         agree = not rep.cp
     closed_form = {"cp": rep.cp, "eb": rep.eb, "ncb": rep.ncb, "margins": rep.margins}
-    _emit([_json_text({"closed_form": closed_form, "oracles": oracles, "agree": agree})])
+    _emit(_json_chunks({"closed_form": closed_form, "oracles": oracles, "agree": agree}))
     return 0 if agree else 1
 
 
-def _records_csv(sweep):
-    """Chunks of the sweep records CSV."""
-    a_rows = _column(sweep.a, f"{sweep.kind.value},{_fmt(sweep.kappa)},%s,")[:, None]
-    label = (_table([f"{label}," for label in REGION_LABELS]), sweep.code)
+def _records(sweep, as_json):
+    """Chunks of the sweep records: CSV rows under REGION_CSV_HEADER, or the records array
+    of the sweep JSON as json.dumps(indent=2) nests it, keyed by the header's names."""
+    names = REGION_CSV_HEADER.split(",")
+    if as_json:  # pre[i]: the text before field i; quote: the class label's quotes
+        pre = [f',\n      "{name}": ' for name in names]
+        pre[0], quote, end = "    {" + pre[0][1:], '"', "\n    },\n"
+        kind, kappa = json.dumps(sweep.kind.value), json.dumps(_jsonable(sweep.kappa))
+        yield "[\n"
+    else:
+        pre, quote, end = [""] + [","] * (len(names) - 1), "", "\n"
+        kind, kappa = sweep.kind.value, _fmt(sweep.kappa)
+        yield REGION_CSV_HEADER + "\n"
+    label = (_table([f"{label}{quote}{pre[5]}" for label in REGION_LABELS]), sweep.code)
     cp, eb, ncb = sweep.margins.values()  # eb is cp for kinds II and III: printed once
-    yield REGION_CSV_HEADER + "\n"
-    yield from _grid_text(sweep.code.shape, [a_rows, _column(sweep.b, "%s,")[None], label,
-                                             cp, ",", eb, ",", ncb, "\n"])
-
-
-def _records_json(sweep):
-    """Chunks of the records array of the sweep JSON, as json.dumps(indent=2) nests it."""
-    head = f'    {{\n      "kind": {json.dumps(sweep.kind.value)},\n' \
-           f'      "kappa": {json.dumps(_jsonable(sweep.kappa))},\n      "a": %s,\n      "b": '
-    label = (_table([f'{label}",\n      "cp_margin": ' for label in REGION_LABELS]), sweep.code)
-    cp, eb, ncb = sweep.margins.values()
-    yield "[\n"
     yield from _grid_text(sweep.code.shape, [
-        _column(sweep.a, head, json=True)[:, None],
-        _column(sweep.b, '%s,\n      "class": "', json=True)[None], label, cp,
-        ',\n      "eb_margin": ', eb, ',\n      "ncb_margin": ', ncb, "\n    },\n"],
-        json=True, drop=2)
-    yield "\n  ]"
+        _column(sweep.a, f"{pre[0]}{kind}{pre[1]}{kappa}{pre[2]}%s{pre[3]}", as_json)[:, None],
+        _column(sweep.b, f"%s{pre[4]}{quote}", as_json)[None], label,
+        cp, pre[6], eb, pre[7], ncb, end], json=as_json, drop=2 if as_json else 0)
+    if as_json:
+        yield "\n  ]"
 
 
 def _curves_csv(a, curves):
@@ -304,12 +299,12 @@ def _cmd_sweep(args):
     curves = boundary_curves(kind, kappa, a_curve)
     if args.format == "json":
         curve_arrays = {name: {"a": a_curve, "b": b} for name, b in curves.items()}
-        _emit(_json_chunks({"records": _records_json(sweep), "curves": curve_arrays}),
+        _emit(_json_chunks({"records": _records(sweep, True), "curves": curve_arrays}),
               args.out)
         if args.out:
             print(f"wrote {count} records to {args.out}")
         return 0
-    records = _records_csv(sweep)
+    records = _records(sweep, False)
     curve_rows = _curves_csv(a_curve, curves)
     if args.out:
         out = Path(args.out)
@@ -357,7 +352,7 @@ def _cmd_orbit(args):
             "trace": [{"r": p.r, "a_r": p.a_r, "b_r": p.b_r, "ncb": p.ncb}
                       for p in points],
         }
-        chunks = [_json_text(payload)]
+        chunks = _json_chunks(payload)
     else:
         chunks = [] if args.out else [f"# r0 = {_fmt(r0)}\n"]
         chunks.append("r,a_r,b_r,ncb\n")
@@ -393,22 +388,6 @@ def _pfunc_closed(args):
     return axis, values
 
 
-def _pfunc_fft(args):
-    import numpy as np
-    from .phase_space import GridSpec, char_fock1, convert_order, quasi_from_char
-    try:
-        spec = GridSpec(side=args.grid, extent=args.extent)
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
-    ch = Channel(X=np.eye(2), Y=np.diag([args.a, args.b]))
-    out = act_chargrid(ch, char_fock1(0.0, spec))
-    q = quasi_from_char(convert_order(out, 1.0))
-    # map the unit-integral grid values back to the d^2alpha/pi convention
-    axis = q.axis / np.sqrt(2.0)
-    values = 2.0 * np.pi * q.values
-    return axis, values
-
-
 def _cmd_pfunc(args):
     if args.extent is None:
         args.extent = 10.0 if args.variant == "fft" else 6.0
@@ -417,8 +396,13 @@ def _cmd_pfunc(args):
     if args.grid < 2:
         raise _CliError(2, "grid resolution must be at least 2")
     if args.variant == "fft":
+        from .phase_space import GridSpec, fock1_output_p_fft
         try:
-            axis, values = _pfunc_fft(args)
+            spec = GridSpec(side=args.grid, extent=args.extent)
+        except ValueError as exc:
+            raise _CliError(2, str(exc)) from exc
+        try:
+            axis, values = fock1_output_p_fft(args.a, args.b, spec)
         except ValueError as exc:
             print(f"transform refused: {exc}", file=sys.stderr)
             return 1

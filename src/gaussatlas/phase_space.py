@@ -21,6 +21,8 @@ The states built here are parity-even, so their grids are real (float64)
 and stay real up to the transform; complex grids are accepted too.  Grids
 are outer sums and products of per-axis vectors, rounded as over meshgrids.
 A grid is (s, axis, values); its extent is its axis's last node.
+``fock1_output_p_fft`` is the one Fourier route to a single photon's output P:
+``pfunc --variant fft`` prints it, and criterion 4 checks it against the closed form.
 """
 
 import math
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _as_mat2
+from .channels import _as_mat2, act_chargrid, canonical_channel
 
 TOL_FFT = 1e-6  # transform accuracy floor; boundary-decay refusal threshold
 P_EPS = 1e-3  # P-function regularization, evaluate at s = 1 - P_EPS
@@ -240,3 +242,12 @@ def fock1_output_p(a, b, alpha1, alpha2, variant="rederived"):
         raise ValueError("variant must be 'rederived' or 'printed'")
     out = env * poly
     return out if out.ndim else float(out)
+
+
+def fock1_output_p_fft(a, b, spec):
+    """(alpha axis, P) of fock1_output_p on spec: the photon's grid through the unit-gain
+    channel with noise diag(a, b), to order 1 and transformed, refusing as those steps do;
+    alpha = axis / sqrt2 and P = 2 pi W give fock1_output_p's d^2 alpha / pi convention."""
+    out = act_chargrid(canonical_channel("I", a, b, 1.0), char_fock1(0.0, spec))
+    q = quasi_from_char(convert_order(out, 1.0))
+    return q.axis / np.sqrt(2.0), 2.0 * np.pi * q.values

@@ -17,6 +17,8 @@ Bulk float text has one route, ``_kernels.text12``: a ``.12g`` format
 spec appears only in its Python fallback and in the CLI's scalar helper.
 Output files have one route, ``cli._emit``: no other function opens or
 writes a file, so an unwritable ``--out`` path is refused in one place.
+JSON text has one route, ``cli._json_chunks``: json.dumps is called only
+there and for the fixed kind and kappa of the sweep records' JSON head.
 
 The seven records (``Channel``, the result records and the two
 phase-space grids) build by position and by keyword and compare by
@@ -67,6 +69,14 @@ ALLOWED_FILE_OUTPUT = {
 }
 
 FILE_OUTPUT = ("open", "write_text", "write_bytes")  # names that open or write a file
+
+# functions allowed to write JSON text with json.dump or json.dumps, each for a reason
+ALLOWED_JSON_DUMPS = {
+    "cli.py:_json_chunks": "the one JSON route: it lays out every document the CLI prints",
+    "cli.py:_records": "the kind and kappa of the records' JSON head, the same for every record",
+}
+
+JSON_WRITERS = ("dump", "dumps")  # names that write JSON text
 
 # modules allowed to build np.meshgrid pairs, each for a reason
 ALLOWED_MESHGRID = {
@@ -270,20 +280,20 @@ def test_text_spec_allowlist_holds_only_functions_that_use_it():
     assert set(ALLOWED_TEXT_SPEC) <= uses
 
 
-def _file_output_uses(path):
-    """file:function of each route to open or write a file in path.
+def _name_uses(path, names):
+    """file:function of each use of one of names in path.
 
-    A route is the name open, an attribute open (io.open, Path.open,
-    os.open), write_text or write_bytes, or an import of one of them;
-    code outside any function reads <module>.
+    A use is a bare name, an attribute (io.open, Path.open, os.open,
+    json.dumps) or an import of one of them; code outside any function
+    reads <module>.  FILE_OUTPUT names the routes to open or write a file.
     """
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Name) and node.id in FILE_OUTPUT
-                or isinstance(node, ast.Attribute) and node.attr in FILE_OUTPUT
+        if (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names
                 or isinstance(node, ast.ImportFrom)
-                and any(a.name in FILE_OUTPUT for a in node.names)):
+                and any(a.name in names for a in node.names)):
             yield f"{path.name}:{where}"
         for child in ast.iter_child_nodes(node):
             yield from visit(child, where)
@@ -299,17 +309,36 @@ def test_file_output_check_sees_every_route(tmp_path):
         path = tmp_path / f"m{i}.py"
         path.write_text(f'import io\nfrom pathlib import Path\n\n\ndef f(p, s):\n'
                         f'    """Opens p."""\n    {line}\n\n\n{line}\n')
-        assert _file_output_uses(path) == [f"{path.name}:f", f"{path.name}:<module>"], line
+        assert _name_uses(path, FILE_OUTPUT) == [f"{path.name}:f", f"{path.name}:<module>"], line
 
 
 def test_output_files_have_one_writer():
-    uses = {use for path in sorted(PACKAGE.glob("*.py")) for use in _file_output_uses(path)}
+    uses = {use for path in sorted(PACKAGE.glob("*.py")) for use in _name_uses(path, FILE_OUTPUT)}
     assert not sorted(uses - set(ALLOWED_FILE_OUTPUT)), f"files opened outside _emit: {uses}"
 
 
 def test_file_output_allowlist_holds_only_functions_that_use_it():
-    uses = {use for path in PACKAGE.glob("*.py") for use in _file_output_uses(path)}
+    uses = {use for path in PACKAGE.glob("*.py") for use in _name_uses(path, FILE_OUTPUT)}
     assert set(ALLOWED_FILE_OUTPUT) <= uses
+
+
+def test_json_check_sees_every_route(tmp_path):
+    routes = ["json.dumps(s)", "json.dump(s, p)", "writer = json.dumps", "from json import dumps"]
+    for i, line in enumerate(routes):
+        path = tmp_path / f"m{i}.py"
+        path.write_text(f'import json\n\n\ndef f(p, s):\n    """Dumps s."""\n'
+                        f'    {line}\n\n\n{line}\n')
+        assert _name_uses(path, JSON_WRITERS) == [f"{path.name}:f", f"{path.name}:<module>"], line
+
+
+def test_json_text_has_one_route():
+    uses = {use for path in PACKAGE.glob("*.py") for use in _name_uses(path, JSON_WRITERS)}
+    assert not sorted(uses - set(ALLOWED_JSON_DUMPS)), f"JSON written outside _json_chunks: {uses}"
+
+
+def test_json_allowlist_holds_only_functions_that_use_it():
+    uses = {use for path in PACKAGE.glob("*.py") for use in _name_uses(path, JSON_WRITERS)}
+    assert set(ALLOWED_JSON_DUMPS) <= uses
 
 
 _UNIT = [[1.0, 0.0], [0.0, 1.0]]

@@ -367,6 +367,15 @@ class TestPfunc:
         ref = fock1_output_p(2.0, 2.0, a1, a2)
         assert np.abs(values - ref).max() < 1e-6
 
+    def test_fft_prints_the_library_pipeline(self, capsys):
+        # the one Fourier route: pfunc prints fock1_output_p_fft's arrays with %.12g
+        assert main(["pfunc", "--a", "2", "--b", "3", "--variant", "fft", "--grid", "33",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        axis, p = gaussatlas.fock1_output_p_fft(2.0, 3.0, gaussatlas.GridSpec(33, 10.0))
+        assert payload["alpha_axis"] == [float(f"{v:.12g}") for v in axis.tolist()]
+        assert payload["values"] == [[float(f"{v:.12g}") for v in row] for row in p.tolist()]
+
     def test_fft_refuses_cramped_grid(self, capsys):
         with pytest.warns(RuntimeWarning):
             code = main(["pfunc", "--a", "2", "--b", "2", "--variant", "fft",
@@ -635,12 +644,25 @@ class TestHugeInteger:
         assert capsys.readouterr().err == "error: invalid channel descriptor: Y must be finite\n"
 
 
+class TestMalformedFile:
+    @pytest.mark.parametrize("command", ["classify", "check", "orbit"])
+    @pytest.mark.parametrize("data", [b"\xff\xfe\x00bad", b"[" * 200_000 + b"]" * 200_000],
+                             ids=["not-utf8", "nested-200000-deep"])
+    def test_malformed_file_is_usage_error(self, tmp_path, command, data, capsys):
+        # undecodable text and JSON nested past the recursion limit, not a traceback
+        path = tmp_path / "channel.json"
+        path.write_bytes(data)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid channel descriptor: ") and err.count("\n") == 1
+
+
 class TestOrbitReduction:
     def test_one_reduction_per_call(self, tmp_path, monkeypatch, capsys):
         import gaussatlas.channels
 
         calls = []
-        original = gaussatlas.channels._canonical_form
+        original = gaussatlas.channels.canonical_reduce
 
         def counting(ch):
             calls.append(ch)
@@ -649,8 +671,8 @@ class TestOrbitReduction:
         # rebind every gaussatlas namespace that imported the function
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "gaussatlas" and \
-                    getattr(module, "_canonical_form", None) is original:
-                monkeypatch.setattr(module, "_canonical_form", counting)
+                    getattr(module, "canonical_reduce", None) is original:
+                monkeypatch.setattr(module, "canonical_reduce", counting)
         assert main(["orbit", _write(tmp_path, EB_CHANNEL), "--grid", "5"]) == 0
         capsys.readouterr()
         assert len(calls) == 1
@@ -671,9 +693,7 @@ class TestVerdictsWithoutWitnesses:
         def refuse(*args, **kwargs):
             raise AssertionError("a reduction witness was built on the verdict path")
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "gaussatlas" and hasattr(module, "canonical_reduce"):
-                monkeypatch.setattr(module, "canonical_reduce", refuse)
+        # report reduces the channel; only the witnesses are refused
         monkeypatch.setattr(gaussatlas.CanonicalForm, "_witnesses", property(refuse))
         rep = gaussatlas.report(self.CHANNEL)
         assert rep.form.kind is gaussatlas.Kind.I and rep.eb and rep.ncb
@@ -883,7 +903,7 @@ class TestFloatRoutes:
                             for c in cli._json_chunks(payload)).decode()
             if i % 10:
                 payload["form"] = cli._form_payload(rep.form)
-                assert cli._json_text(payload) == want
+                assert json.dumps(cli._jsonable(payload), indent=2) + "\n" == want
             else:  # every tenth through the command itself
                 path = _write(tmp_path, json.dumps({"X": ch.X.tolist(), "Y": ch.Y.tolist()}))
                 assert main(["classify", path]) == 0
@@ -903,7 +923,7 @@ class TestFloatRoutes:
                        for c in cli._json_chunks(payload)).decode()
         payload["nested"] = {"row": row.tolist(), "deeper": {"grid": grid.tolist(), "n": 3}}
         payload["chunks"] = "spliced"
-        assert got == cli._json_text(payload)
+        assert got == json.dumps(cli._jsonable(payload), indent=2) + "\n"
         assert json.loads(got)["scalar"] == 0.3 and json.loads(got)["nested"]["row"][5] is None
 
     @pytest.mark.parametrize("num", [1, 2, 3, 101, 10 ** 4])

@@ -2,13 +2,20 @@
 
 ROADMAP item 1 (verdicts in one unit, vacuum noise): today ``--tol`` and
 the verdict margins mix noise and noise^2 units, and ``is_cp`` and the EB
-oracle compare an eigenvalue with a slack that scales with max|Y|.  Each
-test below states the behaviour the fix must give; a strict xfail turns
-red the moment the defect is mended, so the marker is removed with it.
+oracle compare an eigenvalue with a slack that scales with max|Y|.
+
+ROADMAP item 2 (exact verdicts of the stored floats): today the rank cut
+TOL_RANK decides the kind, so ``report`` can call a matrix X of stored
+det X far from 0 rank one.
+
+Each test below states the behaviour the fix must give; a strict xfail
+turns red the moment the defect is mended, so the marker is removed with it.
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from gaussatlas.breaking import report
@@ -16,6 +23,7 @@ from gaussatlas.channels import Channel, Kind, canonical_channel, is_cp
 from gaussatlas.cli import main
 
 ITEM_1 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+ITEM_2 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
 
 
 @ITEM_1
@@ -47,3 +55,22 @@ def test_whole_range_example_1_is_not_cp():
     # sqrt(det Y) = 0 while |1 - det X| is huge: report already says not CP
     ch = Channel(X=[[-1.8e50, 9.4e-159], [1.4e114, 2.0e-185]], Y=[[5.8e129, 0.0], [0.0, 0.0]])
     assert is_cp(ch) is False
+
+
+@ITEM_1
+def test_channels_on_the_eb_bound_are_eb():
+    # a = e^u (1 + kappa^2) and b = (1 + kappa^2)^2 / a put ab on the EB bound up to
+    # rounding, which an absolute tol on ab - bound stops absorbing as kappa grows
+    rng = np.random.default_rng(2027)
+    for kappa in (1.0, 1e1, 1e2, 1e3, 1e4):
+        for u in rng.uniform(-3.0, 3.0, 200).tolist():
+            a = math.exp(u) * (1.0 + kappa ** 2)
+            assert report(canonical_channel(Kind.I, a, (1.0 + kappa ** 2) ** 2 / a, kappa)).eb, \
+                (kappa, a)
+
+
+@ITEM_2
+def test_rank_cut_example_is_not_cp():
+    # stored det X = -1.364e28, so not CP, as is_cp says; the rank cut calls X rank one
+    ch = Channel(X=[[-3.1e-30, 4.2e15], [-5.1e-148, 4.4e57]], Y=[[1.0, 0.0], [0.0, 2.0]])
+    assert report(ch).cp is False

@@ -24,6 +24,7 @@ from gaussatlas.phase_space import (
     char_vacuum,
     convert_order,
     fock1_output_p,
+    fock1_output_p_fft,
     quasi_from_char,
 )
 
@@ -435,6 +436,18 @@ class TestFock1OutputP:
         d = abs(fock1_output_p(a, b, 0.7, -0.4, variant="printed")
                 - fock1_output_p(a, b, 0.7, -0.4))
         assert d > 1e-3
+
+    def test_fft_route_is_the_photon_pipeline(self):
+        # the steps spelled out: unit gain, noise diag(a, b), order 1, alpha = axis / sqrt2
+        spec = GridSpec(side=129, extent=10.0)
+        axis, p = fock1_output_p_fft(3.0, 1.5, spec)
+        ch = Channel(X=np.eye(2), Y=np.diag([3.0, 1.5]))
+        q = quasi_from_char(convert_order(act_chargrid(ch, char_fock1(0.0, spec)), 1.0))
+        assert _same_bits(axis, q.axis / np.sqrt(2.0))
+        assert _same_bits(p, 2.0 * np.pi * q.values)
+        assert np.abs(p - fock1_output_p(3.0, 1.5, axis[:, None], axis)).max() < 1e-6
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="enlarge"):
+            fock1_output_p_fft(2.0, 2.0, GridSpec(side=65, extent=3.0))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
