@@ -127,9 +127,13 @@ class Channel:
         """Build a channel from the JSON descriptor {"X": [[..]], "Y": [[..]]}.
 
         The constructor validates the blocks, so Y must be symmetric to
-        1e-12 max(1, max|Y|), exactly as for Channel(X, Y).
+        1e-12 max(1, max|Y|), as for Channel(X, Y); every malformed text,
+        JSON nested past the recursion limit included, raises ValueError.
         """
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("channel JSON is nested too deeply to decode") from None
         if not isinstance(data, dict) or "X" not in data or "Y" not in data:
             raise ValueError('channel JSON must be an object with "X" and "Y"')
         return cls(X=data["X"], Y=data["Y"])

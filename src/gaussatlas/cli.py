@@ -189,9 +189,9 @@ def _load_report(path, tol):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise _CliError(2, f"cannot read {path}: {exc}") from exc
-    try:  # text that is not UTF-8 raises a ValueError; JSON nested too deep a RecursionError
+    try:
         ch = Channel.from_json(data.decode())
-    except (RecursionError, ValueError) as exc:
+    except ValueError as exc:
         raise _CliError(2, f"invalid channel descriptor: {exc}") from exc
     try:
         return ch, report(ch, tol=tol)

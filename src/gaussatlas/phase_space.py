@@ -20,14 +20,14 @@ not decay on any finite grid.
 The states built here are parity-even, so their grids are real (float64)
 and stay real up to the transform; complex grids are accepted too.  Grids
 are outer sums and products of per-axis vectors, rounded as over meshgrids.
-A grid is (s, axis, values); its extent is its axis's last node.
+A grid is (s, axis, values), its extent its axis's last node; ``quasi_from_char``
+refuses one with a non-finite value or an undecayed boundary, and nothing here warns.
 ``fock1_output_p_fft`` is the one Fourier route to a single photon's output P:
 ``pfunc --variant fft`` prints it, and criterion 4 checks it against the closed form.
 """
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,18 +151,12 @@ def char_gaussian(V, s, spec=GridSpec()):
     return CharGrid(s=float(s), axis=xi, values=exp_quadratic(v11 - s, v12, v22 - s, xi))
 
 
-def _boundary_max(values):
-    edge = max(np.abs(values[0, :]).max(), np.abs(values[-1, :]).max(),
-               np.abs(values[:, 0]).max(), np.abs(values[:, -1]).max())
-    return float(edge)
-
-
 def convert_order(grid, s_target):
     """Reorder a characteristic function: multiply by exp(((s_target - s)/2) |xi|^2).
 
     The factor follows from the definition chi_s = exp(s |xi|^2 / 2) Tr(rho D(xi)).
-    Raising the order amplifies the grid boundary; conversions whose corner
-    amplification exceeds 1/TOL_FFT are flagged as ill-conditioned.
+    Raising the order amplifies the grid boundary, up to overflow; the conversion
+    is silent, and quasi_from_char refuses a result it cannot transform.
     """
     _check_order(s_target)
     ds = float(s_target) - grid.s
@@ -173,23 +167,20 @@ def convert_order(grid, s_target):
     # overflow leaves inf or nan on the boundary, which quasi_from_char refuses
     with np.errstate(over="ignore", invalid="ignore"):
         values = grid.values * np.exp(factor, out=factor)
-    if ds > 0 and not _boundary_max(values) <= TOL_FFT:
-        warnings.warn("upward order conversion amplified the grid boundary above "
-                      "TOL_FFT; downstream transforms will be ill-conditioned",
-                      RuntimeWarning, stacklevel=2)
     return CharGrid(s=float(s_target), axis=grid.axis, values=values)
 
 
 def quasi_from_char(grid):
     """Fourier-transform a characteristic grid to its quasiprobability.
 
-    Refuses when the characteristic function on the grid boundary is not
-    finite (an order conversion overflowed: the extent must shrink) or
-    above TOL_FFT (the transform would alias: the extent must grow), and
-    when the result carries an imaginary residue above TOL_FFT
-    (non-Hermitian input).
+    The one judge of a transformable grid: it refuses a grid with a value
+    that is not finite, on the boundary (an order conversion overflowed:
+    the extent must shrink) or inside it, a boundary above TOL_FFT (the
+    transform would alias: the extent must grow), and a result with an
+    imaginary residue above TOL_FFT (non-Hermitian input).
     """
-    bmax = _boundary_max(grid.values)
+    v = grid.values
+    bmax = float(np.max([np.abs(edge).max() for edge in (v[0], v[-1], v[:, 0], v[:, -1])]))
     if not math.isfinite(bmax):
         raise ValueError(
             f"characteristic function boundary magnitude {bmax:.3e} is not finite, as "
@@ -198,10 +189,12 @@ def quasi_from_char(grid):
         raise ValueError(
             f"characteristic function boundary magnitude {bmax:.3e} exceeds "
             f"{TOL_FFT:.0e}; enlarge the grid extent before transforming")
+    if not np.isfinite(v).all():
+        raise ValueError("characteristic function is not finite inside the grid boundary")
     n = grid.side
     d = grid.spacing
     # ifft2 of a real grid matches its complex copy bit for bit; scale in place
-    W = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(grid.values)))
+    W = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(v)))
     W *= n * n
     W *= d * d / (2.0 * np.pi ** 2)
     residue = float(np.abs(W.imag).max())

@@ -262,10 +262,9 @@ def criterion_7():
     orbit point breaks nonclassicality; boundary-EB channels land exactly
     on the breaking boundary."""
     rng = np.random.default_rng(707)
-    kinds = (Kind.I, Kind.II, Kind.III_RANK1, Kind.III_ZERO)
     failures = 0
     for _ in range(1000):
-        kind = kinds[int(rng.integers(len(kinds)))]
+        kind = _GENERAL_KINDS[int(rng.integers(len(_GENERAL_KINDS)))]
         kappa = float(rng.uniform(0.3, 1.5))
         a = float(rng.uniform(0.2, 6.0))
         bound = (1.0 + kappa ** 2) ** 2 if kind in (Kind.I, Kind.II) else 1.0

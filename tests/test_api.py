@@ -78,6 +78,11 @@ ALLOWED_JSON_DUMPS = {
 
 JSON_WRITERS = ("dump", "dumps")  # names that write JSON text
 
+# functions allowed to issue a Python warning: none, the library refuses with an exception
+ALLOWED_WARNINGS = {}
+
+WARNERS = ("warn", "warn_explicit")  # names that issue a warning
+
 # modules allowed to build np.meshgrid pairs, each for a reason
 ALLOWED_MESHGRID = {
     "verify.py": "its criteria keep full-grid expressions as independent references",
@@ -339,6 +344,22 @@ def test_json_text_has_one_route():
 def test_json_allowlist_holds_only_functions_that_use_it():
     uses = {use for path in PACKAGE.glob("*.py") for use in _name_uses(path, JSON_WRITERS)}
     assert set(ALLOWED_JSON_DUMPS) <= uses
+
+
+def test_warning_check_sees_every_route(tmp_path):
+    routes = ['warnings.warn("w")', 'warnings.warn_explicit("w", UserWarning, "m.py", 1)',
+              "say = warnings.warn", "from warnings import warn",
+              "from warnings import warn_explicit as say"]
+    for i, line in enumerate(routes):
+        path = tmp_path / f"m{i}.py"
+        path.write_text(f'import warnings\n\n\ndef f():\n    """Warns."""\n'
+                        f'    {line}\n\n\n{line}\n')
+        assert _name_uses(path, WARNERS) == [f"{path.name}:f", f"{path.name}:<module>"], line
+
+
+def test_the_library_never_warns():
+    uses = {use for path in PACKAGE.glob("*.py") for use in _name_uses(path, WARNERS)}
+    assert not sorted(uses - set(ALLOWED_WARNINGS)), f"warnings issued, not refusals: {uses}"
 
 
 _UNIT = [[1.0, 0.0], [0.0, 1.0]]

@@ -132,6 +132,14 @@ class TestChannelContainer:
         with pytest.raises(ValueError):
             Channel.from_json('{"X": [[1, 0], [0, 1]], "Y": [[1, 0.1], [0.2, 1]]}')
 
+    @pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000,
+                                      '{"X": ' * 200_000 + "1" + "}" * 200_000],
+                             ids=["arrays", "objects"])
+    def test_json_nested_past_the_recursion_limit_is_a_value_error(self, text):
+        # json.loads raises RecursionError here, which is no ValueError
+        with pytest.raises(ValueError, match="nested too deeply"):
+            Channel.from_json(text)
+
     def test_json_asymmetry_tolerance_scales_with_noise(self):
         # |Y12 - Y21| = 1e-8 on a noise scale of 1e6 is within the
         # constructor's relative tolerance, so the JSON path accepts it too

@@ -376,26 +376,25 @@ class TestPfunc:
         assert payload["alpha_axis"] == [float(f"{v:.12g}") for v in axis.tolist()]
         assert payload["values"] == [[float(f"{v:.12g}") for v in row] for row in p.tolist()]
 
+    @pytest.mark.filterwarnings("error")
     def test_fft_refuses_cramped_grid(self, capsys):
-        with pytest.warns(RuntimeWarning):
-            code = main(["pfunc", "--a", "2", "--b", "2", "--variant", "fft",
-                         "--grid", "65", "--extent", "3"])
+        code = main(["pfunc", "--a", "2", "--b", "2", "--variant", "fft",
+                     "--grid", "65", "--extent", "3"])
         assert code == 1
-        assert "transform refused" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("transform refused: ") and "enlarge the grid extent" in err
 
+    @pytest.mark.filterwarnings("error")
     def test_fft_refuses_overflowing_order_conversion(self, capsys):
         # exp(extent^2 / 2) of the P-order factor overflows at the grid corners
-        with pytest.warns(RuntimeWarning) as record:
-            code = main(["pfunc", "--a", "2", "--b", "2", "--variant", "fft",
-                         "--grid", "9", "--extent", "40"])
+        code = main(["pfunc", "--a", "2", "--b", "2", "--variant", "fft",
+                     "--grid", "9", "--extent", "40"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "transform refused" in captured.err
         # the cure for an overflow is a smaller extent, not a larger one
         assert "not finite" in captured.err and "reduce the grid extent" in captured.err
         assert "enlarge" not in captured.err
-        # only the library's own boundary warning, no numpy overflow or invalid value
-        assert all("order conversion" in str(w.message) for w in record)
 
     def test_usage_errors(self, capsys):
         assert main(["pfunc", "--a", "0", "--b", "2"]) == 2
@@ -655,6 +654,34 @@ class TestMalformedFile:
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid channel descriptor: ") and err.count("\n") == 1
+
+
+REFUSALS = {  # argv, the bytes of a channel file to append (None: none) and the exit code
+    "fft-cramped": (["pfunc", "--a", "2", "--b", "2", "--variant", "fft", "--grid", "65",
+                     "--extent", "3"], None, 1),
+    "fft-overflow": (["pfunc", "--a", "2", "--b", "2", "--variant", "fft", "--grid", "9",
+                      "--extent", "40"], None, 1),
+    "fft-even-side": (["pfunc", "--a", "2", "--b", "2", "--variant", "fft", "--grid", "8"],
+                      None, 2),
+    "not-utf8": (["classify"], b"\xff\xfe\x00bad", 2),
+    "nested-200000-deep": (["classify"], b"[" * 200_000 + b"]" * 200_000, 2),
+    "orbit-not-eb": (["orbit"], CP_ONLY_CHANNEL.encode(), 1),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, data, code", REFUSALS.values(), ids=REFUSALS.keys())
+def test_each_refusal_is_one_stderr_line(tmp_path, argv, data, code, capsys):
+    # a refusal says what failed once: no warning before it, no traceback
+    if data is not None:
+        path = tmp_path / "channel.json"
+        path.write_bytes(data)
+        argv = argv + [str(path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
 
 
 class TestOrbitReduction:

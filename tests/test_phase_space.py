@@ -231,10 +231,14 @@ class TestConvertOrder:
         np.testing.assert_allclose(got.values, char_vacuum(-1.0, spec).values,
                                    atol=1e-14)
 
-    def test_upward_conversion_warns_when_boundary_blows_up(self):
+    def test_upward_conversion_is_silent_and_the_transform_refuses(self):
+        # the boundary grows past TOL_FFT: quasi_from_char alone judges it
         g = char_vacuum(0.0, GridSpec(side=65, extent=8.0))
-        with pytest.warns(RuntimeWarning):
-            convert_order(g, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = convert_order(g, 1.0)
+            with pytest.raises(ValueError, match="enlarge the grid extent"):
+                quasi_from_char(out)
 
     def test_upward_conversion_silent_when_decay_survives(self):
         # V = 3*1 keeps exp(-(3-s) r2 / 2) tiny at the boundary even at s = 1
@@ -293,16 +297,31 @@ class TestTransform:
         with pytest.raises(ValueError, match="boundary"):
             quasi_from_char(char_fock1(1.0, GridSpec(side=65, extent=2.0)))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.inf, np.nan])
-    def test_refuses_non_finite_boundary_with_smaller_extent(self, value):
-        g = char_vacuum(0.0)
+    @pytest.mark.parametrize("where", [(0, 0), (0, 4), (-1, 4), (4, 0), (4, -1)],
+                             ids=["corner", "top", "bottom", "left", "right"])
+    def test_refuses_non_finite_boundary_with_smaller_extent(self, where, value):
+        # a NaN after a finite edge once slipped past the edges' maximum to an all-NaN grid
+        g = char_vacuum(0.0, GridSpec(side=9, extent=8.0))
         values = g.values.copy()
-        values[0, 0] = value
+        values[where] = value
         grid = CharGrid(s=0.0, axis=g.axis, values=values)
-        with pytest.raises(ValueError, match="not finite") as exc:
+        with pytest.raises(ValueError, match="boundary magnitude .* is not finite") as exc:
             quasi_from_char(grid)
         assert "reduce the grid extent" in str(exc.value)
         assert "enlarge" not in str(exc.value)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, np.nan)])
+    def test_refuses_non_finite_interior_without_advice_on_extent(self, value):
+        g = char_vacuum(0.0, GridSpec(side=9, extent=8.0))
+        values = g.values.astype(type(value))  # a real grid, or a complex one
+        values[4, 4] = value
+        grid = CharGrid(s=0.0, axis=g.axis, values=values)
+        with pytest.raises(ValueError, match="not finite inside the grid boundary") as exc:
+            quasi_from_char(grid)
+        assert "extent" not in str(exc.value)
 
     def test_refuses_non_hermitian_input(self):
         g = char_vacuum(0.0)
@@ -446,7 +465,8 @@ class TestFock1OutputP:
         assert _same_bits(axis, q.axis / np.sqrt(2.0))
         assert _same_bits(p, 2.0 * np.pi * q.values)
         assert np.abs(p - fock1_output_p(3.0, 1.5, axis[:, None], axis)).max() < 1e-6
-        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="enlarge"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="enlarge"):
+            warnings.simplefilter("error")
             fock1_output_p_fft(2.0, 2.0, GridSpec(side=65, extent=3.0))
 
     def test_rejects_bad_arguments(self):
