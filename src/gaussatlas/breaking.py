@@ -362,30 +362,15 @@ def boundary_curves(kind, kappa, a):
 
 
 def ncb_eb_tangency(kappa):
-    """Touching point of the NCB and EB boundary curves for kinds I and II.
+    """Touching point (1 + kappa^2, 1 + kappa^2) of the NCB and EB boundary curves
+    for kinds I and II, where the gap b_ncb(a) - b_eb(a) has a double root.
 
-    The gap b_ncb(a) - b_eb(a) has a double root, so the contact point is
-    located by bisecting the sign change of its derivative; the curves
-    touch at a = b = 1 + kappa^2, which this computes to 1e-13 relative
-    without using that closed form.
+    Refuses a kappa that is not positive and finite with ValueError, and one
+    whose bounds overflow a double with _kappa_bounds's OverflowError.
     """
     kappa = float(kappa)
-    if not kappa > 0:
-        raise ValueError("tangency needs a positive kappa")
-    _, eb_bound, k4 = _kappa_bounds(Kind.I, kappa)
-
-    def gap_slope(a):
-        return eb_bound / a ** 2 - k4 / (a - 1.0) ** 2
-
-    lo = 1.0 + 1e-9 * (1.0 + kappa ** 2)
-    hi = 10.0 * (1.0 + kappa ** 2)
-    if not (gap_slope(lo) < 0.0 < gap_slope(hi)):
-        raise RuntimeError("tangency bracket failed")
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if gap_slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    a_star = 0.5 * (lo + hi)
-    return a_star, 1.0 + k4 / (a_star - 1.0)
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("tangency needs a positive, finite kappa")
+    _kappa_bounds(Kind.I, kappa)  # for its OverflowError
+    touch = 1.0 + kappa ** 2
+    return touch, touch

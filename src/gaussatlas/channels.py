@@ -288,10 +288,13 @@ def is_cp(ch):
 
 
 def act_variance(ch, V):
-    """Output covariance X^T V X + Y; refuses to act through a non-CP pair."""
+    """Output covariance X^T V X + Y, V's off-diagonal pair read at its midpoint as
+    Channel reads Y's; refuses to act through a non-CP pair."""
     if not is_cp(ch):
         raise ValueError("channel is not completely positive")
-    return ch.X.T @ _array2(_as_mat2(V, "V")) @ ch.X + ch.Y
+    v11, v12, v21, v22 = _as_mat2(V, "V")
+    v12 += 0.5 * (v21 - v12)  # v12 itself if V is symmetric
+    return ch.X.T @ _array2((v11, v12, v12, v22)) @ ch.X + ch.Y
 
 
 def act_chargrid(ch, grid):

@@ -21,7 +21,8 @@ The states built here are parity-even, so their grids are real (float64)
 and stay real up to the transform; complex grids are accepted too.  Grids
 are outer sums and products of per-axis vectors, rounded as over meshgrids.
 A grid is (s, axis, values), its extent its axis's last node; ``quasi_from_char``
-refuses one with a non-finite value or an undecayed boundary, and nothing here warns.
+refuses a non-finite value, an undecayed boundary or an overflowing transform,
+and nothing here warns.
 ``fock1_output_p_fft`` is the one Fourier route to a single photon's output P:
 ``pfunc --variant fft`` prints it, and criterion 4 checks it against the closed form.
 """
@@ -176,8 +177,8 @@ def quasi_from_char(grid):
     The one judge of a transformable grid: it refuses a grid with a value
     that is not finite, on the boundary (an order conversion overflowed:
     the extent must shrink) or inside it, a boundary above TOL_FFT (the
-    transform would alias: the extent must grow), and a result with an
-    imaginary residue above TOL_FFT (non-Hermitian input).
+    transform would alias: the extent must grow), a transform that overflows,
+    and a result with an imaginary residue above TOL_FFT (non-Hermitian input).
     """
     v = grid.values
     bmax = float(np.max([np.abs(edge).max() for edge in (v[0], v[-1], v[:, 0], v[:, -1])]))
@@ -194,9 +195,12 @@ def quasi_from_char(grid):
     n = grid.side
     d = grid.spacing
     # ifft2 of a real grid matches its complex copy bit for bit; scale in place
-    W = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(v)))
-    W *= n * n
-    W *= d * d / (2.0 * np.pi ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(v)))
+        W *= n * n
+        W *= d * d / (2.0 * np.pi ** 2)
+    if not np.isfinite(W).all():
+        raise ValueError("the transform of the characteristic function overflows")
     residue = float(np.abs(W.imag).max())
     if residue > TOL_FFT:
         raise ValueError(f"imaginary residue {residue:.3e} exceeds {TOL_FFT:.0e}; "

@@ -21,11 +21,12 @@ from gaussatlas.verify import (
 )
 
 
-# the oracle criteria share their samplers with later criteria; a change to a
-# sampler must not move the channels these four check
+# the oracle and orbit criteria share their samplers with later criteria; a change
+# to a sampler must not move the channels these five check
 _PINNED_SAMPLES = {
     "criterion_5": "2500 channels",
     "criterion_6": "2144 channels",
+    "criterion_7": "1645 random EB channels",
     "criterion_10": "2000 channels (490 I, 346 II, 554 III_rank1, 610 III_zero)",
     "criterion_11": "2000 channels (750 I, 448 II, 400 III_rank1, 402 III_zero)",
 }

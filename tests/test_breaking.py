@@ -716,11 +716,10 @@ class TestBoundaryCurves:
 
 
 class TestTangency:
-    @pytest.mark.parametrize("kappa", [0.6, 1.0, 1.5])
+    # 1e-5 and 1e8 once failed to bracket the root, and 1e7 landed 0.69 % off
+    @pytest.mark.parametrize("kappa", [1e-200, 1e-5, 0.6, 1.0, 1.5, 1e5, 1e7, 1e8])
     def test_touch_point_location(self, kappa):
-        a_star, b_star = ncb_eb_tangency(kappa)
-        assert abs(a_star - (1.0 + kappa ** 2)) < 1e-9
-        assert abs(b_star - a_star) < 1e-8
+        assert ncb_eb_tangency(kappa) == (1.0 + kappa ** 2, 1.0 + kappa ** 2)
 
     def test_curves_actually_touch_and_separate(self):
         k = 0.9
@@ -735,5 +734,10 @@ class TestTangency:
         assert gap(a_star * 1.5) > 1e-3
 
     def test_rejects_nonpositive_kappa(self):
-        with pytest.raises(ValueError):
-            ncb_eb_tangency(0.0)
+        for kappa in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ncb_eb_tangency(kappa)
+
+    def test_refuses_a_gain_whose_bounds_overflow(self):
+        with pytest.raises(OverflowError, match="overflow a double"):
+            ncb_eb_tangency(1e100)

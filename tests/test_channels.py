@@ -557,6 +557,14 @@ class TestActVariance:
         with pytest.raises(ValueError):
             act_variance(ch, np.eye(2))
 
+    def test_reads_the_symmetric_part_of_an_asymmetric_covariance(self):
+        # as char_gaussian and Channel do; V itself once gave an asymmetric output
+        ch = Channel(X=[[0.9, 0.1], [0.2, 0.8]], Y=[[1.5, 0.1], [0.1, 1.2]])
+        V = np.array([[2.0, 0.6], [0.2, 1.5]])
+        got = act_variance(ch, V)
+        assert got.tobytes() == act_variance(ch, 0.5 * (V + V.T)).tobytes()
+        assert got[0, 1] == got[1, 0]
+
 
 class TestActChargrid:
     def test_identity_channel_is_identity(self):

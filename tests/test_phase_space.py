@@ -323,6 +323,17 @@ class TestTransform:
             quasi_from_char(grid)
         assert "extent" not in str(exc.value)
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_finite_grid_whose_transform_overflows(self):
+        # once an ifft overflow warning, or with warnings ignored an all-NaN grid
+        g = char_vacuum(0.0, GridSpec(side=9, extent=8.0))
+        values = g.values.copy()
+        values[2:7, 2:7] = 1.7e308
+        grid = CharGrid(s=0.0, axis=g.axis, values=values)
+        with pytest.raises(ValueError, match="^the transform of the characteristic function "
+                                             "overflows$"):
+            quasi_from_char(grid)
+
     def test_refuses_non_hermitian_input(self):
         g = char_vacuum(0.0)
         x1, x2 = np.meshgrid(g.axis, g.axis, indexing="ij")
