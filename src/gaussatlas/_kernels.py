@@ -11,10 +11,11 @@ and Y - 1 it is the NCB oracle's supremum; X sigma X^T = det(X) sigma
 makes the CP matrix Y + i(1 - det X) sigma, and the EB oracle's two-mode
 PPT test reduces to Y + i(1 + det X) sigma.
 
-Grid interpolation (``interp_cubic2d``) is one blocked pass of gathers
-through offset views and in-place sums, each point's arithmetic the
-longhand's, and separable on the grid of (row, column) pairs a diagonal X
-maps to; the real grids the library builds are weighted once.
+Grid interpolation (``interp_cubic2d``) takes points in blocks, through
+scratch rows allocated once a call: stencils, weights, gathers through
+offset views and sums are formed in place, each point's arithmetic the
+longhand's.  It separates on the grid of (row, column) pairs a diagonal X
+maps to, and the real grids the library builds are weighted once.
 
 Bulk float text (``text12``) prints a whole float64 array as
 ``"%.12g" % v``, or as JSON's ``repr(float("%.12g" % v))``, byte for byte;
@@ -77,21 +78,32 @@ def backend():
     return "numpy"
 
 
-INTERP_BLOCK = 1 << 15  # points per interpolation block; keeps temporaries in cache
+INTERP_BLOCK = 1 << 14  # points per interpolation block, and per block of act_chargrid rows
 
 
-def _cubic_weights(t):
-    """4-point Lagrange weights at offset t from the stencil's second node; * 0.5 rounds as / 2."""
-    neg, tm2, sq1 = -t, t - 2.0, t * t - 1.0
-    return (neg * (t - 1.0) * tm2 / 6.0, sq1 * tm2 * 0.5,
-            neg * (t + 1.0) * tm2 * 0.5, t * sq1 / 6.0)
+def _cubic_weights(t, tmp, w):
+    """The 4-point Lagrange weights at offset t from the stencil's second node, into w[0..3],
+    each product in order (* 0.5 rounds as / 2); tmp is scratch, and t ends as -t."""
+    import numpy as np
+    w0, w1, w2, w3 = w
+    tm2 = np.subtract(t, 2.0, out=tmp)
+    sq1 = np.subtract(np.multiply(t, t, out=w1), 1.0, out=w1)
+    np.divide(np.multiply(t, sq1, out=w3), 6.0, out=w3)
+    np.multiply(np.multiply(sq1, tm2, out=w1), 0.5, out=w1)
+    np.subtract(t, 1.0, out=w0)
+    np.add(t, 1.0, out=w2)
+    neg = np.negative(t, out=t)
+    np.divide(np.multiply(np.multiply(neg, w0, out=w0), tm2, out=w0), 6.0, out=w0)
+    np.multiply(np.multiply(np.multiply(neg, w2, out=w2), tm2, out=w2), 0.5, out=w2)
+    return w
 
 
 def _stencil(f, n):
     """The clamped first nodes (int64) and the four weights of the 4-point stencils at f."""
     import numpy as np
     base = np.clip(np.floor(f).astype(np.int64) - 1, 0, n - 4)
-    return base, _cubic_weights(f - (base + 1))
+    t = f - (base + 1)
+    return base, _cubic_weights(t, np.empty_like(t), np.empty((4,) + t.shape))
 
 
 def interp_cubic2d(values, fx, fy):
@@ -106,12 +118,13 @@ def interp_cubic2d(values, fx, fy):
     0 + row_0 wx_0 + ... + row_3 wx_3.  A complex grid's real and imaginary
     parts are weighted separately, each exactly as a real-valued pass over
     it would be.  The result is float64 for a real grid of any precision,
-    and complex128 for a complex one.  Points go in blocks of INTERP_BLOCK,
-    stencil node (i, j) one take from the flat grid viewed from offset
-    i n2 + j.  A grid of pairs separates: each input row's weighted column
-    sums are formed once, by four column gathers, and each output row adds
-    four of them; on as many rows as the input that is 8 gathers and 8
-    products a point, against 16 and 20.
+    and complex128 for a complex one.  Points go in blocks of INTERP_BLOCK
+    through scratch rows allocated once a call, the x and y stencils of a
+    block formed together and stencil node (i, j) taken into a row from the
+    flat grid viewed from offset i n2 + j.  A grid of pairs separates: each
+    input row's weighted column sums are formed once, by four column
+    gathers, and each output row adds four of them; on as many rows as the
+    input that is 8 gathers and 8 products a point, against 16 and 20.
     """
     import numpy as np
     n1, n2 = values.shape
@@ -120,23 +133,37 @@ def interp_cubic2d(values, fx, fy):
     parts = (np.real, np.imag) if np.iscomplexobj(values) else (np.real,)
     if fx.shape != fy.shape:
         return _interp_separable(values, fx[:, 0], fy, parts)
-    flat = values.ravel()
-    out = np.zeros(fx.shape, dtype=dtype)
+    flat, out = values.ravel(), np.zeros(fx.shape, dtype=dtype)
+    points, out_flat = (fx.ravel(), fy.ravel()), out.reshape(-1)
+    size = min(fx.size, INTERP_BLOCK)
+    f, tmp = np.empty((2, 2, size))  # rows x and y: the points, then their offsets t; scratch
+    w, node = np.empty((4, 2, size)), np.empty((2, size), np.int64)
+    sums = np.empty((2, size), dtype)  # a row sum, and one gather
+    top = np.array([[n1 - 3], [n2 - 3]])
     for lo in range(0, fx.size, INTERP_BLOCK):
-        hi = lo + INTERP_BLOCK
-        bx, wx = _stencil(fx[lo:hi], n1)
-        by, wy = _stencil(fy[lo:hi], n2)
-        corner = bx * n2 + by
+        k = min(INTERP_BLOCK, fx.size - lo)
+        fb = np.stack([p[lo:lo + k] for p in points], out=f[:, :k])
+        nb, (acc, v) = node[:, :k], sums[:, :k]
+        nb[...] = fb  # truncated: it differs from floor only below 0, where both clip to 1
+        np.clip(nb, 1, top, out=nb)  # base + 1: floor - 1 clipped to [0, n - 4], plus 1
+        np.subtract(fb, nb, out=fb)  # t = f - (base + 1)
+        wx, wy = _cubic_weights(fb, tmp[:, :k], w[:, :, :k]).swapaxes(0, 1)
+        nb -= 1
+        corner = np.multiply(nb[0], n2, out=nb[0])
+        corner += nb[1]
+        views = [(part(acc), part(v), part(out_flat)[lo:lo + k]) for part in parts]
         for i in range(4):
-            row = [flat[i * n2 + j:].take(corner) for j in range(4)]
-            for part in parts:
-                acc, *rest = (part(r) for r in row)
-                acc *= wy[0]
-                for w, v in zip(wy[1:], rest):
-                    v *= w
-                    acc += v
-                acc *= wx[i]
-                part(out)[lo:hi] += acc
+            for j in range(4):  # in-range indices: mode="clip" only spares take a buffer
+                flat[i * n2 + j:].take(corner, out=v if j else acc, mode="clip")
+                for a, g, _ in views:
+                    if j:
+                        g *= wy[j]
+                        a += g
+                    else:
+                        a *= wy[0]
+            for a, _, o in views:
+                a *= wx[i]
+                o += a
     return out
 
 

@@ -78,6 +78,20 @@ def _as_mat2(M, name, finite=True):
     return entries
 
 
+def _psd2(M, name):
+    """(M row-major, its off-diagonal pair at their midpoint; its eigenvalues a >= b), refusing
+    an asymmetry past _ASYM_TOL or b below -TOL_PSD, both relative to max(1, max|M_ij|)."""
+    m11, m12, m21, m22 = _as_mat2(M, name)
+    scale = max(1.0, abs(m11), abs(m12), abs(m21), abs(m22))
+    if abs(m12 - m21) > _ASYM_TOL * scale:
+        raise ValueError(f"{name} must be symmetric")
+    m12 += 0.5 * (m21 - m12)  # the midpoint, without overflow; m12 itself if symmetric
+    eig = _kernels.eig2(m11, m12, m22, 0.0)
+    if eig[1] < -TOL_PSD * scale:
+        raise ValueError(f"{name} must be positive semidefinite")
+    return (m11, m12, m12, m22), eig
+
+
 def _array2(entries, writeable=True):
     """A row-major 4-tuple as a 2x2 float64 array."""
     import numpy as np
@@ -103,16 +117,10 @@ class Channel:
 
     def __init__(self, X, Y):
         x11, x12, x21, x22 = x = _as_mat2(X, "X")
-        y11, y12, y21, y22 = _as_mat2(Y, "Y")
-        yscale = max(1.0, abs(y11), abs(y12), abs(y21), abs(y22))
-        if abs(y12 - y21) > _ASYM_TOL * yscale:
-            raise ValueError("Y must be symmetric")
-        y12 += 0.5 * (y21 - y12)  # the midpoint, without overflow; y12 itself if symmetric
-        det_x, noise = x11 * x22 - x12 * x21, _kernels.eig2(y11, y12, y22, 0.0)
-        if noise[1] < -TOL_PSD * yscale:
-            raise ValueError("Y must be positive semidefinite")
-        vars(self).update(_x=x, _y=(y11, y12, y12, y22), _noise=noise, det_x=det_x,
-                          _cp=_kernels.herm2_psd(y11, y12, y22, 1.0 - det_x))  # past __setattr__
+        y, noise = _psd2(Y, "Y")
+        det_x = x11 * x22 - x12 * x21
+        vars(self).update(_x=x, _y=y, _noise=noise, det_x=det_x,  # past __setattr__
+                          _cp=_kernels.herm2_psd(y[0], y[1], y[3], 1.0 - det_x))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot set or delete {name!r}: a Channel is immutable")
@@ -288,13 +296,11 @@ def is_cp(ch):
 
 
 def act_variance(ch, V):
-    """Output covariance X^T V X + Y, V's off-diagonal pair read at its midpoint as
-    Channel reads Y's; refuses to act through a non-CP pair."""
+    """Output covariance X^T V X + Y; V is checked and read as Channel checks and reads Y.
+    Refuses to act through a non-CP pair."""
     if not is_cp(ch):
         raise ValueError("channel is not completely positive")
-    v11, v12, v21, v22 = _as_mat2(V, "V")
-    v12 += 0.5 * (v21 - v12)  # v12 itself if V is symmetric
-    return ch.X.T @ _array2((v11, v12, v12, v22)) @ ch.X + ch.Y
+    return ch.X.T @ _array2(_psd2(V, "V")[0]) @ ch.X + ch.Y
 
 
 def act_chargrid(ch, grid):
@@ -308,11 +314,14 @@ def act_chargrid(ch, grid):
     this grid.  The output dtype follows the input's, promoted to at least
     float64: a real grid stays real, a complex one stays complex.
 
-    Every node is interpolated, its image clipped to one node past the
-    edge, and the escaped nodes of the result are zeroed.  A diagonal X
-    (x12 = x21 = 0: every canonical form, and pfunc's unit gain) maps node
-    (i, j) to (x11 xi_i, x22 xi_j), a column against a row, so interp_cubic2d
-    separates, with the general path's bits: its + x12 xi_j = +-0 only
+    The output is the only full grid: it is filled by blocks of rows, each
+    block's images, escape mask and envelope formed there, every node
+    interpolated at its image clipped to one node past the edge, and the
+    escaped nodes zeroed; the corners' images bound the rest, so no mask is
+    built while they stay inside.  A diagonal X (x12 = x21 = 0: every
+    canonical form, and pfunc's unit gain) maps node (i, j) to (x11 xi_i,
+    x22 xi_j), a column against a row, so interp_cubic2d separates over the
+    whole grid, with the general path's bits: its + x12 xi_j = +-0 only
     flips the sign of a zero, which subtracting the axis origin removes.
     """
     import numpy as np
@@ -323,27 +332,35 @@ def act_chargrid(ch, grid):
         raise ValueError("channel action needs a Weyl-ordered grid (s = 0)")
     (x11, x12, x21, x22), (y11, y12, _, y22) = ch._x, ch._y
     ax, L, d, n = grid.axis, grid.extent, grid.spacing, grid.side
-    env = exp_quadratic(y11, y12, y22, ax)
-    if x12 == 0.0 and x21 == 0.0:  # node (i, j) maps to (x11 ax_i, x22 ax_j): a column, a row
-        fx, fy = (x11 * ax)[:, None], x22 * ax
-    else:  # the images of the nodes in row-major order
-        fx = ((x11 * ax)[:, None] + x12 * ax).ravel()
-        fy = ((x21 * ax)[:, None] + x22 * ax).ravel()
-    escaped = None  # rounding is monotone, so the ends (corners) in f[::n - 1] bound f
-    if not all(np.abs(f[::n - 1]).max() <= L for f in (fx, fy)):
-        escaped = ~((np.abs(fx) <= L) & (np.abs(fy) <= L)).reshape(env.shape)  # NaN escapes
-        if np.any(env[escaped] > TOL_FFT):
-            raise ValueError("mapped points leave the grid where the noise envelope "
-                             "has not decayed; enlarge the grid extent")
-    for f in (fx, fy):
+    values = grid.values.astype(np.result_type(grid.values.dtype, float), copy=False)
+
+    def index(f):  # in place; inside ones keep their bits, far ones fit _stencil's int64
         f -= ax[0]
         f /= d
-        f.clip(-1.0, n, out=f)  # inside ones keep their bits; far ones fit _stencil's int64
-    mapped = _kernels.interp_cubic2d(grid.values, fx, fy).reshape(env.shape)
-    if escaped is not None:
-        mapped[escaped] = 0.0
-    mapped *= env
-    return CharGrid(s=0.0, axis=ax, values=mapped)
+        return f.clip(-1.0, n, out=f)
+
+    ends = ax[::n - 1]  # rounding is monotone, so the corners' images bound every image
+    escapes = not all(np.abs((a * ends)[:, None] + b * ends).max() <= L
+                      for a, b in ((x11, x12), (x21, x22)))  # NaN escapes
+    diagonal = x12 == 0.0 and x21 == 0.0
+    out = (_kernels.interp_cubic2d(values, index(x11 * ax)[:, None], index(x22 * ax))
+           if diagonal else np.empty_like(values))
+    step = max(1, _kernels.INTERP_BLOCK // n)
+    for lo in range(0, n, step):
+        rows, block = ax[lo:lo + step], out[lo:lo + step]
+        fx, fy = (x11 * rows)[:, None] + x12 * ax, (x21 * rows)[:, None] + x22 * ax
+        env = exp_quadratic(y11, y12, y22, rows, ax)
+        if escapes:
+            escaped = ~((np.abs(fx) <= L) & (np.abs(fy) <= L))
+            if np.any(env[escaped] > TOL_FFT):
+                raise ValueError("mapped points leave the grid where the noise envelope "
+                                 "has not decayed; enlarge the grid extent")
+        if not diagonal:
+            block[...] = _kernels.interp_cubic2d(values, index(fx), index(fy))
+        if escapes:
+            block[escaped] = 0.0
+        block *= env
+    return CharGrid(s=0.0, axis=ax, values=out)
 
 
 def rotation(theta):

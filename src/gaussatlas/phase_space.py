@@ -21,8 +21,8 @@ The states built here are parity-even, so their grids are real (float64)
 and stay real up to the transform; complex grids are accepted too.  Grids
 are outer sums and products of per-axis vectors, rounded as over meshgrids.
 A grid is (s, axis, values), its extent its axis's last node; ``quasi_from_char``
-refuses a non-finite value, an undecayed boundary or an overflowing transform,
-and nothing here warns.
+refuses a non-finite value, an undecayed boundary, an overflowing transform or
+an aliased one, and nothing here warns.
 ``fock1_output_p_fft`` is the one Fourier route to a single photon's output P:
 ``pfunc --variant fft`` prints it, and criterion 4 checks it against the closed form.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _as_mat2, act_chargrid, canonical_channel
+from .channels import _psd2, act_chargrid, canonical_channel
 
 TOL_FFT = 1e-6  # transform accuracy floor; boundary-decay refusal threshold
 P_EPS = 1e-3  # P-function regularization, evaluate at s = 1 - P_EPS
@@ -107,11 +107,11 @@ def _radius2(xi):
     return sq[:, None] + sq
 
 
-def exp_quadratic(m11, m12, m22, xi):
-    """exp(-(m11 xi1 xi1 + 2 m12 xi1 xi2 + m22 xi2 xi2) / 2) on the grid of axis xi."""
-    q = (2.0 * m12 * xi)[:, None] * xi
-    q += (m11 * xi * xi)[:, None]
-    q += m22 * xi * xi
+def exp_quadratic(m11, m12, m22, xi1, xi2):
+    """exp(-(m11 xi1 xi1 + 2 m12 xi1 xi2 + m22 xi2 xi2) / 2), xi1 down the rows, xi2 across."""
+    q = (2.0 * m12 * xi1)[:, None] * xi2
+    q += (m11 * xi1 * xi1)[:, None]
+    q += m22 * xi2 * xi2
     q *= -0.5
     return np.exp(q, out=q)
 
@@ -144,12 +144,11 @@ def char_fock1(s, spec=GridSpec()):
 
 def char_gaussian(V, s, spec=GridSpec()):
     """Characteristic function of a Gaussian state, exp(-xi^T (V - s*1) xi / 2);
-    a V that is not a finite 2x2 real matrix is refused, as act_variance refuses it."""
+    V is checked and read as act_variance checks and reads it."""
     _check_order(s)
-    v11, v12, v21, v22 = _as_mat2(V, "V")
+    (v11, v12, _, v22), _ = _psd2(V, "V")
     xi = _axis(spec)
-    v12 += 0.5 * (v21 - v12)  # the midpoint, as Channel's; v12 itself if V is symmetric
-    return CharGrid(s=float(s), axis=xi, values=exp_quadratic(v11 - s, v12, v22 - s, xi))
+    return CharGrid(s=float(s), axis=xi, values=exp_quadratic(v11 - s, v12, v22 - s, xi, xi))
 
 
 def convert_order(grid, s_target):
@@ -178,7 +177,11 @@ def quasi_from_char(grid):
     that is not finite, on the boundary (an order conversion overflowed:
     the extent must shrink) or inside it, a boundary above TOL_FFT (the
     transform would alias: the extent must grow), a transform that overflows,
-    and a result with an imaginary residue above TOL_FFT (non-Hermitian input).
+    a result with an imaginary residue above TOL_FFT (non-Hermitian input),
+    and one above TOL_FFT times its peak on the alpha window's boundary (W
+    outgrows the window and wraps round: the spacing must shrink).  The
+    transform is ifft2's in one complex buffer, its two passes in place, and
+    only the real part is shifted back.
     """
     v = grid.values
     bmax = float(np.max([np.abs(edge).max() for edge in (v[0], v[-1], v[:, 0], v[:, -1])]))
@@ -194,20 +197,31 @@ def quasi_from_char(grid):
         raise ValueError("characteristic function is not finite inside the grid boundary")
     n = grid.side
     d = grid.spacing
-    # ifft2 of a real grid matches its complex copy bit for bit; scale in place
+    W = np.fft.ifftshift(v).astype(complex, copy=False)
+    # in place, rows then columns, as ifft2 passes them; then scaled as ifft2's result was
     with np.errstate(over="ignore", invalid="ignore"):
-        W = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(v)))
+        for axis in (1, 0):
+            np.fft.ifft(W, axis=axis, out=W)
         W *= n * n
         W *= d * d / (2.0 * np.pi ** 2)
-    if not np.isfinite(W).all():
+    # each extreme is NaN or infinite if any value is
+    (top, bottom), (i_top, i_bottom) = ((float(p.max()), float(p.min())) for p in (W.real, W.imag))
+    if not all(map(math.isfinite, (top, bottom, i_top, i_bottom))):
         raise ValueError("the transform of the characteristic function overflows")
-    residue = float(np.abs(W.imag).max())
+    residue, peak = max(i_top, -i_bottom), max(top, -bottom)
     if residue > TOL_FFT:
         raise ValueError(f"imaginary residue {residue:.3e} exceeds {TOL_FFT:.0e}; "
                          "input grid is not Hermitian")
+    P = np.fft.fftshift(W.real)
+    edge = max(float(np.abs(e).max()) for e in (P[0], P[-1], P[:, 0], P[:, -1]))
+    if edge > TOL_FFT * peak:
+        raise ValueError(
+            f"quasiprobability boundary magnitude {edge:.3e} exceeds {TOL_FFT:.0e} of its "
+            f"peak {peak:.3e}, so the transform aliases; shrink the grid spacing "
+            "(raise --grid or lower --extent)")
     m = np.arange(n) - (n - 1) // 2
     alpha = 2.0 * np.pi * m / (np.sqrt(2.0) * n * d)
-    return QuasiGrid(s=grid.s, axis=alpha, values=W.real)
+    return QuasiGrid(s=grid.s, axis=alpha, values=P)
 
 
 def fock1_output_p(a, b, alpha1, alpha2, variant="rederived"):

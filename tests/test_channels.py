@@ -557,10 +557,26 @@ class TestActVariance:
         with pytest.raises(ValueError):
             act_variance(ch, np.eye(2))
 
+    @pytest.mark.parametrize("V, message", [(-np.eye(2), "positive semidefinite"),
+                                            ([[1.0, 5.0], [-5.0, 1.0]], "symmetric")])
+    def test_refuses_a_covariance_that_is_no_state(self, V, message):
+        # these went to 0.75 1 and 1.25 1; V is refused as Channel refuses Y
+        ch = Channel(X=0.5 * np.eye(2), Y=np.eye(2))
+        with pytest.raises(ValueError, match=f"^V must be {message}$"):
+            act_variance(ch, V)
+        with pytest.raises(ValueError, match=f"^Y must be {message}$"):
+            Channel(X=np.eye(2), Y=V)
+
+    def test_accepts_a_covariance_within_the_psd_slack(self):
+        ch = Channel(X=0.5 * np.eye(2), Y=np.eye(2))
+        V = np.diag([1.0, -1e-10])
+        assert act_variance(ch, V).tobytes() == (0.25 * V + np.eye(2)).tobytes()
+
     def test_reads_the_symmetric_part_of_an_asymmetric_covariance(self):
-        # as char_gaussian and Channel do; V itself once gave an asymmetric output
+        # as char_gaussian and Channel do, within Channel's asymmetry tolerance;
+        # V itself once gave an asymmetric output
         ch = Channel(X=[[0.9, 0.1], [0.2, 0.8]], Y=[[1.5, 0.1], [0.1, 1.2]])
-        V = np.array([[2.0, 0.6], [0.2, 1.5]])
+        V = np.array([[2.0, 0.6 + 1e-12], [0.6 - 1e-12, 1.5]])
         got = act_variance(ch, V)
         assert got.tobytes() == act_variance(ch, 0.5 * (V + V.T)).tobytes()
         assert got[0, 1] == got[1, 0]

@@ -369,10 +369,10 @@ class TestPfunc:
 
     def test_fft_prints_the_library_pipeline(self, capsys):
         # the one Fourier route: pfunc prints fock1_output_p_fft's arrays with %.12g
-        assert main(["pfunc", "--a", "2", "--b", "3", "--variant", "fft", "--grid", "33",
-                     "--format", "json"]) == 0
+        assert main(["pfunc", "--a", "2", "--b", "3", "--variant", "fft", "--grid", "41",
+                     "--extent", "4.5", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        axis, p = gaussatlas.fock1_output_p_fft(2.0, 3.0, gaussatlas.GridSpec(33, 10.0))
+        axis, p = gaussatlas.fock1_output_p_fft(2.0, 3.0, gaussatlas.GridSpec(41, 4.5))
         assert payload["alpha_axis"] == [float(f"{v:.12g}") for v in axis.tolist()]
         assert payload["values"] == [[float(f"{v:.12g}") for v in row] for row in p.tolist()]
 
@@ -530,8 +530,8 @@ def test_writer_bytes_do_not_depend_on_the_block_size(block, monkeypatch, capsys
 
     runs = [["sweep", "--form", "II", "--grid", "9"], ["sweep", "--grid", "9", "--format", "json"],
             ["pfunc", "--a", "3", "--b", "2", "--grid", "9"],
-            ["pfunc", "--a", "3", "--b", "2", "--variant", "fft", "--grid", "33",
-             "--format", "json"]]
+            ["pfunc", "--a", "3", "--b", "2", "--variant", "fft", "--grid", "41",
+             "--extent", "4.5", "--format", "json"]]
 
     def outputs():
         for argv in runs:
@@ -663,6 +663,12 @@ REFUSALS = {  # argv, the bytes of a channel file to append (None: none) and the
                       "--extent", "40"], None, 1),
     "fft-even-side": (["pfunc", "--a", "2", "--b", "2", "--variant", "fft", "--grid", "8"],
                       None, 2),
+    # P wider than the alpha window: at its edge 0.83 (a = 1000), 7.3e-4 (a = 100) and
+    # 0.2 (the 33-point grid) of its peak
+    "fft-aliased-a1000": (["pfunc", "--a", "1000", "--b", "2", "--variant", "fft"], None, 1),
+    "fft-aliased-a100": (["pfunc", "--a", "100", "--b", "2", "--variant", "fft"], None, 1),
+    "fft-aliased-33": (["pfunc", "--a", "2", "--b", "3", "--variant", "fft", "--grid", "33"],
+                       None, 1),
     "not-utf8": (["classify"], b"\xff\xfe\x00bad", 2),
     "nested-200000-deep": (["classify"], b"[" * 200_000 + b"]" * 200_000, 2),
     "orbit-not-eb": (["orbit"], CP_ONLY_CHANNEL.encode(), 1),
@@ -879,8 +885,8 @@ with open(report, "w") as fh:
             (["orbit", channel, "--grid", "0"], 2), (["orbit", channel, "--rmax", "400"], 2),
             (["orbit", channel, "--grid", "many"], 2), (["classify"], 2),
         ]
-        grid = [["sweep", "--grid", "5"], ["pfunc", "--variant", "fft", "--grid", "9",
-                                           "--a", "2", "--b", "3"]]
+        grid = [["sweep", "--grid", "5"], ["pfunc", "--variant", "fft", "--grid", "41",
+                                           "--extent", "4.5", "--a", "2", "--b", "3"]]
         report = tmp_path / "report.json"
         runs = json.dumps({"scalar": [argv for argv, _ in scalar], "grid": grid})
         src = str(Path(gaussatlas.__file__).resolve().parents[1])

@@ -287,7 +287,7 @@ _REAL_MAKERS = {
 def test_real_pipeline_matches_complex_reference(maker):
     # the library's grids are real; the same pipeline on their complex copy
     # is the reference, and the real path must reproduce it bit for bit
-    spec = GridSpec(side=129, extent=8.0)
+    spec = GridSpec(side=513, extent=8.0)
     grid = _REAL_MAKERS[maker](0.0, spec)
     assert grid.values.dtype == np.float64
     X = 0.9 * rotation(0.4) @ np.diag([1.0, 0.6])

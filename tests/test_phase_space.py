@@ -7,14 +7,17 @@ nodes.  A handful of oracle outputs are additionally frozen as literals so a
 convention regression cannot hide behind a matching implementation change.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gaussatlas._kernels import INTERP_BLOCK
 from gaussatlas.channels import Channel, act_chargrid, act_variance, rotation
 from gaussatlas.phase_space import (
+    P_EPS,
     TOL_FFT,
     CharGrid,
     GridSpec,
@@ -138,8 +141,9 @@ class TestCharFunctions:
         assert abs(g.values[_node(x1), _node(x2)] - np.exp(-0.5 * q)) < 1e-14
 
     def test_gaussian_reads_the_symmetric_part_of_an_asymmetric_covariance(self):
-        # xi^T V xi sees only (V + V^T) / 2, so both off-diagonal entries count
-        V = np.array([[2.0, 0.6], [0.2, 1.5]])
+        # an asymmetry within Channel's tolerance for Y is read at its midpoint, as
+        # xi^T V xi reads (V + V^T) / 2, so both off-diagonal entries count
+        V = np.array([[2.0, 0.6 + 1e-12], [0.6 - 1e-12, 1.5]])
         spec = GridSpec(side=33, extent=4.0)
         g = char_gaussian(V, 0.0, spec)
         sym = char_gaussian(0.5 * (V + V.T), 0.0, spec)
@@ -153,6 +157,11 @@ class TestCharFunctions:
         ([[1.0, 0.5], [0.5]], "a 2x2 real matrix"),
         ([[np.nan, 0.0], [0.0, 1.0]], "finite"),  # was an all-NaN grid
         ([[1.0, 0.0], [0.0, np.inf]], "finite"),
+        # no state: read as 0.75 1 through Channel(0.5 1, 1), and a grid up to 6.2e27
+        (-np.eye(2), "positive semidefinite"),
+        ([[1.0, 0.0], [0.0, -1e-8]], "positive semidefinite"),
+        ([[1.0, 5.0], [-5.0, 1.0]], "symmetric"),  # was read as the identity
+        ([[1.0, 0.5], [0.5 + 3e-12, 1.0]], "symmetric"),
     ])
     def test_gaussian_refuses_the_covariances_act_variance_refuses(self, V, message):
         with pytest.raises(ValueError, match=f"^V must be {message}$"):
@@ -334,6 +343,16 @@ class TestTransform:
                                              "overflows$"):
             quasi_from_char(grid)
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_quasiprobability_wider_than_its_window(self):
+        # W of covariance 100 1 on the alpha window +-17.6: the mass beyond the window
+        # wraps in, and the edge is 0.4 of the peak
+        g = char_gaussian(200.0 * np.eye(2), 0.0, GridSpec(side=129, extent=8.0))
+        with pytest.raises(ValueError, match=r"^quasiprobability boundary magnitude 6\.\d+e-04 "
+                                             r"exceeds 1e-06 of its peak 1\.\d+e-03") as exc:
+            quasi_from_char(g)
+        assert str(exc.value).endswith("shrink the grid spacing (raise --grid or lower --extent)")
+
     def test_refuses_non_hermitian_input(self):
         g = char_vacuum(0.0)
         x1, x2 = np.meshgrid(g.axis, g.axis, indexing="ij")
@@ -352,16 +371,18 @@ def _meshgrid_longhand(axis):
 
 
 def _act_chargrid_longhand(ch, grid):
-    """act_chargrid over meshgrid pairs, for a grid whose mapped points all stay inside."""
-    X, Y, ax, n = ch.X, ch.Y, grid.axis, grid.side
+    """act_chargrid over meshgrid pairs: every node's image clipped to one node past the
+    edge and interpolated, a complex grid's parts apart; escaped nodes zeroed, then the
+    envelope applied."""
+    X, Y, ax, n, L = ch.X, ch.Y, grid.axis, grid.side, grid.extent
     x1, x2 = _meshgrid_longhand(ax)
     m1 = X[0, 0] * x1 + X[0, 1] * x2
     m2 = X[1, 0] * x1 + X[1, 1] * x2
     env = np.exp(-0.5 * (Y[0, 0] * x1 * x1 + 2.0 * Y[0, 1] * x1 * x2
                          + Y[1, 1] * x2 * x2))
-    assert np.abs(m1).max() <= grid.extent and np.abs(m2).max() <= grid.extent
-    fx = (m1 - ax[0]) / grid.spacing
-    fy = (m2 - ax[0]) / grid.spacing
+    escaped = ~((np.abs(m1) <= L) & (np.abs(m2) <= L))
+    fx = np.clip((m1 - ax[0]) / grid.spacing, -1.0, n)
+    fy = np.clip((m2 - ax[0]) / grid.spacing, -1.0, n)
     bx = np.clip(np.floor(fx).astype(np.int64) - 1, 0, n - 4)
     by = np.clip(np.floor(fy).astype(np.int64) - 1, 0, n - 4)
     tx = fx - (bx + 1)
@@ -370,12 +391,21 @@ def _act_chargrid_longhand(ch, grid):
           -tx * (tx + 1.0) * (tx - 2.0) / 2.0, tx * (tx * tx - 1.0) / 6.0)
     wy = (-ty * (ty - 1.0) * (ty - 2.0) / 6.0, (ty * ty - 1.0) * (ty - 2.0) / 2.0,
           -ty * (ty + 1.0) * (ty - 2.0) / 2.0, ty * (ty * ty - 1.0) / 6.0)
-    mapped = np.zeros(fx.shape)
-    for i in range(4):
-        acc = wy[0] * grid.values[bx + i, by]
-        for j in range(1, 4):
-            acc = acc + wy[j] * grid.values[bx + i, by + j]
-        mapped += wx[i] * acc
+
+    def interp(values):
+        out = np.zeros(fx.shape)
+        for i in range(4):
+            acc = wy[0] * values[bx + i, by]
+            for j in range(1, 4):
+                acc = acc + wy[j] * values[bx + i, by + j]
+            out += wx[i] * acc
+        return out
+
+    mapped = np.zeros(grid.values.shape, np.result_type(grid.values, float))
+    mapped.real = interp(grid.values.real)
+    if np.iscomplexobj(mapped):
+        mapped.imag = interp(grid.values.imag)
+    mapped[escaped] = 0.0
     return mapped * env
 
 
@@ -420,6 +450,36 @@ class TestBitsAgainstMeshgridLonghand:
         grid = char_fock1(0.0, self.SPEC)
         assert _same_bits(act_chargrid(ch, grid).values, _act_chargrid_longhand(ch, grid))
 
+    @pytest.mark.parametrize("side, X, Y, complex_grid, escapes", [
+        # images escape past every edge, all where the envelope has decayed
+        (129, 1.5 * rotation(0.3), np.diag([4.0, 3.0]), False, True),
+        (129, 0.6 * rotation(0.4) @ np.diag([1.0, 0.7]), np.array([[2.5, 0.3], [0.3, 1.8]]),
+         True, False),
+        # 257 rows: the last block of rows, and of points, is partial
+        (257, 1.5 * rotation(0.3), np.diag([4.0, 3.0]), True, True),
+    ], ids=["escaping", "complex", "partial-last-block"])
+    def test_act_chargrid_on_the_general_path(self, side, X, Y, complex_grid, escapes):
+        ch = Channel(X=X, Y=Y)
+        grid = char_fock1(0.0, GridSpec(side=side, extent=7.0))
+        x1, x2 = _meshgrid_longhand(grid.axis)
+        if complex_grid:  # a displaced photon: a sizeable imaginary part
+            grid = CharGrid(s=0.0, axis=grid.axis,
+                            values=grid.values * np.exp(1j * (0.7 * x1 - 0.4 * x2)))
+        images = np.abs(X[0, 0] * x1 + X[0, 1] * x2), np.abs(X[1, 0] * x1 + X[1, 1] * x2)
+        assert (max(m.max() for m in images) > 7.0) == escapes
+        assert (side * side) % INTERP_BLOCK and side % (INTERP_BLOCK // side)
+        got = act_chargrid(ch, grid).values
+        assert got.dtype == (complex if complex_grid else float)
+        assert _same_bits(got, _act_chargrid_longhand(ch, grid))
+
+    def test_act_chargrid_refuses_an_undecayed_escape(self):
+        # a rotated shear under little noise: corners leave the support at weight 0.6
+        X = rotation(0.3) @ np.array([[1.0, 0.05], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^mapped points leave the grid where the noise "
+                                             "envelope has not decayed; enlarge the grid "
+                                             "extent$"):
+            act_chargrid(Channel(X=X, Y=0.01 * np.eye(2)), char_fock1(0.0, self.SPEC))
+
     def test_every_grid_keeps_its_geometry(self):
         # a characteristic grid keeps the spec's extent (or its input's) and the
         # spacing of its axis; the transform's reciprocal axis ends at alpha[-1]
@@ -437,6 +497,30 @@ class TestBitsAgainstMeshgridLonghand:
         assert _same_bits(q.axis, alpha) and q.extent == q.axis[-1] == float(alpha[-1])
         d = alpha[1] - alpha[0]
         assert (q.side, q.cell) == (129, d * d)
+
+
+def test_pipeline_builds_no_full_grid_temporary():
+    # tracemalloc sees numpy's buffers.  act_chargrid holds its output and a few blocks of
+    # rows; quasi_from_char one complex buffer and its real result
+    spec = GridSpec(side=1025, extent=8.0)
+    grid = char_gaussian([[1.3, 0.2], [0.2, 0.9]], 0.0, spec)
+    ch = Channel(X=0.6 * rotation(0.4) @ np.diag([1.0, 0.7]), Y=[[2.5, 0.3], [0.3, 2.4]])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        acted = act_chargrid(ch, grid)
+        act_peak = tracemalloc.get_traced_memory()[1] - base
+        lifted = convert_order(acted, 1.0 - P_EPS)
+        del acted
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        quasi_from_char(lifted)
+        quasi_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert lifted.values.dtype == float
+    assert act_peak <= 1.5 * lifted.values.nbytes
+    assert quasi_peak <= 3.5 * lifted.values.nbytes
 
 
 class TestFock1OutputP:
