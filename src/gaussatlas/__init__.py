@@ -11,7 +11,10 @@ PSD check and eigenvalues of the noise, complete positivity, the NCB
 oracle's supremum, and the two-mode PPT test of the entanglement-breaking
 oracle, which reduces to one) goes through one closed form,
 ``_kernels.eig2``: lam_min = det / lam_max.  Only the verification
-criteria call LAPACK, as their independent reference.  The verdict slack
+criteria call LAPACK, as their independent reference.  A Gaussian unitary
+is the channel (S, 0) that ``unitary`` builds, and ``compose`` chains two
+channels on their stored floats, as ``act_variance`` acts on a covariance,
+so only the criteria call numpy's matmul.  The verdict slack
 TOL_CLASS lives in ``breaking``; TOL_PSD and TOL_ALG live in ``channels``.
 Importing the package imports no numpy: ``Channel`` keeps floats and builds
 its arrays on request, functions that need numpy import it when called,
@@ -20,7 +23,6 @@ and the ``phase_space`` and ``verify`` exports are loaded on first use.
 
 import importlib
 
-from ._kernels import backend
 from .channels import (
     TOL_ALG,
     TOL_PSD,
@@ -31,12 +33,11 @@ from .channels import (
     act_variance,
     canonical_channel,
     canonical_reduce,
-    compose_post_unitary,
-    compose_pre_unitary,
+    compose,
     is_cp,
     kind_from_label,
     rotation,
-    symplectic_check,
+    unitary,
 )
 from .breaking import (
     TOL_CLASS,
@@ -68,12 +69,11 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "backend",
     "TOL_ALG",
     "TOL_CLASS",
     "TOL_PSD",
     "rotation",
-    "symplectic_check",
+    "unitary",
     "P_EPS",
     "TOL_FFT",
     "CharGrid",
@@ -93,8 +93,7 @@ __all__ = [
     "act_variance",
     "canonical_channel",
     "canonical_reduce",
-    "compose_post_unitary",
-    "compose_pre_unitary",
+    "compose",
     "is_cp",
     "kind_from_label",
     "BreakingReport",

@@ -73,11 +73,6 @@ def herm2_psd(m11, m12, m22, beta):
     return math.isfinite(scale) and eig2(m11, m12, m22, beta)[1] >= -16.0 * _EPS * scale
 
 
-def backend():
-    """Name of the numeric backend; numpy is the only one."""
-    return "numpy"
-
-
 INTERP_BLOCK = 1 << 14  # points per interpolation block, and per block of act_chargrid rows
 
 

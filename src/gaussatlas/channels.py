@@ -22,9 +22,10 @@ det S = 1, R^T R = 1, all in closed form on Python floats (rank one too).
 det X and CP verdict its constructor measures, all that the verdicts read;
 it builds its arrays on first access, and only array functions import numpy.
 
-Gaussian unitaries are 2x2 symplectic S; S^T sigma S = det(S) sigma, so
-``symplectic_check`` tests det S = 1 to TOL_ALG; ``rotation`` builds the
-rotations.  ``Channel`` accepts Y down to a -TOL_PSD max(1, max|Y_ij|) eigenvalue.
+Gaussian unitaries are 2x2 symplectic S; S^T sigma S = det(S) sigma, so ``unitary``
+accepts det S = 1 to TOL_ALG as the channel (S, 0); ``compose`` chains two channels on
+their floats, and ``rotation`` builds the rotations.  ``Channel`` accepts Y down to a
+-TOL_PSD max(1, max|Y_ij|) eigenvalue.
 """
 
 import json
@@ -64,7 +65,7 @@ def kind_from_label(label):
         raise ValueError(f"unknown canonical kind {label!r}") from None
 
 
-def _as_mat2(M, name, finite=True):
+def _as_mat2(M, name):
     """A 2x2 M (with .tolist(), or nested sequences) as a row-major tuple of floats."""
     try:
         (m11, m12), (m21, m22) = M.tolist() if hasattr(M, "tolist") else M
@@ -73,7 +74,7 @@ def _as_mat2(M, name, finite=True):
         raise ValueError(f"{name} must be a 2x2 real matrix") from None
     except OverflowError:  # an integer past the double range
         raise ValueError(f"{name} must be finite") from None
-    if finite and not all(map(math.isfinite, entries)):
+    if not all(map(math.isfinite, entries)):
         raise ValueError(f"{name} must be finite")
     return entries
 
@@ -295,12 +296,22 @@ def is_cp(ch):
     return ch._cp
 
 
+def _congruence(X, V, Y):
+    """X^T V X + Y on row-major tuples, V and Y symmetric; the off-diagonal is formed once."""
+    x11, x12, x21, x22 = X
+    v11, v12, _, v22 = V
+    w11, w12 = v11 * x11 + v12 * x21, v11 * x12 + v12 * x22  # the rows of V X
+    w21, w22 = v12 * x11 + v22 * x21, v12 * x12 + v22 * x22
+    off = x11 * w12 + x21 * w22 + Y[1]
+    return x11 * w11 + x21 * w21 + Y[0], off, off, x12 * w12 + x22 * w22 + Y[3]
+
+
 def act_variance(ch, V):
-    """Output covariance X^T V X + Y; V is checked and read as Channel checks and reads Y.
-    Refuses to act through a non-CP pair."""
+    """Output covariance X^T V X + Y, written out as compose's noise; V is checked and read
+    as Channel checks and reads Y.  Refuses to act through a non-CP pair."""
     if not is_cp(ch):
         raise ValueError("channel is not completely positive")
-    return ch.X.T @ _array2(_psd2(V, "V")[0]) @ ch.X + ch.Y
+    return _array2(_congruence(ch._x, _psd2(V, "V")[0], ch._y))
 
 
 def act_chargrid(ch, grid):
@@ -368,28 +379,19 @@ def rotation(theta):
     return _array2(_rot(theta))
 
 
-def symplectic_check(S):
-    """Whether the 2x2 S is symplectic: |det S - 1| <= TOL_ALG max(1, |s11 s22|, |s12 s21|).
-
-    The slack outgrows the determinant's rounding (a few eps times its
-    larger product) at any squeeze; an overflowing product fails.
-    """
-    s11, s12, s21, s22 = _as_mat2(S, "S", finite=False)
+def unitary(S):
+    """The Gaussian unitary of S as the channel (S, 0), refusing S unless |det S - 1| <=
+    TOL_ALG max(1, |s11 s22|, |s12 s21|): the slack outgrows the determinant's rounding (a
+    few eps times its larger product) at any squeeze, and an overflowing product fails."""
+    s11, s12, s21, s22 = _as_mat2(S, "S")
     p, q = s11 * s22, s12 * s21
-    return abs(p - q - 1.0) <= TOL_ALG * max(1.0, abs(p), abs(q)) < math.inf
-
-
-def compose_pre_unitary(ch, S):
-    """The channel preceded by the Gaussian unitary of symplectic S: (S X, Y)."""
-    S = _array2(_as_mat2(S, "S"))
-    if not symplectic_check(S):
+    if not abs(p - q - 1.0) <= TOL_ALG * max(1.0, abs(p), abs(q)) < math.inf:
         raise ValueError("S is not symplectic")
-    return Channel(X=S @ ch.X, Y=ch.Y)
+    return Channel(((s11, s12), (s21, s22)), ((0.0, 0.0), (0.0, 0.0)))
 
 
-def compose_post_unitary(ch, S):
-    """The channel followed by the Gaussian unitary of S: (X S, S^T Y S)."""
-    S = _array2(_as_mat2(S, "S"))
-    if not symplectic_check(S):
-        raise ValueError("S is not symplectic")
-    return Channel(X=ch.X @ S, Y=S.T @ ch.Y @ S)
+def compose(first, then):
+    """The channel first, then then: (X1 X2, X2^T Y1 X2 + Y2) on the stored floats, CP or not;
+    compose(unitary(S), ch) precedes ch by the unitary of S, compose(ch, unitary(S)) follows it."""
+    x, y = _mul(first._x, then._x), _congruence(then._x, first._y, then._y)
+    return Channel((x[:2], x[2:]), (y[:2], y[2:]))

@@ -22,7 +22,7 @@ and stay real up to the transform; complex grids are accepted too.  Grids
 are outer sums and products of per-axis vectors, rounded as over meshgrids.
 A grid is (s, axis, values), its extent its axis's last node; ``quasi_from_char``
 refuses a non-finite value, an undecayed boundary, an overflowing transform or
-an aliased one, and nothing here warns.
+one too coarse for its window, and nothing here warns.
 ``fock1_output_p_fft`` is the one Fourier route to a single photon's output P:
 ``pfunc --variant fft`` prints it, and criterion 4 checks it against the closed form.
 """
@@ -178,8 +178,9 @@ def quasi_from_char(grid):
     the extent must shrink) or inside it, a boundary above TOL_FFT (the
     transform would alias: the extent must grow), a transform that overflows,
     a result with an imaginary residue above TOL_FFT (non-Hermitian input),
-    and one above TOL_FFT times its peak on the alpha window's boundary (W
-    outgrows the window and wraps round: the spacing must shrink).  The
+    and one above TOL_FFT times its peak on the alpha window's boundary (W outgrows
+    the window and wraps round, or a channel action's interpolation error, amplified
+    by an order conversion, spreads over it: the spacing must shrink).  The
     transform is ifft2's in one complex buffer, its two passes in place, and
     only the real part is shifted back.
     """
@@ -217,8 +218,9 @@ def quasi_from_char(grid):
     if edge > TOL_FFT * peak:
         raise ValueError(
             f"quasiprobability boundary magnitude {edge:.3e} exceeds {TOL_FFT:.0e} of its "
-            f"peak {peak:.3e}, so the transform aliases; shrink the grid spacing "
-            "(raise --grid or lower --extent)")
+            f"peak {peak:.3e}: the quasiprobability is wider than its window and aliases, "
+            "or interpolation error amplified by an order conversion spreads over it; "
+            "shrink the grid spacing (raise --grid or lower --extent)")
     m = np.arange(n) - (n - 1) // 2
     alpha = 2.0 * np.pi * m / (np.sqrt(2.0) * n * d)
     return QuasiGrid(s=grid.s, axis=alpha, values=P)

@@ -38,10 +38,10 @@ from .channels import (
     act_variance,
     canonical_channel,
     canonical_reduce,
-    compose_post_unitary,
-    compose_pre_unitary,
+    compose,
     is_cp,
     rotation,
+    unitary,
 )
 from .phase_space import (
     GridSpec,
@@ -374,10 +374,9 @@ def _general_position(seed, noise, verdict):
     while drawn < 2000:
         kind = _GENERAL_KINDS[int(rng.integers(len(_GENERAL_KINDS)))]
         kappa = _log_uniform(rng, 0.1, 10.0) if kind in (Kind.I, Kind.II) else None
-        ch = compose_post_unitary(
-            compose_pre_unitary(canonical_channel(kind, *noise(rng, kind, kappa), kappa),
-                                _random_symplectic(rng)),
-            rotation(rng.uniform(-np.pi, np.pi)))
+        ch = canonical_channel(kind, *noise(rng, kind, kappa), kappa)  # noise drawn first
+        ch = compose(compose(unitary(_random_symplectic(rng)), ch),
+                     unitary(rotation(rng.uniform(-np.pi, np.pi))))
         if kind is Kind.III_RANK1:
             norm = _log_uniform(rng, 0.1, 10.0)
             ch = Channel(X=ch.X * (norm / np.linalg.norm(ch.X, 2)), Y=ch.Y)

@@ -9,10 +9,14 @@ by position (or passes ``*args`` or ``**kwargs``).
 
 The library calls no ``np.linalg`` routine: every 2x2 problem has a
 closed form.  Only ``verify.py`` keeps LAPACK, as the independent
-reference of its criteria.  Likewise only ``verify.py`` builds
-``np.meshgrid`` pairs, and no module builds ``np.repeat`` / ``np.tile``
-columns; the library builds its grids from per-axis vectors that
-broadcast.
+reference of its criteria.  Nor does it multiply matrices through numpy
+(the ``@`` operator, ``np.matmul``, ``np.dot`` and their kin): a
+composition and a covariance action are written out on the stored
+floats, so their bits do not depend on the BLAS build; only
+``verify.py`` keeps numpy's products, in its samplers and references.
+Likewise only ``verify.py`` builds ``np.meshgrid`` pairs, and no module
+builds ``np.repeat`` / ``np.tile`` columns; the library builds its grids
+from per-axis vectors that broadcast.
 Bulk float text has one route, ``_kernels.text12``: a ``.12g`` format
 spec appears only in its Python fallback and in the CLI's scalar helper.
 Output files have one route, ``cli._emit``: no other function opens or
@@ -44,7 +48,6 @@ PACKAGE = Path(gaussatlas.__file__).parent
 # exported without a caller inside the package, each for a reason
 ALLOWED_UNUSED = {
     "__version__": "package metadata",
-    "backend": "recorded in the environment of every benchmark result",
 }
 
 # options no call inside the package sets, each for a reason
@@ -55,6 +58,14 @@ ALLOWED_NEVER_SET = {}
 ALLOWED_LINALG = {
     "verify.py": "its criteria check the closed forms against LAPACK references",
 }
+
+# modules allowed numpy's matrix products, each for a reason
+ALLOWED_MATMUL = {
+    "verify.py": "its samplers draw symplectics and its criteria check the closed forms "
+                 "against numpy references",
+}
+
+MATRIX_PRODUCTS = ("matmul", "dot", "vdot", "einsum", "tensordot")  # numpy's matrix products
 
 # functions allowed a ".12g" format spec, each for a reason
 ALLOWED_TEXT_SPEC = {
@@ -192,6 +203,44 @@ def test_no_linalg_call_outside_the_verification_criteria():
 def test_linalg_allowlist_holds_only_modules_that_call_it():
     for name in ALLOWED_LINALG:
         assert any(_linalg_uses(PACKAGE / name)), name
+
+
+def _matmul_uses(path):
+    """Lines of path that multiply matrices through numpy: the @ operator, bare or
+    augmented, an attribute named after one of numpy's products (np.matmul, A.dot) or an
+    import of one."""
+    for node in _module_nodes(path):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            found = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Attribute):
+            found = node.attr in MATRIX_PRODUCTS
+        elif isinstance(node, ast.ImportFrom):
+            found = node.module == "numpy" and any(a.name in MATRIX_PRODUCTS for a in node.names)
+        else:
+            found = False
+        if found:
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_matmul_check_sees_every_route(tmp_path):
+    routes = ["A @ B", "A @= B", "np.matmul(A, B)", "numpy.dot(A, B)", "A.dot(B)",
+              'np.einsum("ij,jk", A, B)', "from numpy import matmul",
+              "from numpy import ones, tensordot"]
+    for i, line in enumerate(routes):
+        path = tmp_path / f"m{i}.py"
+        path.write_text(f"import numpy as np\n{line}\n")
+        assert list(_matmul_uses(path)) == [f"{path.name}:2"], line
+
+
+def test_no_matmul_outside_the_verification_criteria():
+    uses = [line for path in sorted(PACKAGE.glob("*.py"))
+            if path.name not in ALLOWED_MATMUL for line in _matmul_uses(path)]
+    assert not uses, f"numpy matrix products in library code: {uses}"
+
+
+def test_matmul_allowlist_holds_only_modules_that_use_it():
+    for name in ALLOWED_MATMUL:
+        assert any(_matmul_uses(PACKAGE / name)), name
 
 
 def _numpy_uses(path, names):

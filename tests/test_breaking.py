@@ -31,10 +31,10 @@ from gaussatlas.channels import (
     Kind,
     canonical_channel,
     canonical_reduce,
-    compose_post_unitary,
-    compose_pre_unitary,
+    compose,
     is_cp,
     rotation,
+    unitary,
 )
 from gaussatlas.cli import REGION_CSV_HEADER, main
 
@@ -239,7 +239,7 @@ class TestReportAgreesWithReduction:
             ch = canonical_channel(kinds[i % 4], a, b, kappa=float(np.exp(rng.uniform(-2.3, 2.3))))
             S = rotation(rng.uniform(-np.pi, np.pi)) @ _squeeze(rng.uniform(-2.0, 2.0)) \
                 @ rotation(rng.uniform(-np.pi, np.pi))
-            ch = compose_post_unitary(compose_pre_unitary(ch, S), rotation(rng.uniform(-np.pi, np.pi)))
+            ch = compose(compose(unitary(S), ch), unitary(rotation(rng.uniform(-np.pi, np.pi))))
             form = report(ch).form
             assert form.kind is kinds[i % 4]
             if form.kind in (Kind.I, Kind.II):
@@ -300,9 +300,7 @@ class TestNcbOracle:
         assert report(ch).ncb is expect
 
     def test_rotated_channel_same_verdict(self):
-        from gaussatlas.channels import compose_pre_unitary
-        ch = compose_pre_unitary(canonical_channel(Kind.I, 2.0, 2.0, kappa=0.6),
-                                 rotation(0.9))
+        ch = compose(unitary(rotation(0.9)), canonical_channel(Kind.I, 2.0, 2.0, kappa=0.6))
         assert ncb_oracle_gaussian(ch)
 
     def test_requires_cp(self):

@@ -20,12 +20,11 @@ from gaussatlas.channels import (
     act_variance,
     canonical_channel,
     canonical_reduce,
-    compose_post_unitary,
-    compose_pre_unitary,
+    compose,
     is_cp,
     kind_from_label,
     rotation,
-    symplectic_check,
+    unitary,
 )
 from gaussatlas.phase_space import GridSpec, char_fock1, char_gaussian, char_vacuum, convert_order
 
@@ -422,7 +421,7 @@ class TestCanonicalReduce:
         ch = Channel(X=np.array([[0.9, 0.2], [-0.1, 0.7]]), Y=np.diag([2.0, 1.5]))
         base = canonical_reduce(ch)
         S = rotation(0.7) @ _squeeze(0.5)
-        moved = canonical_reduce(compose_pre_unitary(ch, S))
+        moved = canonical_reduce(compose(unitary(S), ch))
         assert moved.kind is base.kind
         assert abs(moved.kappa - base.kappa) < 1e-10
         assert abs(moved.a - base.a) < 1e-10 and abs(moved.b - base.b) < 1e-10
@@ -430,7 +429,7 @@ class TestCanonicalReduce:
     def test_invariants_under_post_rotation(self):
         ch = Channel(X=np.array([[0.9, 0.2], [-0.1, 0.7]]), Y=np.diag([2.0, 1.5]))
         base = canonical_reduce(ch)
-        moved = canonical_reduce(compose_post_unitary(ch, rotation(1.1)))
+        moved = canonical_reduce(compose(ch, unitary(rotation(1.1))))
         assert moved.kind is base.kind
         assert abs(moved.kappa - base.kappa) < 1e-10
         assert abs(moved.a - base.a) < 1e-10 and abs(moved.b - base.b) < 1e-10
@@ -529,7 +528,7 @@ class TestCompletePositivity:
             ch = canonical_channel(kind, root * math.exp(u), root * math.exp(-u), kappa=kappa)
             S = rotation(rng.uniform(0, np.pi)) @ _squeeze(rng.uniform(-1, 1)) \
                 @ rotation(rng.uniform(0, np.pi))
-            ch = compose_post_unitary(compose_pre_unitary(ch, S), rotation(rng.uniform(0, np.pi)))
+            ch = compose(compose(unitary(S), ch), unitary(rotation(rng.uniform(0, np.pi))))
             assert is_cp(ch), (kind, kappa, u)
 
     def test_reflection_needs_more_noise(self):
@@ -638,19 +637,30 @@ class TestActChargrid:
             act_chargrid(Channel(X=SIGMA3, Y=np.zeros((2, 2))), g0)
 
 
-class TestSymplectic:
-    def test_rotation_and_squeeze_are_symplectic(self):
+def _refused(S, match="not symplectic"):
+    with pytest.raises(ValueError, match=match):
+        unitary(S)
+
+
+class TestUnitary:
+    def test_rotation_and_squeeze_are_unitaries(self):
         for theta in (0.0, 0.3, -1.2, np.pi):
-            assert symplectic_check(rotation(theta))
+            np.testing.assert_array_equal(unitary(rotation(theta)).X, rotation(theta))
         for r in (-1.5, 0.0, 0.7):
-            assert symplectic_check(_squeeze(r))
-        assert not symplectic_check(np.diag([2.0, 2.0]))
+            np.testing.assert_array_equal(unitary(_squeeze(r)).X, _squeeze(r))
+        _refused(np.diag([2.0, 2.0]))
+
+    def test_a_unitary_is_the_channel_s_and_no_noise(self):
+        ch = unitary([[2.0, 1.0], [1.0, 1.0]])
+        assert ch._x == (2.0, 1.0, 1.0, 1.0) and ch._y == (0.0,) * 4
+        for bad in ([[1.0, 0.0]], [[1.0, 0.0], [0.0, "1"]], None):
+            _refused(bad, "S must be a 2x2 real matrix")
 
     @settings(deadline=None, max_examples=40)
     @given(r=st.floats(-2.0, 2.0), theta=st.floats(0.0, np.pi))
     def test_symplectic_conjugation_preserves_validity(self, r, theta):
         S = rotation(theta) @ _squeeze(r)
-        assert symplectic_check(S)
+        unitary(S)
         V = S.T @ np.eye(2) @ S
         sigma = np.array([[0.0, 1.0], [-1.0, 0.0]])  # single-mode symplectic form
         # the vacuum maps to a pure state: V + i sigma >= 0 with a zero eigenvalue
@@ -661,25 +671,22 @@ class TestSymplectic:
         # det S rounds by a few eps times its products, about e^16 here: an
         # absolute 1e-12 slack on S^T Sigma S - Sigma refuses this S
         S = rotation(0.3) @ np.diag([np.exp(8.0), np.exp(-8.0)]) @ rotation(1.1)
-        assert symplectic_check(S)
-        ch = compose_pre_unitary(Channel(X=np.eye(2), Y=np.eye(2)), S)
+        ch = compose(unitary(S), Channel(X=np.eye(2), Y=np.eye(2)))
         np.testing.assert_array_equal(ch.X, S)
         for bad in (2.0 * np.eye(2), np.diag([1.0, 2.0])):
-            assert not symplectic_check(bad)
-            with pytest.raises(ValueError, match="not symplectic"):
-                compose_pre_unitary(ch, bad)
+            _refused(bad)
 
     def test_slack_follows_the_determinant_products(self):
         # 1e-12 absolute while every product is at most 1
-        assert symplectic_check(np.diag([1.0 + 0.9e-12, 1.0]))
-        assert not symplectic_check(np.diag([1.0 + 1.1e-12, 1.0]))
+        unitary(np.diag([1.0 + 0.9e-12, 1.0]))
+        _refused(np.diag([1.0 + 1.1e-12, 1.0]))
         # relative to the larger product, not to max|S_ij|^2
-        assert symplectic_check(np.diag([1e200, 1e-200]))
-        assert not symplectic_check(np.diag([1e13, 1.0]))
-        # an overflowing or NaN product fails
-        assert not symplectic_check(np.diag([1e200, 1e200]))
-        assert not symplectic_check(np.diag([math.inf, 1.0]))
-        assert not symplectic_check(np.diag([math.nan, 1.0]))
+        unitary(np.diag([1e200, 1e-200]))
+        _refused(np.diag([1e13, 1.0]))
+        # an overflowing product fails, and an entry that is not finite is refused
+        _refused(np.diag([1e200, 1e200]))
+        _refused(np.diag([math.inf, 1.0]), "S must be finite")
+        _refused(np.diag([math.nan, 1.0]), "S must be finite")
 
     def test_rotation_matrix(self):
         for theta in (0.0, 0.4, -2.5):
@@ -691,28 +698,83 @@ class TestCompose:
     def test_pre_unitary_maps_gain(self):
         ch = Channel(X=0.7 * np.eye(2), Y=np.eye(2))
         S = _squeeze(0.3)
-        out = compose_pre_unitary(ch, S)
+        out = compose(unitary(S), ch)
         np.testing.assert_allclose(out.X, S @ ch.X, atol=ATOL)
         np.testing.assert_array_equal(out.Y, ch.Y)
 
     def test_post_unitary_maps_gain_and_noise(self):
         ch = Channel(X=0.7 * np.eye(2), Y=np.diag([2.0, 1.0]))
         S = rotation(0.5)
-        out = compose_post_unitary(ch, S)
+        out = compose(ch, unitary(S))
         np.testing.assert_allclose(out.X, ch.X @ S, atol=ATOL)
         np.testing.assert_allclose(out.Y, S.T @ ch.Y @ S, atol=ATOL)
 
     def test_rejects_non_symplectic(self):
-        ch = Channel(X=np.eye(2), Y=np.eye(2))
         with pytest.raises(ValueError):
-            compose_pre_unitary(ch, 2.0 * np.eye(2))
+            unitary(2.0 * np.eye(2))
         with pytest.raises(ValueError):
-            compose_post_unitary(ch, np.diag([1.0, 2.0]))
+            unitary(np.diag([1.0, 2.0]))
 
     def test_composition_matches_variance_action(self):
         ch = Channel(X=0.8 * np.eye(2), Y=0.5 * np.eye(2))
         S = rotation(0.4) @ _squeeze(0.2)
         V = _squeeze(-0.3) @ _squeeze(-0.3)  # squeezed vacuum
-        left = act_variance(compose_pre_unitary(ch, S), V)
+        left = act_variance(compose(unitary(S), ch), V)
         right = act_variance(ch, S.T @ V @ S)
         np.testing.assert_allclose(left, right, atol=1e-12)
+
+    def test_composition_of_noisy_channels_matches_acting_twice(self):
+        # general X and noisy Y on both sides; over the 339 CP pairs the two routes
+        # differ by at most 5.5e-16 of the largest entry, where 1e-12 is asked
+        rng = np.random.default_rng(35)
+        pairs = 0
+        for _ in range(500):
+            first, then = (Channel(X=rng.standard_normal((2, 2)),
+                                   Y=(lambda A: A.T @ A + np.eye(2))(rng.standard_normal((2, 2))))
+                           for _ in range(2))
+            if not (is_cp(first) and is_cp(then)):
+                continue
+            pairs += 1
+            A = rng.standard_normal((2, 2))
+            V = A.T @ A + np.eye(2)
+            left = act_variance(compose(first, then), V)
+            right = act_variance(then, act_variance(first, V))
+            assert np.abs(left - right).max() <= 1e-12 * np.abs(right).max()
+        assert pairs == 339
+
+    def test_composed_noise_is_symmetric_by_construction(self):
+        # numpy's S^T Y S rounded the two off-diagonal entries apart by more than
+        # Channel's symmetry slack here; the one written-out entry cannot differ
+        S = [[26.890907551788963, 8.980941518527699], [52.00915700353611, 17.40704349881797]]
+        ch = Channel(X=np.eye(2), Y=[[33928767.165886074, -17506408.2197851],
+                                     [-17506408.2197851, 9032875.472879436]])
+        out = compose(ch, unitary(S))
+        assert out._y[1] == out._y[2]
+        np.testing.assert_allclose(out.Y, np.array(S).T @ ch.Y @ S, rtol=1e-6)
+
+    def test_post_unitary_is_never_refused_on_a_wide_sample(self):
+        # noise eigenvalues e^U(-20, 20) in a random frame, X standard normal, squeezes up
+        # to e^8: numpy's congruence refused 3 of these 20,000 as asymmetric
+        rng = np.random.default_rng(7)
+        for _ in range(20000):
+            R = rotation(rng.uniform(-np.pi, np.pi))
+            Y = R @ np.diag(np.exp(rng.uniform(-20.0, 20.0, 2))) @ R.T
+            ch = Channel(X=rng.standard_normal((2, 2)), Y=0.5 * (Y + Y.T))
+            r = rng.uniform(0.0, 8.0)
+            S = rotation(rng.uniform(-np.pi, np.pi)) @ _squeeze(r) \
+                @ rotation(rng.uniform(-np.pi, np.pi))
+            out = compose(ch, unitary(S))
+            assert out._y[1] == out._y[2]
+
+    def test_composition_is_the_written_out_product(self):
+        # compose reads the stored floats, so its bits cannot depend on the BLAS build
+        a = Channel(X=[[0.3, -1.2], [0.7, 0.4]], Y=[[2.0, 0.5], [0.5, 1.0]])
+        b = Channel(X=[[1.1, 0.2], [-0.6, 0.9]], Y=[[1.5, -0.25], [-0.25, 3.0]])
+        x11, x12, x21, x22 = b._x
+        w = (2.0 * x11 + 0.5 * x21, 2.0 * x12 + 0.5 * x22, 0.5 * x11 + 1.0 * x21,
+             0.5 * x12 + 1.0 * x22)
+        out = compose(a, b)
+        assert out._x == (0.3 * 1.1 + -1.2 * -0.6, 0.3 * 0.2 + -1.2 * 0.9,
+                          0.7 * 1.1 + 0.4 * -0.6, 0.7 * 0.2 + 0.4 * 0.9)
+        off = x11 * w[1] + x21 * w[3] + -0.25
+        assert out._y == (x11 * w[0] + x21 * w[2] + 1.5, off, off, x12 * w[1] + x22 * w[3] + 3.0)

@@ -714,9 +714,10 @@ class TestOrbitReduction:
 class TestVerdictsWithoutWitnesses:
     # kind I at unit gain, behind a pre-squeeze and a rotation, so check runs the
     # single-photon test; EB and NCB, so orbit finds r0
-    CHANNEL = gaussatlas.compose_post_unitary(gaussatlas.compose_pre_unitary(
-        gaussatlas.canonical_channel("I", 3.0, 2.5, kappa=1.0),
-        gaussatlas.rotation(0.4) @ np.diag([np.exp(-0.7), np.exp(0.7)])), gaussatlas.rotation(1.1))
+    CHANNEL = gaussatlas.compose(gaussatlas.compose(
+        gaussatlas.unitary(gaussatlas.rotation(0.4) @ np.diag([np.exp(-0.7), np.exp(0.7)])),
+        gaussatlas.canonical_channel("I", 3.0, 2.5, kappa=1.0)),
+        gaussatlas.unitary(gaussatlas.rotation(1.1)))
 
     def _write_channel(self, tmp_path):
         return _write(tmp_path, json.dumps({"X": self.CHANNEL.X.tolist(),

@@ -28,13 +28,9 @@ from gaussatlas import (
     quasi_from_char,
     rotation,
 )
-from gaussatlas._kernels import backend, eig2, herm2_psd, text12
+from gaussatlas._kernels import eig2, herm2_psd, text12
 
 EPS = np.finfo(float).eps
-
-
-def test_backend_is_numpy():
-    assert backend() == "numpy"
 
 
 def test_eig2_against_lapack():

@@ -2,7 +2,8 @@
 
 ROADMAP item 1 (verdicts in one unit, vacuum noise): today ``--tol`` and
 the verdict margins mix noise and noise^2 units, and ``is_cp`` and the EB
-oracle compare an eigenvalue with a slack that scales with max|Y|.
+oracle compare an eigenvalue with a slack that scales with max|Y|, so
+the rounding of det S alone can make a squeezing unitary (S, 0) non-CP.
 
 ROADMAP item 2 (exact verdicts of the stored floats): today the rank cut
 TOL_RANK decides the kind, so ``report`` can call a matrix X of stored
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from gaussatlas.breaking import report
-from gaussatlas.channels import Channel, Kind, canonical_channel, is_cp
+from gaussatlas.channels import Channel, Kind, canonical_channel, is_cp, rotation, unitary
 from gaussatlas.cli import main
 
 ITEM_1 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
@@ -67,6 +68,18 @@ def test_channels_on_the_eb_bound_are_eb():
             a = math.exp(u) * (1.0 + kappa ** 2)
             assert report(canonical_channel(Kind.I, a, (1.0 + kappa ** 2) ** 2 / a, kappa)).eb, \
                 (kappa, a)
+
+
+@ITEM_1
+def test_squeezing_unitaries_are_cp():
+    # det S rounds about 1e-12 away from 1 at squeezes e^+-4, past herm2_psd's 16 eps
+    # slack: is_cp says False for 530 of these 1000 unitaries, and report says CP for all
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        S = rotation(rng.uniform(-np.pi, np.pi)) @ np.diag([math.exp(4.0), math.exp(-4.0)]) \
+            @ rotation(rng.uniform(-np.pi, np.pi))
+        ch = unitary(S)
+        assert is_cp(ch) is report(ch).cp is True, S.tolist()
 
 
 @ITEM_2

@@ -353,6 +353,19 @@ class TestTransform:
             quasi_from_char(g)
         assert str(exc.value).endswith("shrink the grid spacing (raise --grid or lower --extent)")
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_interpolation_error_spread_over_the_window(self):
+        # a narrow P, but the cubic interpolation error of the action, amplified by the
+        # lift to order 1 - 1e-3, lies evenly over the window where the density is < 1e-100
+        g = char_fock1(0.0, GridSpec(side=129, extent=8.0))
+        ch = Channel(X=0.9 * rotation(0.4) @ np.diag([1.0, 0.6]), Y=[[2.5, 0.3], [0.3, 1.8]])
+        lifted = convert_order(act_chargrid(ch, g), 1.0 - 1e-3)
+        with pytest.raises(ValueError, match=r"^quasiprobability boundary magnitude 1\.409e-06 "
+                                             r"exceeds 1e-06 of its peak 9\.274e-02") as exc:
+            quasi_from_char(lifted)
+        assert "interpolation error amplified by an order conversion" in str(exc.value)
+        assert str(exc.value).endswith("shrink the grid spacing (raise --grid or lower --extent)")
+
     def test_refuses_non_hermitian_input(self):
         g = char_vacuum(0.0)
         x1, x2 = np.meshgrid(g.axis, g.axis, indexing="ij")
